@@ -21,7 +21,9 @@
 //! A framing violation (bad magic, oversized length, unknown flag
 //! bits, CRC mismatch, mid-frame truncation, malformed message) tears
 //! down **that connection only**: the server answers with a
-//! best-effort typed [`Reply::Error`], shuts the socket down, and
+//! best-effort typed [`Reply::Error`], shuts its sending side down,
+//! discards what the peer still sends for at most one second (so the
+//! close does not reset the connection under the unread reply), and
 //! keeps serving every other client — `tests/wire_fuzz.rs` is the
 //! enforcement.
 //!
@@ -41,10 +43,12 @@
 //! [`ScoreTicket`]: sdc_serve::ScoreTicket
 
 use std::collections::BTreeMap;
+use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use sdc_data::StreamId;
 use sdc_obs::TraceContext;
@@ -72,7 +76,10 @@ pub struct StandbyState {
 struct Shared {
     replicas: Arc<ReplicaSet>,
     standby: Mutex<Option<StandbyState>>,
-    conns: Mutex<Vec<TcpStream>>,
+    /// A clone of each live connection's socket, keyed by accept order,
+    /// for `Drop` to shut down; a handler removes its own as it exits.
+    conns: Mutex<BTreeMap<u64, TcpStream>>,
+    /// Handler threads not yet joined; each accept joins the finished.
     handlers: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -116,8 +123,11 @@ enum Pending {
 /// A TCP front-end over a shared [`ReplicaSet`].
 ///
 /// Binds `127.0.0.1:0` (the OS picks the port; see
-/// [`NodeServer::addr`]). Dropping the server stops accepting, shuts
-/// down every live connection, and joins all threads.
+/// [`NodeServer::addr`]). A closed connection gives back its socket as
+/// its handler exits, and the handler thread is joined at the next
+/// accept, so open fds and threads track live connections rather than
+/// every connection ever accepted. Dropping the server stops
+/// accepting, shuts down every live connection, and joins all threads.
 #[derive(Debug)]
 pub struct NodeServer {
     addr: SocketAddr,
@@ -142,7 +152,7 @@ impl NodeServer {
         let shared = Arc::new(Shared {
             replicas,
             standby: Mutex::new(None),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(BTreeMap::new()),
             handlers: Mutex::new(Vec::new()),
         });
         let accept = {
@@ -184,7 +194,7 @@ impl Drop for NodeServer {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        for conn in self.shared.conns.lock().expect("conns lock").drain(..) {
+        for conn in self.shared.conns.lock().expect("conns lock").values() {
             let _ = conn.shutdown(Shutdown::Both);
         }
         let handlers: Vec<_> =
@@ -196,7 +206,7 @@ impl Drop for NodeServer {
 }
 
 fn accept_loop(listener: &TcpListener, stop: &AtomicBool, shared: &Arc<Shared>) {
-    for conn in listener.incoming() {
+    for (id, conn) in (0u64..).zip(listener.incoming()) {
         if stop.load(Ordering::SeqCst) {
             break;
         }
@@ -206,11 +216,22 @@ fn accept_loop(listener: &TcpListener, stop: &AtomicBool, shared: &Arc<Shared>) 
         let _ = stream.set_nodelay(true);
         sdc_obs::counter!("node.accept").inc();
         if let Ok(clone) = stream.try_clone() {
-            shared.conns.lock().expect("conns lock").push(clone);
+            shared.conns.lock().expect("conns lock").insert(id, clone);
         }
         let shared_conn = Arc::clone(shared);
-        let handle = std::thread::spawn(move || handle_connection(&shared_conn, stream));
-        shared.handlers.lock().expect("handlers lock").push(handle);
+        let handle = std::thread::spawn(move || {
+            handle_connection(&shared_conn, stream);
+            shared_conn.conns.lock().expect("conns lock").remove(&id);
+        });
+        let mut handlers = shared.handlers.lock().expect("handlers lock");
+        for handler in std::mem::take(&mut *handlers) {
+            if handler.is_finished() {
+                let _ = handler.join();
+            } else {
+                handlers.push(handler);
+            }
+        }
+        handlers.push(handle);
     }
 }
 
@@ -267,7 +288,31 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     }
     drop(tx); // pump drains the queue and exits
     let _ = pump.join();
-    let _ = stream.shutdown(Shutdown::Both);
+    let _ = stream.shutdown(Shutdown::Write);
+    linger(&mut reader);
+}
+
+/// How long a closing connection keeps discarding what its peer still
+/// sends.
+const LINGER: Duration = Duration::from_secs(1);
+
+/// Reads and discards until the peer's end of stream, an error, or
+/// [`LINGER`] has passed. Closing a socket with unread input answers
+/// the peer with a reset, which can destroy a typed error reply before
+/// the peer reads it; after a framing violation the peer may still be
+/// sending the rest of its frame.
+fn linger(reader: &mut TcpStream) {
+    let deadline = Instant::now() + LINGER;
+    let mut sink = [0u8; 4096];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || reader.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        if matches!(reader.read(&mut sink), Ok(0) | Err(_)) {
+            return;
+        }
+    }
 }
 
 /// Routes one decoded request; `Err` means the pump is gone and the

@@ -23,10 +23,12 @@
 //!
 //! Recording is cheap enough to leave on in release builds: a handful
 //! of relaxed atomic RMWs per event, no locks, no allocation after a
-//! metric is interned. When recording is disabled (`SDC_OBS=0` or
-//! [`set_enabled`]`(false)`) every record path short-circuits on one
-//! relaxed load, and [`ScopeTimer::start`] skips reading the clock
-//! entirely — a disabled scope costs one branch.
+//! metric is interned. That is cheap only against coarse events, so
+//! the stack records at dispatch granularity or coarser — never per
+//! pool chunk, which can take under a microsecond. When recording is
+//! disabled (`SDC_OBS=0` or [`set_enabled`]`(false)`) every record path
+//! short-circuits on one relaxed load, and [`ScopeTimer::start`] skips
+//! reading the clock entirely — a disabled scope costs one branch.
 //!
 //! ```
 //! sdc_obs::set_enabled(true);
@@ -58,6 +60,15 @@
 //!   `obs.trace.overwritten` spans lost to ring wrap-around. (The
 //!   collector also keeps its own ungated totals — these registry
 //!   counters exist so a metrics scrape sees tracing health.)
+//! * `runtime.*` — the worker pool (`sdc-runtime`), recorded per
+//!   dispatch, never per chunk: counters `runtime.jobs` /
+//!   `runtime.chunks` (parallel dispatches and the chunks they split
+//!   into) and `runtime.serial_jobs` (dispatches run inline: one
+//!   thread or one chunk); histograms `runtime.dispatch` (wall time of
+//!   a parallel dispatch), `runtime.queue_wait` (enqueue → first chunk
+//!   claim) and `runtime.busy` (one observation per thread that ran
+//!   chunks of a dispatch, first claim → job ran dry; its count ÷
+//!   `runtime.jobs` is the mean number of participating threads).
 //! * `tensor.*` — the autodiff/GEMM stack (`sdc-tensor`): scope timers
 //!   `tensor.gemm`, `tensor.gemm.pack_b`, `tensor.gemm.kernel` around
 //!   the blocked kernel, `tensor.backward.{sweep,level}` and

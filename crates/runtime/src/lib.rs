@@ -27,14 +27,20 @@
 //!
 //! ## Instrumentation
 //!
-//! Dispatch is instrumented through `sdc-obs` (global registry):
-//! `runtime.dispatch` (wall time of one parallel dispatch),
-//! `runtime.queue_wait` (enqueue → first chunk claim), `runtime.chunk`
-//! (per-chunk body time), counters `runtime.jobs` / `runtime.chunks` /
-//! `runtime.serial_jobs`, and the `runtime.active_workers` occupancy
-//! gauge. All of it is observe-only — metrics never influence
-//! chunking, scheduling, or results — and collapses to a branch per
-//! event when recording is disabled (`SDC_OBS=0`).
+//! Dispatch is instrumented through `sdc-obs` (global registry) at
+//! dispatch granularity, never per chunk: `runtime.dispatch` (wall
+//! time of one parallel dispatch), `runtime.queue_wait` (enqueue →
+//! first chunk claim), `runtime.busy` (one observation per thread that
+//! ran chunks of a dispatch: its first claim until the job ran dry —
+//! the count is participations, the sum busy nanoseconds, so
+//! `runtime.busy` count ÷ `runtime.jobs` is the mean number of
+//! participating threads), and counters `runtime.jobs` /
+//! `runtime.chunks` / `runtime.serial_jobs`. A chunk — often under a
+//! microsecond — therefore pays no clock read and no metric update;
+//! its only shared atomics are its claim and its completion count.
+//! All of it is observe-only — metrics never influence chunking,
+//! scheduling, or results — and collapses to a branch per event when
+//! recording is disabled (`SDC_OBS=0`).
 //!
 //! ```
 //! use sdc_runtime::Runtime;
@@ -97,20 +103,27 @@ unsafe impl Send for Job {}
 unsafe impl Sync for Job {}
 
 impl Job {
-    /// Claims and runs chunks until none remain. Returns whether any
-    /// chunk body panicked (the panic itself is captured).
+    /// Claims and runs chunks until none remain; chunk-body panics are
+    /// captured for the submitting thread.
+    ///
+    /// A thread that claims at least one chunk records one
+    /// `runtime.busy` observation — its first claim until the job runs
+    /// dry — so recording costs two clock reads and one histogram
+    /// record per participant per dispatch, whatever the chunk count.
     fn work(&self) {
-        loop {
-            let i = self.next.fetch_add(1, Ordering::SeqCst);
-            if i >= self.n_chunks {
-                return;
-            }
-            if i == 0 {
-                if let Some(enqueued) = self.enqueued {
-                    sdc_obs::histogram!("runtime.queue_wait").record_duration(enqueued.elapsed());
-                }
-            }
-            let _chunk_timer = sdc_obs::scope!("runtime.chunk");
+        let mut i = self.next.fetch_add(1, Ordering::SeqCst);
+        if i >= self.n_chunks {
+            return;
+        }
+        let busy_since = sdc_obs::enabled().then(Instant::now);
+        // Chunk 0 is the job's first claim overall.
+        if let (0, Some(enqueued), Some(now)) = (i, self.enqueued, busy_since) {
+            sdc_obs::histogram!("runtime.queue_wait").record_duration(now - enqueued);
+        }
+        while i < self.n_chunks {
+            // SAFETY: chunk `i` is claimed and unfinished, so
+            // `pending > 0` and the borrow behind `body` is live (see
+            // `Job`).
             let body = unsafe { self.body.as_ref() };
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(i))) {
                 let mut slot = self.panic_payload.lock().unwrap_or_else(|e| e.into_inner());
@@ -120,27 +133,16 @@ impl Job {
                 let _g = self.done_lock.lock().unwrap_or_else(|e| e.into_inner());
                 self.done_cv.notify_all();
             }
+            i = self.next.fetch_add(1, Ordering::SeqCst);
+        }
+        if let Some(since) = busy_since {
+            sdc_obs::histogram!("runtime.busy").record_duration(since.elapsed());
         }
     }
 
     fn exhausted(&self) -> bool {
         self.next.load(Ordering::SeqCst) >= self.n_chunks
     }
-}
-
-/// Runs `job.work()` with the `runtime.active_workers` occupancy gauge
-/// held high.
-fn work_occupied(job: &Job) {
-    let gauge = sdc_obs::gauge!("runtime.active_workers");
-    gauge.inc();
-    struct Release<'a>(&'a sdc_obs::Gauge);
-    impl Drop for Release<'_> {
-        fn drop(&mut self) {
-            self.0.dec();
-        }
-    }
-    let _release = Release(gauge);
-    job.work();
 }
 
 /// State shared between the pool handle and its workers.
@@ -218,7 +220,7 @@ impl Runtime {
                         // stays on it.
                         CURRENT.with(|c| *c.borrow_mut() = Some(pool.clone()));
                         while let Some(job) = pool.shared.next_job() {
-                            work_occupied(&job);
+                            job.work();
                         }
                     })
                     .expect("spawn runtime worker")
@@ -312,7 +314,7 @@ impl Pool {
         // The submitting thread works too — this also guarantees
         // progress (and hence deadlock freedom) for nested dispatches
         // issued from worker threads.
-        work_occupied(&job);
+        job.work();
 
         let mut g = job.done_lock.lock().unwrap_or_else(|e| e.into_inner());
         while job.pending.load(Ordering::SeqCst) > 0 {
@@ -338,7 +340,13 @@ impl Pool {
 
 impl Drop for Runtime {
     fn drop(&mut self) {
-        self.pool.shared.shutdown.store(true, Ordering::SeqCst);
+        // Set the flag under the queue lock: a worker reads it under that
+        // lock just before waiting, so the wake-up below cannot land
+        // between its read and its wait and be lost.
+        {
+            let _queue = self.pool.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            self.pool.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.pool.shared.work_cv.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -670,19 +678,46 @@ mod tests {
         sdc_obs::set_enabled(true);
         let before = sdc_obs::global().snapshot();
         let jobs_before = before.counters.get("runtime.jobs").copied().unwrap_or(0);
-        let rt = Runtime::new(4);
-        rt.install(|| {
-            par_for(64, 4, |r| {
-                std::hint::black_box(r.len());
+        let busy_before = before.histograms.get("runtime.busy").map_or(0, |h| h.count);
+        {
+            let rt = Runtime::new(4);
+            rt.install(|| {
+                par_for(64, 4, |r| {
+                    std::hint::black_box(r.len());
+                });
             });
-        });
+            // Dropping the pool joins its workers, whose `runtime.busy`
+            // records land when they run dry.
+        }
         let after = sdc_obs::global().snapshot();
         assert!(after.counters["runtime.jobs"] > jobs_before);
         assert!(after.counters["runtime.chunks"] >= 16);
         assert!(after.histograms["runtime.dispatch"].count >= 1);
         assert!(after.histograms["runtime.queue_wait"].count >= 1);
-        assert!(after.histograms["runtime.chunk"].count >= 16);
-        assert!(after.gauges["runtime.active_workers"].max >= 1);
+        assert!(after.histograms["runtime.busy"].count > busy_before);
+        assert!(after.histograms["runtime.busy"].sum > 0);
+    }
+
+    #[test]
+    fn dropping_a_pool_right_after_a_dispatch_never_hangs() {
+        // Drop races the workers going back to wait for work: a shutdown
+        // signal that lands between a worker's flag check and its wait
+        // must not be lost, or `drop` joins a sleeping worker forever.
+        // Thousands of short-lived pools give that window many chances.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let churn = std::thread::spawn(move || {
+            for _ in 0..5_000 {
+                let rt = Runtime::new(16);
+                rt.install(|| {
+                    par_for(64, 1, |r| {
+                        std::hint::black_box(r);
+                    });
+                });
+            }
+            done_tx.send(()).expect("test thread waits for the churn");
+        });
+        done_rx.recv_timeout(std::time::Duration::from_secs(60)).expect("a pool drop hung");
+        churn.join().expect("churn thread");
     }
 
     #[test]

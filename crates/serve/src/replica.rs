@@ -68,17 +68,12 @@ impl ReplicaSet {
     /// `model` and the same per-service configuration.
     pub fn start(model: ContrastiveModel, config: ServeConfig) -> Self {
         let n = config.replicas.max(1);
-        let replicas = (0..n)
-            .map(|i| {
-                let m = if i + 1 == n { None } else { Some(model.clone()) };
-                // The last replica takes the original model: one clone
-                // per extra replica, none for the single-replica case.
-                ScoringService::start(
-                    m.unwrap_or_else(|| model.clone()),
-                    ServeConfig { replicas: 1, ..config.clone() },
-                )
-            })
-            .collect();
+        let config = ServeConfig { replicas: 1, ..config };
+        // The last replica takes the original model: one clone per
+        // extra replica, none for the single-replica case.
+        let mut replicas: Vec<ScoringService> =
+            (1..n).map(|_| ScoringService::start(model.clone(), config.clone())).collect();
+        replicas.push(ScoringService::start(model, config));
         Self { replicas }
     }
 
@@ -114,10 +109,11 @@ impl ReplicaSet {
     /// cut after this call score with the new parameters on all of
     /// them.
     pub fn swap_model(&self, model: ContrastiveModel) {
-        for (i, replica) in self.replicas.iter().enumerate() {
-            let m = if i + 1 == self.replicas.len() { None } else { Some(model.clone()) };
-            replica.swap_model(m.unwrap_or_else(|| model.clone()));
+        let (last, rest) = self.replicas.split_last().expect("a started set is never empty");
+        for replica in rest {
+            replica.swap_model(model.clone());
         }
+        last.swap_model(model);
     }
 
     /// Quiesces every replica: blocks until each batcher has processed
