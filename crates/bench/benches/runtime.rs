@@ -2,11 +2,8 @@
 //! contrast scoring and dense matmul at 1/2/4/8 threads, the
 //! level-scheduled `Graph::backward` over a two-tower tape at the same
 //! thread counts (plus the scheduler against the retained serial sweep
-//! at one thread), the level-overlapped `Graph::forward` replay against
-//! its serial reference, the blocked GEMM kernel against the naive
-//! `i-k-j` reference, and the zero-skip-branch experiment that motivated
-//! removing the `if aip == 0.0 { continue; }` test from the matmul hot
-//! loop.
+//! at one thread), and the blocked GEMM kernel against the naive
+//! `i-k-j` reference.
 //!
 //! Besides the usual console output, results are written to
 //! `BENCH_runtime.json` at the workspace root so future PRs can track
@@ -23,22 +20,6 @@ use sdc_tensor::ops::matmul::matmul;
 use sdc_tensor::{Graph, Tensor, VarId};
 use std::hint::black_box;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Panel-cache hit rate observed while the `backward_256` group ran,
-/// stored as `f64` bits for the JSON footer. It stays NaN, and the
-/// footer field is omitted, until the group has run or when no lookup
-/// was counted — as with recording off (`SDC_OBS=0`), which this bench
-/// honours so it can time the recording-off path.
-static PACK_CACHE_HIT_RATE: AtomicU64 = AtomicU64::new(0x7ff8_0000_0000_0000);
-
-fn pack_cache_counts() -> (u64, u64) {
-    let reg = sdc_obs::global();
-    (
-        reg.counter("tensor.gemm.pack_cache.hit").get(),
-        reg.counter("tensor.gemm.pack_cache.miss").get(),
-    )
-}
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -99,7 +80,6 @@ fn two_tower_graph() -> (Graph, VarId) {
 fn bench_backward_by_threads(c: &mut Criterion) {
     let (mut graph, loss) = two_tower_graph();
     let mut group = c.benchmark_group("backward_256");
-    let (hit0, miss0) = pack_cache_counts();
     for &threads in &THREAD_COUNTS {
         let rt = Runtime::new(threads);
         group.bench_function(BenchmarkId::from_parameter(threads), |bch| {
@@ -107,13 +87,6 @@ fn bench_backward_by_threads(c: &mut Criterion) {
         });
     }
     group.finish();
-    // Report how often re-swept sweeps reused cached operand packs:
-    // regressions in panel caching should be visible in the JSON
-    // footer, not just as wall-time drift.
-    let (hit1, miss1) = pack_cache_counts();
-    let (hits, misses) = (hit1 - hit0, miss1 - miss0);
-    let rate = if hits + misses > 0 { hits as f64 / (hits + misses) as f64 } else { f64::NAN };
-    PACK_CACHE_HIT_RATE.store(rate.to_bits(), Ordering::Relaxed);
 }
 
 /// The scheduler against the retained serial reference sweep, single
@@ -128,23 +101,6 @@ fn bench_backward_sched_vs_serial(c: &mut Criterion) {
     });
     group.bench_function("serial", |bch| {
         bch.iter(|| rt.install(|| graph.backward_serial(black_box(loss)).unwrap()))
-    });
-    group.finish();
-}
-
-/// The level-overlapped forward replay against the retained serial
-/// reference over the same two-tower tape, single thread — isolates
-/// the level analysis + commit-ordering overhead of `Graph::forward`
-/// (the thread-level speedup shows up in scoring/backward groups).
-fn bench_forward_sched_vs_serial(c: &mut Criterion) {
-    let (mut graph, loss) = two_tower_graph();
-    let rt = Runtime::new(1);
-    let mut group = c.benchmark_group("forward_256");
-    group.bench_function("level", |bch| {
-        bch.iter(|| rt.install(|| graph.forward(black_box(loss)).unwrap()))
-    });
-    group.bench_function("serial", |bch| {
-        bch.iter(|| rt.install(|| graph.forward_serial(black_box(loss)).unwrap()))
     });
     group.finish();
 }
@@ -172,64 +128,6 @@ fn bench_blocked_vs_naive(c: &mut Criterion) {
     group.finish();
 }
 
-/// The removed zero-skip inner loop, kept here (only) to measure what
-/// the data-dependent branch costs on dense inputs.
-fn matmul_with_zero_skip(a: &Tensor, b: &Tensor, n: usize, k: usize, m: usize) -> Tensor {
-    let mut out = Tensor::zeros([n, m]);
-    let ad = a.data();
-    let bd = b.data();
-    let od = out.data_mut();
-    for i in 0..n {
-        for p in 0..k {
-            let aip = ad[i * k + p];
-            if aip == 0.0 {
-                continue;
-            }
-            let brow = &bd[p * m..(p + 1) * m];
-            let orow = &mut od[i * m..(i + 1) * m];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += aip * bv;
-            }
-        }
-    }
-    out
-}
-
-fn bench_zero_skip_branch(c: &mut Criterion) {
-    let n = 192;
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(9);
-    let dense_a = Tensor::randn([n, n], 1.0, &mut rng);
-    let b = Tensor::randn([n, n], 1.0, &mut rng);
-    // 50% zeros — the most branch-predictor-hostile density.
-    let sparse_a = dense_a.map(|v| if v > 0.0 { v } else { 0.0 });
-    let rt = Runtime::new(1);
-    let mut group = c.benchmark_group("matmul_zero_skip");
-    // The branchless arms pin `gemm::naive` (not the public `matmul`,
-    // which now takes the blocked path at this size) so the experiment
-    // stays a like-for-like comparison of the same loop ± the branch.
-    group.bench_function("dense/branchless", |bch| {
-        bch.iter(|| {
-            rt.install(|| {
-                gemm::naive(black_box(&dense_a), Trans::N, black_box(&b), Trans::N).unwrap()
-            })
-        })
-    });
-    group.bench_function("dense/zero_skip", |bch| {
-        bch.iter(|| matmul_with_zero_skip(black_box(&dense_a), black_box(&b), n, n, n))
-    });
-    group.bench_function("half_sparse/branchless", |bch| {
-        bch.iter(|| {
-            rt.install(|| {
-                gemm::naive(black_box(&sparse_a), Trans::N, black_box(&b), Trans::N).unwrap()
-            })
-        })
-    });
-    group.bench_function("half_sparse/zero_skip", |bch| {
-        bch.iter(|| matmul_with_zero_skip(black_box(&sparse_a), black_box(&b), n, n, n))
-    });
-    group.finish();
-}
-
 /// Writes `BENCH_runtime.json` at the workspace root: a list of
 /// `{"id", "ns_per_iter"}` entries plus environment metadata.
 fn write_json(c: &Criterion) {
@@ -244,10 +142,6 @@ fn write_json(c: &Criterion) {
         ));
     }
     out.push_str("  ],\n");
-    let rate = f64::from_bits(PACK_CACHE_HIT_RATE.load(Ordering::Relaxed));
-    if rate.is_finite() {
-        out.push_str(&format!("  \"pack_cache_hit_rate\": {rate:.4},\n"));
-    }
     out.push_str(&sdc_bench::json_env_footer());
     match std::fs::File::create(path) {
         Ok(mut f) => {
@@ -264,8 +158,6 @@ fn main() {
     bench_matmul_by_threads(&mut criterion);
     bench_backward_by_threads(&mut criterion);
     bench_backward_sched_vs_serial(&mut criterion);
-    bench_forward_sched_vs_serial(&mut criterion);
     bench_blocked_vs_naive(&mut criterion);
-    bench_zero_skip_branch(&mut criterion);
     write_json(&criterion);
 }

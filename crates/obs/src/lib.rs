@@ -71,13 +71,8 @@
 //!   `runtime.jobs` is the mean number of participating threads).
 //! * `tensor.*` — the autodiff/GEMM stack (`sdc-tensor`): scope timers
 //!   `tensor.gemm`, `tensor.gemm.pack_b`, `tensor.gemm.kernel` around
-//!   the blocked kernel, `tensor.backward.{sweep,level}` and
-//!   `tensor.forward.{sweep,level}` around the level-scheduled sweeps,
-//!   and the operand-panel cache counters
-//!   `tensor.gemm.pack_cache.hit` / `tensor.gemm.pack_cache.miss` /
-//!   `tensor.gemm.pack_cache.evicted_bytes` (hits and misses count
-//!   pack lookups on re-swept tapes; evicted bytes count stale
-//!   replacements plus cap-declined inserts).
+//!   the blocked kernel, and `tensor.backward.{sweep,level}` around the
+//!   level-scheduled backward sweep.
 
 #![deny(missing_docs)]
 

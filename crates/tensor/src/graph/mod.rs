@@ -26,16 +26,13 @@
 //! # Ok::<(), sdc_tensor::TensorError>(())
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
 use crate::error::{Result, TensorError};
-use crate::ops::conv::{conv2d_backward_packed, conv2d_forward_packed, im2col_packed};
+use crate::ops::conv::{conv2d_backward_packed, conv2d_forward_packed};
 use crate::ops::elementwise::{
     clamp_forward, div_forward, exp_forward, ln_forward, sigmoid_forward, sqrt_forward,
     tanh_forward,
 };
-use crate::ops::gemm::{gemm_prepacked, PackedPanels, Trans, BLOCK_MIN_WORK};
+use crate::ops::gemm::PackedPanels;
 use crate::ops::matmul::{matmul, matmul_nt, matmul_tn, transpose};
 use crate::ops::norm::{
     batch_norm2d_backward, batch_norm2d_forward, l2_normalize_rows_forward, BnBatchStats, BnSaved,
@@ -75,10 +72,7 @@ enum Op {
     Sub(VarId, VarId),
     Mul(VarId, VarId),
     Scale(VarId, f32),
-    AddScalar {
-        x: VarId,
-        c: f32,
-    },
+    AddScalar(VarId),
     AddBias {
         x: VarId,
         b: VarId,
@@ -93,11 +87,12 @@ enum Op {
         b: Option<VarId>,
         stride: usize,
         padding: usize,
+        /// The forward product's fused column panels (`colsᵀ`), held
+        /// until backward reuses them for the weight gradient.
+        colst: PackedPanels,
     },
     MaxPool2d {
         x: VarId,
-        k: usize,
-        s: usize,
         argmax: Vec<u32>,
     },
     GlobalAvgPool(VarId),
@@ -105,8 +100,6 @@ enum Op {
         x: VarId,
         gamma: VarId,
         beta: VarId,
-        eps: f32,
-        stats: Option<(Vec<f32>, Vec<f32>)>,
         saved: BnSaved,
     },
     Reshape(VarId),
@@ -127,7 +120,6 @@ enum Op {
     MaskedFill {
         x: VarId,
         mask: Vec<bool>,
-        fill: f32,
     },
     MeanAll(VarId),
     SumAll(VarId),
@@ -184,7 +176,7 @@ impl Op {
                 f(b.0);
             }
             Op::Scale(x, _)
-            | Op::AddScalar { x, .. }
+            | Op::AddScalar(x)
             | Op::Transpose(x)
             | Op::Relu(x)
             | Op::GlobalAvgPool(x)
@@ -228,73 +220,6 @@ struct Node {
     op: Op,
     value: Tensor,
     grad: Option<Tensor>,
-    /// Bumped whenever this node's value is replaced ([`Graph::refresh_leaf`]
-    /// or a forward replay recompute); operand-pack cache entries keyed
-    /// on a parent's version go stale the moment that parent changes.
-    version: u64,
-    /// Packed-panel cache for the node's GEMM operands; present only on
-    /// `Matmul`/`MatmulNt`/`Conv2d` nodes whose product crosses
-    /// [`BLOCK_MIN_WORK`]. Boxed: most nodes carry no cache.
-    panels: Option<Box<PanelCache>>,
-}
-
-/// Per-node cache of packed GEMM operand panels — the tentpole of the
-/// zero-copy pipeline. Re-sweeping a tape (every training bench, every
-/// multi-epoch loop) used to re-pack the same operands from scratch on
-/// each sweep; these slots retain the packs across sweeps.
-///
-/// Three slots per node, each independently keyed:
-///
-/// * [`SLOT_FWD`] — the forward product's `B` packing (`pack(b, N)` for
-///   `Matmul`, `pack(b, T)` for `MatmulNt`, the fused `colsᵀ` panels
-///   for `Conv2d`), keyed on the producing parent's `version`. Hits on
-///   forward replays and (for conv) on every backward sweep.
-/// * [`SLOT_GA`] / [`SLOT_GB`] — the `B`-side packings of the two
-///   gradient GEMMs. Packs of *tape values* (weights, activations) are
-///   keyed on the owning node's `version`; packs of the *upstream
-///   gradient* `g` are keyed on the graph's `values_epoch`, because for
-///   fixed tape values and a fixed loss the backward sweep is a pure
-///   function — `g` is bitwise identical on every re-sweep (the epoch
-///   bumps whenever a leaf is refreshed or the loss node changes).
-///
-/// Reusing a cached pack cannot change results: packing copies operand
-/// bits verbatim, so a cached pack holds exactly the bytes a fresh pack
-/// would produce (enforced by `tests/backward_equivalence.rs`).
-///
-/// Slots are mutexes because `backward_node` runs concurrently on the
-/// level scheduler; like [`GradPool`], the lock is held only to clone
-/// an [`Arc`] in or out, never during GEMM work. The total cached
-/// bytes across a graph are capped ([`Graph::set_panel_cache_cap`],
-/// `SDC_PANEL_CACHE_MIB`) — an insert past the cap simply hands the
-/// pack back for single use instead of retaining it, mirroring the
-/// `GradPool` budget discipline.
-#[derive(Debug, Default)]
-struct PanelCache {
-    slots: [PanelSlot; 3],
-}
-
-/// One keyed cache slot: the key identifies the operand state the pack
-/// was built from (a node `version` or the graph `values_epoch`).
-type PanelSlot = Mutex<Option<(u64, Arc<PackedPanels>)>>;
-
-/// Forward `B`-packing slot (see [`PanelCache`]).
-const SLOT_FWD: usize = 0;
-/// `ga` gradient GEMM `B`-packing slot.
-const SLOT_GA: usize = 1;
-/// `gb` gradient GEMM `B`-packing slot.
-const SLOT_GB: usize = 2;
-
-/// Default panel-cache budget: `SDC_PANEL_CACHE_MIB` MiB (64 MiB when
-/// unset or unparseable), read once per process.
-fn panel_cap_default() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("SDC_PANEL_CACHE_MIB")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(64)
-            .saturating_mul(1 << 20)
-    })
 }
 
 /// A size-bucketed free list of gradient-tensor storage.
@@ -302,12 +227,11 @@ fn panel_cap_default() -> usize {
 /// Every reverse sweep materializes one contribution tensor per
 /// consumer→parent edge; most are consumed by `accumulate` (folded into
 /// an existing slot) and, before this pool, dropped — freshly allocated
-/// again on the next sweep of a re-swept tape (benches) or further down
-/// the same deep tape. The pool intercepts those drops and hands the
-/// storage back to the next same-sized gradient. Only *storage* is
-/// recycled — every element is overwritten through the same kernels and
-/// chunking as a fresh allocation, so results are bit-identical
-/// (enforced by `tests/backward_equivalence.rs`).
+/// again further down the same deep tape. The pool intercepts those
+/// drops and hands the storage back to the next same-sized gradient.
+/// Only *storage* is recycled — every element is overwritten through
+/// the same kernels and chunking as a fresh allocation, so results are
+/// bit-identical (enforced by `tests/backward_equivalence.rs`).
 ///
 /// Interior mutability (a mutex) because `backward_node` runs
 /// concurrently on the level scheduler; the lock is held only for a
@@ -376,33 +300,10 @@ impl GradPool {
 ///
 /// See the crate-level documentation for an overview and a worked
 /// example of the leaf → ops → backward → grad cycle.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Graph {
     nodes: Vec<Node>,
     pool: GradPool,
-    /// Total bytes currently retained across every node's [`PanelCache`].
-    panel_bytes: AtomicUsize,
-    /// Budget for `panel_bytes`; inserts past it are declined.
-    panel_cap: usize,
-    /// Bumped whenever tape values can change under an already-recorded
-    /// tape ([`Graph::refresh_leaf`]) or the swept loss node changes —
-    /// the key for cached packs of upstream gradients.
-    values_epoch: u64,
-    /// Loss node of the most recent sweep, to detect loss changes.
-    last_loss: Option<usize>,
-}
-
-impl Default for Graph {
-    fn default() -> Self {
-        Self {
-            nodes: Vec::new(),
-            pool: GradPool::default(),
-            panel_bytes: AtomicUsize::new(0),
-            panel_cap: panel_cap_default(),
-            values_epoch: 0,
-            last_loss: None,
-        }
-    }
 }
 
 impl Graph {
@@ -414,15 +315,6 @@ impl Graph {
     /// Creates an empty graph with room for `capacity` nodes.
     pub fn with_capacity(capacity: usize) -> Self {
         Self { nodes: Vec::with_capacity(capacity), ..Self::default() }
-    }
-
-    /// Overrides the packed-panel cache budget in bytes (default:
-    /// `SDC_PANEL_CACHE_MIB`, 64 MiB). A cap of 0 disables retention
-    /// entirely — every pack is built fresh and used once, which is
-    /// bitwise-indistinguishable from caching (and how the equivalence
-    /// suite proves cap-eviction safety).
-    pub fn set_panel_cache_cap(&mut self, bytes: usize) {
-        self.panel_cap = bytes;
     }
 
     /// Number of nodes on the tape.
@@ -460,96 +352,8 @@ impl Graph {
     }
 
     fn push(&mut self, op: Op, value: Tensor) -> VarId {
-        self.push_with(op, value, None)
-    }
-
-    fn push_with(&mut self, op: Op, value: Tensor, panels: Option<Box<PanelCache>>) -> VarId {
-        self.nodes.push(Node { op, value, grad: None, version: 0, panels });
+        self.nodes.push(Node { op, value, grad: None });
         VarId(self.nodes.len() - 1)
-    }
-
-    /// Replaces the value of leaf `id` in place — the parameter-update
-    /// step of a replayed tape. Together with [`Graph::forward`] this
-    /// turns the write-once tape into a reusable program: refresh the
-    /// leaves that changed, replay forward, sweep backward.
-    ///
-    /// The leaf's `version` and the graph's `values_epoch` are bumped so
-    /// every cached operand pack derived from the old value goes stale.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `id` is not a leaf or the new value's shape
-    /// differs from the recorded one (consumers validated against it).
-    pub fn refresh_leaf(&mut self, id: VarId, value: Tensor) -> Result<()> {
-        let node = &mut self.nodes[id.0];
-        if !matches!(node.op, Op::Leaf) {
-            return Err(TensorError::InvalidArgument {
-                op: "refresh_leaf",
-                message: format!("node {} is not a leaf", id.0),
-            });
-        }
-        if node.value.shape() != value.shape() {
-            return Err(TensorError::ShapeMismatch {
-                op: "refresh_leaf",
-                lhs: node.value.shape().clone(),
-                rhs: value.shape().clone(),
-            });
-        }
-        node.value = value;
-        node.version += 1;
-        self.values_epoch += 1;
-        Ok(())
-    }
-
-    /// Retains `panels` in `cache[slot]` under `key`, releasing any
-    /// stale occupant's budget. If retaining would exceed the cache cap
-    /// the pack is handed back for single use instead (the
-    /// "cap-eviction" path — callers never notice beyond the repack on
-    /// the next sweep).
-    fn store_panels(
-        &self,
-        cache: &PanelCache,
-        slot: usize,
-        key: u64,
-        panels: PackedPanels,
-    ) -> Arc<PackedPanels> {
-        let panels = Arc::new(panels);
-        let bytes = panels.bytes();
-        let mut guard = cache.slots[slot].lock().unwrap_or_else(|p| p.into_inner());
-        if let Some((_, old)) = guard.take() {
-            self.panel_bytes.fetch_sub(old.bytes(), Ordering::Relaxed);
-            sdc_obs::counter!("tensor.gemm.pack_cache.evicted_bytes").add(old.bytes() as u64);
-        }
-        let prev = self.panel_bytes.fetch_add(bytes, Ordering::Relaxed);
-        if prev + bytes > self.panel_cap {
-            self.panel_bytes.fetch_sub(bytes, Ordering::Relaxed);
-            sdc_obs::counter!("tensor.gemm.pack_cache.evicted_bytes").add(bytes as u64);
-            return panels;
-        }
-        *guard = Some((key, panels.clone()));
-        panels
-    }
-
-    /// The pack in `cache[slot]` if its key matches, else a fresh pack
-    /// from `pack`, retained under `key` (budget permitting).
-    fn panels_for(
-        &self,
-        cache: &PanelCache,
-        slot: usize,
-        key: u64,
-        pack: impl FnOnce() -> Result<PackedPanels>,
-    ) -> Result<Arc<PackedPanels>> {
-        {
-            let guard = cache.slots[slot].lock().unwrap_or_else(|p| p.into_inner());
-            if let Some((k, p)) = guard.as_ref() {
-                if *k == key {
-                    sdc_obs::counter!("tensor.gemm.pack_cache.hit").inc();
-                    return Ok(p.clone());
-                }
-            }
-        }
-        sdc_obs::counter!("tensor.gemm.pack_cache.miss").inc();
-        Ok(self.store_panels(cache, slot, key, pack()?))
     }
 
     fn binary_same_shape(
@@ -609,7 +413,7 @@ impl Graph {
     /// Adds a constant to every element.
     pub fn add_scalar(&mut self, x: VarId, c: f32) -> VarId {
         let value = simd::unary(UnaryKernel::AddScalar { c }, &self.nodes[x.0].value);
-        self.push(Op::AddScalar { x, c }, value)
+        self.push(Op::AddScalar(x), value)
     }
 
     /// Adds a `(d)` bias vector to every row of an `(n, d)` node.
@@ -651,8 +455,8 @@ impl Graph {
     ///
     /// Returns an error on rank or inner-dimension mismatches.
     pub fn matmul(&mut self, a: VarId, b: VarId) -> Result<VarId> {
-        let (value, panels) = self.matmul_value(a, b, Trans::N)?;
-        Ok(self.push_with(Op::Matmul(a, b), value, panels))
+        let value = matmul(&self.nodes[a.0].value, &self.nodes[b.0].value)?;
+        Ok(self.push(Op::Matmul(a, b), value))
     }
 
     /// Matrix product `a · bᵀ` — the similarity-matrix building block.
@@ -661,46 +465,8 @@ impl Graph {
     ///
     /// Returns an error on rank or shared-dimension mismatches.
     pub fn matmul_nt(&mut self, a: VarId, b: VarId) -> Result<VarId> {
-        let (value, panels) = self.matmul_value(a, b, Trans::T)?;
-        Ok(self.push_with(Op::MatmulNt(a, b), value, panels))
-    }
-
-    /// Forward matmul value, creating and seeding a [`PanelCache`] when
-    /// the product is large enough for the blocked path (the only
-    /// regime where caching can pay; below it the size-dispatched
-    /// `gemm` entry is untouched). Seeding packs `b` exactly once and
-    /// runs the product off the pack — the same blocked kernel `gemm`
-    /// itself would pick at this size, so bits are unchanged.
-    fn matmul_value(
-        &self,
-        a: VarId,
-        b: VarId,
-        trans_b: Trans,
-    ) -> Result<(Tensor, Option<Box<PanelCache>>)> {
-        let va = &self.nodes[a.0].value;
-        let vb = &self.nodes[b.0].value;
-        let nt = matches!(trans_b, Trans::T);
-        let op = if nt { "matmul_nt" } else { "matmul" };
-        let big = match (va.shape().as_matrix(), vb.shape().as_matrix()) {
-            (Some((n, k)), Some((br, bc))) => {
-                let m = if nt { br } else { bc };
-                n.saturating_mul(k).saturating_mul(m) >= BLOCK_MIN_WORK
-            }
-            _ => false,
-        };
-        if !big {
-            let value = if nt { matmul_nt(va, vb)? } else { matmul(va, vb)? };
-            return Ok((value, None));
-        }
-        let cache = Box::new(PanelCache::default());
-        let panels = self.store_panels(
-            &cache,
-            SLOT_FWD,
-            self.nodes[b.0].version,
-            PackedPanels::pack(op, vb, trans_b)?,
-        );
-        let value = gemm_prepacked(op, va, Trans::N, &panels)?;
-        Ok((value, Some(cache)))
+        let value = matmul_nt(&self.nodes[a.0].value, &self.nodes[b.0].value)?;
+        Ok(self.push(Op::MatmulNt(a, b), value))
     }
 
     /// Transpose of a rank-2 node.
@@ -740,18 +506,7 @@ impl Graph {
             stride,
             padding,
         )?;
-        // The fused unfold built the column panels either way; retain
-        // them for backward only when the GEMM is blocked-sized, the
-        // regime where skipping the re-unfold is worth the memory.
-        let c_out = self.nodes[w.0].value.shape().dims()[0];
-        let panels = if colst.k() * colst.m() * c_out >= BLOCK_MIN_WORK {
-            let cache = Box::new(PanelCache::default());
-            self.store_panels(&cache, SLOT_FWD, self.nodes[x.0].version, colst);
-            Some(cache)
-        } else {
-            None
-        };
-        Ok(self.push_with(Op::Conv2d { x, w, b, stride, padding }, value, panels))
+        Ok(self.push(Op::Conv2d { x, w, b, stride, padding, colst }, value))
     }
 
     /// Max pooling with square window `k` and stride `s`.
@@ -761,7 +516,7 @@ impl Graph {
     /// Returns an error if the input is not rank-4 or the window is invalid.
     pub fn max_pool2d(&mut self, x: VarId, k: usize, s: usize) -> Result<VarId> {
         let (value, argmax) = max_pool2d_forward(&self.nodes[x.0].value, k, s)?;
-        Ok(self.push(Op::MaxPool2d { x, k, s, argmax }, value))
+        Ok(self.push(Op::MaxPool2d { x, argmax }, value))
     }
 
     /// Global average pooling `(n, c, h, w) -> (n, c)`.
@@ -798,8 +553,7 @@ impl Graph {
             eps,
             stats,
         )?;
-        let stats = stats.map(|(m, v)| (m.to_vec(), v.to_vec()));
-        let id = self.push(Op::BatchNorm2d { x, gamma, beta, eps, stats, saved }, value);
+        let id = self.push(Op::BatchNorm2d { x, gamma, beta, saved }, value);
         Ok((id, batch_stats))
     }
 
@@ -897,7 +651,7 @@ impl Graph {
                 *v = value;
             }
         }
-        Ok(self.push(Op::MaskedFill { x, mask, fill: value }, out))
+        Ok(self.push(Op::MaskedFill { x, mask }, out))
     }
 
     /// Mean of all elements. Returns a scalar node.
@@ -1061,13 +815,6 @@ impl Graph {
             });
         }
         self.clear_grads();
-        // Cached upstream-gradient packs are keyed on `values_epoch`;
-        // sweeping from a different loss changes every `g`, so the
-        // epoch must advance with the loss.
-        if self.last_loss != Some(loss.0) {
-            self.last_loss = Some(loss.0);
-            self.values_epoch += 1;
-        }
         let shape = self.nodes[loss.0].value.shape().clone();
         self.nodes[loss.0].grad = Some(Tensor::full(shape, 1.0));
         Ok(())
@@ -1168,7 +915,7 @@ impl Graph {
             Op::Scale(x, c) => {
                 vec![(x.0, self.pooled_unary(UnaryKernel::Scale { c: *c }, g))]
             }
-            Op::AddScalar { x, .. } => vec![(x.0, self.pooled_copy(g))],
+            Op::AddScalar(x) => vec![(x.0, self.pooled_copy(g))],
             Op::AddBias { x, b } => {
                 // The bias gradient is the column sum of the upstream
                 // gradient — the same kernel as the SumCols op, which
@@ -1180,61 +927,23 @@ impl Graph {
             // transposed operand of each `matmul_tn`/`matmul_nt` is
             // read through the packer's strided view, so backward
             // allocates no transposed copies of activations or
-            // upstream gradients. Blocked-sized nodes carry a
-            // PanelCache and draw both B-side packings from it —
-            // bitwise-identical to packing fresh (packs copy bits
-            // verbatim), but a re-swept tape packs each operand once
-            // instead of once per sweep.
+            // upstream gradients.
             Op::Matmul(a, b) => {
-                let (ga, gb) = if let Some(cache) = &node.panels {
-                    let bp = self.panels_for(cache, SLOT_GA, self.nodes[b.0].version, || {
-                        PackedPanels::pack("matmul_nt", &self.nodes[b.0].value, Trans::T)
-                    })?;
-                    let ga = gemm_prepacked("matmul_nt", g, Trans::N, &bp)?;
-                    let gp = self.panels_for(cache, SLOT_GB, self.values_epoch, || {
-                        PackedPanels::pack("matmul_tn", g, Trans::N)
-                    })?;
-                    let gb = gemm_prepacked("matmul_tn", &self.nodes[a.0].value, Trans::T, &gp)?;
-                    (ga, gb)
-                } else {
-                    (matmul_nt(g, &self.nodes[b.0].value)?, matmul_tn(&self.nodes[a.0].value, g)?)
-                };
-                vec![(a.0, ga), (b.0, gb)]
+                let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+                vec![(a.0, matmul_nt(g, vb)?), (b.0, matmul_tn(va, g)?)]
             }
             Op::MatmulNt(a, b) => {
-                let (ga, gb) = if let Some(cache) = &node.panels {
-                    let bp = self.panels_for(cache, SLOT_GA, self.nodes[b.0].version, || {
-                        PackedPanels::pack("matmul", &self.nodes[b.0].value, Trans::N)
-                    })?;
-                    let ga = gemm_prepacked("matmul", g, Trans::N, &bp)?;
-                    let ap = self.panels_for(cache, SLOT_GB, self.nodes[a.0].version, || {
-                        PackedPanels::pack("matmul_tn", &self.nodes[a.0].value, Trans::N)
-                    })?;
-                    let gb = gemm_prepacked("matmul_tn", g, Trans::T, &ap)?;
-                    (ga, gb)
-                } else {
-                    (matmul(g, &self.nodes[b.0].value)?, matmul_tn(g, &self.nodes[a.0].value)?)
-                };
-                vec![(a.0, ga), (b.0, gb)]
+                let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+                vec![(a.0, matmul(g, vb)?), (b.0, matmul_tn(g, va)?)]
             }
             Op::Transpose(x) => vec![(x.0, transpose(g)?)],
             Op::Relu(x) => {
                 let gx = self.pooled_binary(BinaryKernel::ReluBwd, g, &self.nodes[x.0].value)?;
                 vec![(x.0, gx)]
             }
-            Op::Conv2d { x, w, b, stride, padding } => {
-                // The weight-gradient GEMM reads the same column panels
-                // the forward product consumed; cached nodes get them
-                // straight from the FWD slot (hit unless `x` changed),
-                // everyone else re-unfolds with the fused packer.
-                let k = self.nodes[w.0].value.shape().dims()[2];
-                let unfold = || im2col_packed(&self.nodes[x.0].value, k, *stride, *padding);
-                let colst = match &node.panels {
-                    Some(cache) => {
-                        self.panels_for(cache, SLOT_FWD, self.nodes[x.0].version, unfold)?
-                    }
-                    None => Arc::new(unfold()?),
-                };
+            Op::Conv2d { x, w, b, stride, padding, colst } => {
+                // The weight-gradient GEMM reads the column panels the
+                // forward product consumed, so backward never re-unfolds.
                 let (dx, dw, db) = conv2d_backward_packed(
                     &self.nodes[x.0].value,
                     &self.nodes[w.0].value,
@@ -1242,7 +951,7 @@ impl Graph {
                     *stride,
                     *padding,
                     b.is_some(),
-                    &colst,
+                    colst,
                 )?;
                 let mut v = vec![(x.0, dx), (w.0, dw)];
                 if let (Some(bid), Some(db)) = (b, db) {
@@ -1366,160 +1075,6 @@ impl Graph {
         };
         Ok(out)
     }
-
-    /// Recomputes node `i`'s value from its parents' current values —
-    /// the forward-replay analogue of `backward_node`. Reads only
-    /// frozen state (`&self`), so independent nodes of a level replay
-    /// concurrently; the result and any regenerated auxiliary state are
-    /// applied serially by `commit_recompute`.
-    ///
-    /// Every arm calls the *same* kernel the recording constructor
-    /// called, so a replayed value is bitwise what re-building the tape
-    /// from scratch would produce.
-    fn recompute_value(&self, i: usize) -> Result<(Tensor, Option<AuxRefresh>)> {
-        let node = &self.nodes[i];
-        let val = |id: &VarId| &self.nodes[id.0].value;
-        let out = match &node.op {
-            Op::Leaf => unreachable!("leaves are never recomputed"),
-            Op::Add(a, b) => (val(a).zip_map(val(b), |x, y| x + y)?, None),
-            Op::Sub(a, b) => (val(a).zip_map(val(b), |x, y| x - y)?, None),
-            Op::Mul(a, b) => (val(a).zip_map(val(b), |x, y| x * y)?, None),
-            Op::Scale(x, c) => (simd::unary(UnaryKernel::Scale { c: *c }, val(x)), None),
-            Op::AddScalar { x, c } => (simd::unary(UnaryKernel::AddScalar { c: *c }, val(x)), None),
-            Op::AddBias { x, b } => {
-                let (n, d) = val(x).shape().as_matrix().expect("validated at construction");
-                let mut value = val(x).clone();
-                {
-                    let vd = value.data_mut();
-                    let bd = val(b).data();
-                    for r in 0..n {
-                        for j in 0..d {
-                            vd[r * d + j] += bd[j];
-                        }
-                    }
-                }
-                (value, None)
-            }
-            Op::Matmul(a, b) => {
-                let value = match &node.panels {
-                    Some(cache) => {
-                        let bp =
-                            self.panels_for(cache, SLOT_FWD, self.nodes[b.0].version, || {
-                                PackedPanels::pack("matmul", &self.nodes[b.0].value, Trans::N)
-                            })?;
-                        gemm_prepacked("matmul", val(a), Trans::N, &bp)?
-                    }
-                    None => matmul(val(a), val(b))?,
-                };
-                (value, None)
-            }
-            Op::MatmulNt(a, b) => {
-                let value = match &node.panels {
-                    Some(cache) => {
-                        let bp =
-                            self.panels_for(cache, SLOT_FWD, self.nodes[b.0].version, || {
-                                PackedPanels::pack("matmul_nt", &self.nodes[b.0].value, Trans::T)
-                            })?;
-                        gemm_prepacked("matmul_nt", val(a), Trans::N, &bp)?
-                    }
-                    None => matmul_nt(val(a), val(b))?,
-                };
-                (value, None)
-            }
-            Op::Transpose(x) => (transpose(val(x))?, None),
-            Op::Relu(x) => (simd::unary(UnaryKernel::Relu, val(x)), None),
-            Op::Conv2d { x, w, b, stride, padding } => {
-                let (value, colst) =
-                    conv2d_forward_packed(val(x), val(w), b.as_ref().map(val), *stride, *padding)?;
-                if let Some(cache) = &node.panels {
-                    self.store_panels(cache, SLOT_FWD, self.nodes[x.0].version, colst);
-                }
-                (value, None)
-            }
-            Op::MaxPool2d { x, k, s, .. } => {
-                let (value, argmax) = max_pool2d_forward(val(x), *k, *s)?;
-                (value, Some(AuxRefresh::Argmax(argmax)))
-            }
-            Op::GlobalAvgPool(x) => (global_avg_pool_forward(val(x))?, None),
-            Op::BatchNorm2d { x, gamma, beta, eps, stats, .. } => {
-                let stats = stats.as_ref().map(|(m, v)| (m.as_slice(), v.as_slice()));
-                let (value, saved, _) =
-                    batch_norm2d_forward(val(x), val(gamma), val(beta), *eps, stats)?;
-                (value, Some(AuxRefresh::Bn(saved)))
-            }
-            Op::Reshape(x) => (val(x).reshape(node.value.shape().clone())?, None),
-            Op::Concat0 { a, b, .. } => {
-                let (va, vb) = (val(a), val(b));
-                let mut data = Vec::with_capacity(va.len() + vb.len());
-                data.extend_from_slice(va.data());
-                data.extend_from_slice(vb.data());
-                (Tensor::from_vec(node.value.shape().clone(), data)?, None)
-            }
-            Op::L2NormalizeRows { x, .. } => {
-                let (value, norms) = l2_normalize_rows_forward(val(x), 1e-12)?;
-                (value, Some(AuxRefresh::Norms(norms)))
-            }
-            Op::LogSoftmax(x) => (log_softmax_forward(val(x))?, None),
-            Op::NllLoss { logp, targets } => {
-                (Tensor::scalar(nll_forward(val(logp), targets)?), None)
-            }
-            Op::MaskedFill { x, mask, fill } => {
-                let mut value = val(x).clone();
-                for (v, &m) in value.data_mut().iter_mut().zip(mask) {
-                    if m {
-                        *v = *fill;
-                    }
-                }
-                (value, None)
-            }
-            Op::MeanAll(x) => (Tensor::scalar(val(x).mean()), None),
-            Op::SumAll(x) => (Tensor::scalar(val(x).sum()), None),
-            Op::Exp(x) => (exp_forward(val(x)), None),
-            Op::Ln { x, eps } => (ln_forward(val(x), *eps), None),
-            Op::Sqrt(x) => (sqrt_forward(val(x)), None),
-            Op::Tanh(x) => (tanh_forward(val(x)), None),
-            Op::Sigmoid(x) => (sigmoid_forward(val(x)), None),
-            Op::Clamp { x, lo, hi } => (clamp_forward(val(x), *lo, *hi)?, None),
-            Op::Div(a, b) => (div_forward(val(a), val(b))?, None),
-            Op::AvgPool2d { x, k, s } => (avg_pool2d_forward(val(x), *k, *s)?, None),
-            Op::SumRows(x) => (sum_rows_forward(val(x))?, None),
-            Op::MeanRows(x) => (mean_rows_forward(val(x))?, None),
-            Op::SumCols(x) => (sum_cols_forward(val(x))?, None),
-            Op::Dropout { x, mask, scale } => {
-                let mut value = val(x).clone();
-                for (v, &keep) in value.data_mut().iter_mut().zip(mask) {
-                    *v = if keep { *v * scale } else { 0.0 };
-                }
-                (value, None)
-            }
-        };
-        Ok(out)
-    }
-
-    /// Installs a replayed value: replaces the tensor, bumps the node's
-    /// `version` (invalidating operand packs keyed on the old value),
-    /// and writes back any regenerated auxiliary state.
-    fn commit_recompute(&mut self, i: usize, value: Tensor, aux: Option<AuxRefresh>) {
-        let node = &mut self.nodes[i];
-        node.value = value;
-        node.version += 1;
-        match (aux, &mut node.op) {
-            (None, _) => {}
-            (Some(AuxRefresh::Argmax(a)), Op::MaxPool2d { argmax, .. }) => *argmax = a,
-            (Some(AuxRefresh::Bn(s)), Op::BatchNorm2d { saved, .. }) => *saved = s,
-            (Some(AuxRefresh::Norms(n)), Op::L2NormalizeRows { norms, .. }) => *norms = n,
-            _ => unreachable!("aux refresh does not match the op that produced it"),
-        }
-    }
-}
-
-/// Auxiliary per-op state regenerated by a forward replay (pooling
-/// argmaxes, batch-norm saved statistics, row norms), carried from the
-/// read-only recompute to the serial commit.
-enum AuxRefresh {
-    Argmax(Vec<u32>),
-    Bn(BnSaved),
-    Norms(RowNorms),
 }
 
 #[cfg(test)]

@@ -34,22 +34,8 @@
 //! kernel runs — never what it computes (each kernel is internally
 //! deterministic at any thread count) nor the order its output is
 //! folded in.
-//!
-//! ## Forward replay reuses the same schedule
-//!
-//! [`Graph::forward`] runs the *same* level analysis in the opposite
-//! direction: levels are visited deepest-first, so by the time a node
-//! recomputes, every parent (which sits at a strictly deeper level)
-//! has already committed its replayed value. Forward is simpler than
-//! backward — each value is written exactly once by its own node, with
-//! no cross-node accumulation — so overlap cannot reorder any
-//! floating-point reduction: the only required ordering is
-//! parent-before-child, which the level barrier provides. Replayed
-//! values are therefore bitwise identical to [`Graph::forward_serial`]
-//! (ascending tape order) and to re-recording the tape from scratch,
-//! at every thread count.
 
-use super::{AuxRefresh, Graph, Node, Op, VarId};
+use super::{Graph, Node, VarId};
 use crate::error::Result;
 use crate::par::MIN_PAR_WORK;
 use crate::Tensor;
@@ -161,102 +147,6 @@ impl Graph {
                     }
                 }
             }
-        }
-        Ok(())
-    }
-}
-
-impl Graph {
-    /// Replays the forward pass: recomputes every non-leaf node that
-    /// (transitively) feeds `root` from the current leaf values, in a
-    /// **level-overlapped** schedule — independent subgraphs (e.g. the
-    /// two augmented views' towers of a contrastive step) recompute
-    /// concurrently on the `sdc-runtime` pool, with results committed
-    /// in ascending tape order within each level.
-    ///
-    /// Together with [`Graph::refresh_leaf`] this turns the write-once
-    /// tape into a reusable program: refresh the leaves that changed,
-    /// `forward(root)`, then [`Graph::backward`] — no re-recording, and
-    /// cached operand packs for unchanged leaves (weights) are reused.
-    /// Values are bitwise identical to [`Graph::forward_serial`] and to
-    /// rebuilding the tape, at every `SDC_THREADS` setting (see the
-    /// module docs of `graph::sched` for the argument).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if a node's recomputation fails (possible only
-    /// on a corrupted tape — shapes are validated at recording time).
-    /// The tape is then partially replayed and should be discarded.
-    pub fn forward(&mut self, root: VarId) -> Result<()> {
-        let _sweep_timer = sdc_obs::scope!("tensor.forward.sweep");
-        let schedule = levels(&self.nodes, root.0);
-        self.note_replay(&schedule);
-        // Deepest level first: a node's parents all sit at strictly
-        // deeper levels, so their replayed values are committed before
-        // any consumer reads them.
-        for bucket in schedule.iter().rev() {
-            let work: Vec<usize> =
-                bucket.iter().copied().filter(|&n| !matches!(self.nodes[n].op, Op::Leaf)).collect();
-            if work.is_empty() {
-                continue;
-            }
-            let _level_timer = sdc_obs::scope!("tensor.forward.level");
-            let this = &*self;
-            let run = |&n: &usize| this.recompute_value(n);
-            let fan_out =
-                work.len() > 1 && sdc_runtime::current_threads() > 1 && par_worth_it(this, &work);
-            let results: Vec<Result<(Tensor, Option<AuxRefresh>)>> = if fan_out {
-                sdc_runtime::par_map(work.len(), |j| run(&work[j]))
-            } else {
-                work.iter().map(run).collect()
-            };
-            // Commit in ascending tape order (the serial reference
-            // order) — values only, each written by exactly one node.
-            for (j, result) in results.into_iter().enumerate() {
-                let (value, aux) = result?;
-                self.commit_recompute(work[j], value, aux);
-            }
-        }
-        Ok(())
-    }
-
-    /// Marks a replay that will rewrite node values: cached
-    /// upstream-gradient packs are keyed on `values_epoch` under the
-    /// invariant "same epoch ⇒ same values ⇒ same `g`", so any sweep
-    /// that recomputes even one node must advance the epoch.
-    ///
-    /// Without this, a backward squeezed **between** `refresh_leaf` and
-    /// the replay would pack `g` from the stale pre-replay values under
-    /// the epoch the post-replay backward then reuses — the
-    /// `backward_between_refresh_and_replay_then_backward_again`
-    /// regression in `tests/backward_equivalence.rs`.
-    fn note_replay(&mut self, schedule: &[Vec<usize>]) {
-        let recomputes = schedule.iter().flatten().any(|&n| !matches!(self.nodes[n].op, Op::Leaf));
-        if recomputes {
-            self.values_epoch += 1;
-        }
-    }
-
-    /// The serial forward replay — recomputes the same node set as
-    /// [`Graph::forward`] in ascending tape order; the bitwise
-    /// reference the overlapped schedule is tested against.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Graph::forward`]: an error leaves the tape partially
-    /// replayed; discard it.
-    pub fn forward_serial(&mut self, root: VarId) -> Result<()> {
-        let schedule = levels(&self.nodes, root.0);
-        self.note_replay(&schedule);
-        let mut order: Vec<usize> = schedule
-            .into_iter()
-            .flatten()
-            .filter(|&n| !matches!(self.nodes[n].op, Op::Leaf))
-            .collect();
-        order.sort_unstable();
-        for n in order {
-            let (value, aux) = self.recompute_value(n)?;
-            self.commit_recompute(n, value, aux);
         }
         Ok(())
     }

@@ -13,8 +13,8 @@
 //! `prodᵀ = W · colsᵀ` via [`gemm_prepacked`](super::gemm::gemm_prepacked)
 //! and backward reuses the *same* panels for
 //! `dWᵀ = colsᵀ · g` via [`gemm_panels_a`](super::gemm::gemm_panels_a)
-//! (the graph layer caches the panels on the tape node between the
-//! two sweeps).
+//! (the autodiff graph holds the panels on the conv tape node from its
+//! forward until its backward).
 //!
 //! ### Why the fused/transposed formulation cannot change rounding
 //!
@@ -319,7 +319,7 @@ pub fn conv2d_forward_packed(
 /// The column panels are re-unfolded here via [`im2col_packed`]; the
 /// autodiff graph avoids even that by retaining the forward pass's
 /// panels on the tape node and calling [`conv2d_backward_packed`]
-/// directly, so a re-swept tape unfolds each input exactly once.
+/// directly, so each input is unfolded exactly once.
 pub fn conv2d_backward(
     x: &Tensor,
     weight: &Tensor,

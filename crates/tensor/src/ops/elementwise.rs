@@ -1,13 +1,13 @@
-//! Elementwise kernels with closed-form derivatives.
+//! Elementwise forward kernels.
 //!
 //! These back the [`Graph`](crate::Graph) unary ops: `exp`, `ln`,
 //! `sqrt`, `tanh`, `sigmoid`, `clamp`, and elementwise division.
 //!
-//! Since the SIMD redesign every function here is a thin shim over the
-//! runtime-dispatched kernel descriptors in [`crate::simd`] — kept so
-//! downstream crates compile unchanged. New code should prefer
-//! [`crate::simd::unary`]/[`crate::simd::binary`] directly (optionally
-//! with a pooled [`DestBuf`](crate::DestBuf) destination).
+//! Every function here is a thin shim over the runtime-dispatched
+//! kernel descriptors in [`crate::simd`]. The closed-form derivatives
+//! have no shim: the backward sweep runs the [`BinaryKernel`]
+//! descriptors (`TanhBwd`, `ClampBwd`, …) directly over pooled
+//! [`DestBuf`](crate::DestBuf) destinations.
 
 use crate::error::{Result, TensorError};
 use crate::simd::{self, BinaryKernel, UnaryKernel};
@@ -18,19 +18,9 @@ pub fn exp_forward(x: &Tensor) -> Tensor {
     simd::unary(UnaryKernel::Exp, x)
 }
 
-/// Backward of `exp`: `dx = gy * y`.
-pub fn exp_backward(y: &Tensor, gy: &Tensor) -> Tensor {
-    simd::binary(BinaryKernel::Mul, gy, y).expect("same shape by construction")
-}
-
 /// `y = ln(max(x, eps))` — clamped to keep the log finite.
 pub fn ln_forward(x: &Tensor, eps: f32) -> Tensor {
     simd::unary(UnaryKernel::Ln { eps }, x)
-}
-
-/// Backward of `ln`: `dx = gy / max(x, eps)`.
-pub fn ln_backward(x: &Tensor, gy: &Tensor, eps: f32) -> Tensor {
-    simd::binary(BinaryKernel::LnBwd { eps }, gy, x).expect("same shape by construction")
 }
 
 /// `y = sqrt(max(x, 0))`.
@@ -38,29 +28,14 @@ pub fn sqrt_forward(x: &Tensor) -> Tensor {
     simd::unary(UnaryKernel::Sqrt, x)
 }
 
-/// Backward of `sqrt`: `dx = gy / (2·sqrt(x))`, 0 at the origin.
-pub fn sqrt_backward(y: &Tensor, gy: &Tensor) -> Tensor {
-    simd::binary(BinaryKernel::SqrtBwd, gy, y).expect("same shape by construction")
-}
-
 /// `y = tanh(x)`.
 pub fn tanh_forward(x: &Tensor) -> Tensor {
     simd::unary(UnaryKernel::Tanh, x)
 }
 
-/// Backward of `tanh`: `dx = gy * (1 - y²)`.
-pub fn tanh_backward(y: &Tensor, gy: &Tensor) -> Tensor {
-    simd::binary(BinaryKernel::TanhBwd, gy, y).expect("same shape by construction")
-}
-
 /// `y = 1 / (1 + exp(-x))`.
 pub fn sigmoid_forward(x: &Tensor) -> Tensor {
     simd::unary(UnaryKernel::Sigmoid, x)
-}
-
-/// Backward of `sigmoid`: `dx = gy * y * (1 - y)`.
-pub fn sigmoid_backward(y: &Tensor, gy: &Tensor) -> Tensor {
-    simd::binary(BinaryKernel::SigmoidBwd, gy, y).expect("same shape by construction")
 }
 
 /// `y = clamp(x, lo, hi)`.
@@ -78,11 +53,6 @@ pub fn clamp_forward(x: &Tensor, lo: f32, hi: f32) -> Result<Tensor> {
     Ok(simd::unary(UnaryKernel::Clamp { lo, hi }, x))
 }
 
-/// Backward of `clamp`: gradient passes only inside the interval.
-pub fn clamp_backward(x: &Tensor, gy: &Tensor, lo: f32, hi: f32) -> Tensor {
-    simd::binary(BinaryKernel::ClampBwd { lo, hi }, gy, x).expect("same shape by construction")
-}
-
 /// Elementwise division `a / b` (no zero-guard: callers clamp `b`).
 ///
 /// # Errors
@@ -90,14 +60,6 @@ pub fn clamp_backward(x: &Tensor, gy: &Tensor, lo: f32, hi: f32) -> Tensor {
 /// Returns an error if shapes differ.
 pub fn div_forward(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     simd::binary(BinaryKernel::Div, a, b)
-}
-
-/// Backward of division: `da = gy / b`, `db = -gy * a / b²`.
-pub fn div_backward(a: &Tensor, b: &Tensor, gy: &Tensor) -> (Tensor, Tensor) {
-    let da = simd::binary(BinaryKernel::Div, gy, b).expect("same shape");
-    let db_part = simd::binary(BinaryKernel::Mul, gy, a).expect("same shape");
-    let db = simd::binary(BinaryKernel::NegDivSq, &db_part, b).expect("same shape");
-    (da, db)
 }
 
 #[cfg(test)]
@@ -129,7 +91,7 @@ mod tests {
     fn tanh_backward_is_one_at_origin() {
         let x = t(&[0.0]);
         let y = tanh_forward(&x);
-        let dx = tanh_backward(&y, &t(&[1.0]));
+        let dx = simd::binary(BinaryKernel::TanhBwd, &t(&[1.0]), &y).unwrap();
         assert!((dx.data()[0] - 1.0).abs() < 1e-6);
     }
 
@@ -138,7 +100,8 @@ mod tests {
         let x = t(&[-2.0, 0.5, 3.0]);
         let y = clamp_forward(&x, 0.0, 1.0).unwrap();
         assert_eq!(y.data(), &[0.0, 0.5, 1.0]);
-        let dx = clamp_backward(&x, &t(&[1.0, 1.0, 1.0]), 0.0, 1.0);
+        let bwd = BinaryKernel::ClampBwd { lo: 0.0, hi: 1.0 };
+        let dx = simd::binary(bwd, &t(&[1.0, 1.0, 1.0]), &x).unwrap();
         assert_eq!(dx.data(), &[0.0, 1.0, 0.0]);
         assert!(clamp_forward(&x, 2.0, 1.0).is_err());
     }
@@ -147,7 +110,11 @@ mod tests {
     fn div_matches_quotient_rule() {
         let a = t(&[4.0]);
         let b = t(&[2.0]);
-        let (da, db) = div_backward(&a, &b, &t(&[1.0]));
+        // The backward sweep's composition: da = g / b, db = -(g·a) / b².
+        let g = t(&[1.0]);
+        let da = simd::binary(BinaryKernel::Div, &g, &b).unwrap();
+        let num = simd::binary(BinaryKernel::Mul, &g, &a).unwrap();
+        let db = simd::binary(BinaryKernel::NegDivSq, &num, &b).unwrap();
         assert!((da.data()[0] - 0.5).abs() < 1e-6);
         assert!((db.data()[0] + 1.0).abs() < 1e-6);
     }
@@ -156,7 +123,7 @@ mod tests {
     fn sqrt_handles_zero() {
         let y = sqrt_forward(&t(&[0.0, 4.0]));
         assert_eq!(y.data(), &[0.0, 2.0]);
-        let dx = sqrt_backward(&y, &t(&[1.0, 1.0]));
+        let dx = simd::binary(BinaryKernel::SqrtBwd, &t(&[1.0, 1.0]), &y).unwrap();
         assert_eq!(dx.data()[0], 0.0);
         assert!((dx.data()[1] - 0.25).abs() < 1e-6);
     }

@@ -45,19 +45,20 @@
 //! operand holds `NaN`/`±∞` (a padded lane may internally compute
 //! `0 · ∞ = NaN`, but that lane is dropped).
 //!
-//! ## Packed panels as first-class values
+//! ## Packed panels as values
 //!
-//! [`PackedPanels`] exposes the `B`-side packing as an owned, reusable
-//! object: [`PackedPanels::pack`] performs exactly the copy the blocked
-//! kernel would do internally, and [`gemm_prepacked`] /
-//! [`gemm_panels_a`] consume it without repacking. Because packing
-//! copies operand bits verbatim (rule 3 above), a GEMM over cached
-//! panels reads the same bits as one that packs fresh — reuse can never
-//! change rounding. The graph layer caches panels per tape node (see
-//! `Graph`), and conv2d's fused im2col writes its column matrix
-//! directly in this layout (via the crate-internal
-//! `PackedPanels::from_parts`) so the column tensor is never
-//! materialized unpacked.
+//! [`PackedPanels`] exposes the `B`-side packing as an owned object:
+//! [`PackedPanels::pack`] performs exactly the copy the blocked kernel
+//! would do internally, and [`gemm_prepacked`] / [`gemm_panels_a`]
+//! consume it without repacking. Conv2d's fused im2col writes its
+//! column matrix directly in this layout (via the crate-internal
+//! `PackedPanels::from_parts`), so the column tensor is never
+//! materialized unpacked, and the conv tape node holds those panels
+//! from its forward product until its backward reuses them as the `A`
+//! operand of the weight gradient. Every other product packs its
+//! operands per call. Because packing copies operand bits verbatim
+//! (rule 3 above), a GEMM over reused panels reads the same bits as one
+//! that packs fresh — reuse can never change rounding.
 
 use std::mem::MaybeUninit;
 
@@ -159,10 +160,10 @@ impl ASource<'_> {
 /// An owned `B`-side packing of a logical `k × m` matrix in the blocked
 /// kernel's panel-major layout (see [`pack_b` layout][Self::pack]).
 ///
-/// Packing copies operand bits verbatim, so a GEMM consuming a cached
+/// Packing copies operand bits verbatim, so a GEMM consuming a
 /// `PackedPanels` ([`gemm_prepacked`], [`gemm_panels_a`]) multiplies
-/// exactly the same bits as one that packs the operand fresh — caching
-/// and reuse can never change rounding (enforced by
+/// exactly the same bits as one that packs the operand fresh — reuse
+/// can never change rounding (enforced by
 /// `crates/tensor/tests/gemm_equivalence.rs`).
 #[derive(Debug, Clone)]
 pub struct PackedPanels {
@@ -204,11 +205,6 @@ impl PackedPanels {
     /// Logical column count.
     pub fn m(&self) -> usize {
         self.m
-    }
-
-    /// Heap footprint of the packed buffer, for cache budgeting.
-    pub fn bytes(&self) -> usize {
-        self.buf.len() * std::mem::size_of::<f32>()
     }
 
     /// Random access to logical element `(p, j)` — the inverse of the
@@ -292,11 +288,11 @@ pub fn naive(a: &Tensor, trans_a: Trans, b: &Tensor, trans_b: Trans) -> Result<T
     Ok(naive_unchecked(a, trans_a, b, trans_b, n, k, m))
 }
 
-/// `C = op_a(A) · B` where `B` was packed up front (or cached from an
-/// earlier call) — the blocked kernel minus its `pack_b` pass. Always
-/// takes the blocked path; bit-identical to [`gemm`] on the same
-/// logical operands, since the panels hold the same operand bits the
-/// kernel would have packed itself.
+/// `C = op_a(A) · B` where `B` was packed up front (conv2d's fused
+/// im2col writes its column panels this way) — the blocked kernel minus
+/// its `pack_b` pass. Always takes the blocked path; bit-identical to
+/// [`gemm`] on the same logical operands, since the panels hold the
+/// same operand bits the kernel would have packed itself.
 ///
 /// # Errors
 ///
@@ -322,8 +318,8 @@ pub fn gemm_prepacked(
 /// `C = P · op_b(B)` where the `A` operand is the logical `k × m`
 /// matrix a [`PackedPanels`] encodes (read back element-wise through
 /// the panel layout). Conv2d backward uses this to compute `dWᵀ`
-/// straight from the cached column panels, so the column matrix is
-/// never re-unfolded. `B` is packed internally as usual.
+/// straight from the forward product's column panels, so the column
+/// matrix is never re-unfolded. `B` is packed internally as usual.
 ///
 /// # Errors
 ///
@@ -831,7 +827,6 @@ mod tests {
                 assert_eq!(pb.get(p, j).to_bits(), b.data()[p * (2 * NR + 3) + j].to_bits());
             }
         }
-        assert_eq!(pb.bytes(), pb.buf.len() * 4);
     }
 
     #[test]

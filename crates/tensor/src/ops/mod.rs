@@ -1,8 +1,9 @@
 //! Plain-value computation kernels.
 //!
-//! Each submodule provides forward/backward kernel pairs operating on
-//! [`Tensor`](crate::Tensor) values. The differentiable API that chains
-//! them into a graph lives on [`Graph`](crate::Graph).
+//! Each submodule provides forward kernels, plus the backward kernels
+//! the autodiff sweep calls, operating on [`Tensor`](crate::Tensor)
+//! values. The differentiable API that chains them into a graph lives
+//! on [`Graph`](crate::Graph).
 
 pub mod conv;
 pub mod elementwise;

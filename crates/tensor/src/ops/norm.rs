@@ -1,9 +1,10 @@
 //! Normalization kernels: batch normalization and row-wise ℓ2 normalize.
 //!
 //! Row-wise ℓ2 normalization is a thin shim over the fused vectorized
-//! kernels in [`crate::simd`]; its per-row norms travel as the typed
-//! [`RowNorms`] so callers can no longer misalign a bare `Vec<f32>`.
-//! Batch normalization remains scalar.
+//! forward kernel in [`crate::simd`] (the backward sweep calls
+//! [`simd::l2_normalize_rows_backward_with`] directly); its per-row
+//! norms travel as the typed [`RowNorms`] so callers can no longer
+//! misalign a bare `Vec<f32>`. Batch normalization remains scalar.
 
 use crate::error::{Result, TensorError};
 use crate::simd::{self, RowNorms};
@@ -190,12 +191,6 @@ pub fn l2_normalize_rows_forward(x: &Tensor, eps: f32) -> Result<(Tensor, RowNor
     simd::l2_normalize_rows(x, eps)
 }
 
-/// Backward of row-wise ℓ2 normalization:
-/// `dx[i] = (g[i] - y[i] * <g[i], y[i]>) / ‖x[i]‖`.
-pub fn l2_normalize_rows_backward(y: &Tensor, norms: &RowNorms, gy: &Tensor) -> Tensor {
-    simd::l2_normalize_rows_backward(y, norms, gy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,7 +285,7 @@ mod tests {
         let x = Tensor::from_vec([1, 3], vec![1.0, 2.0, 2.0]).unwrap();
         let (y, norms) = l2_normalize_rows_forward(&x, 1e-12).unwrap();
         let gy = Tensor::from_vec([1, 3], vec![0.3, -1.0, 0.7]).unwrap();
-        let dx = l2_normalize_rows_backward(&y, &norms, &gy);
+        let dx = simd::l2_normalize_rows_backward(&y, &norms, &gy);
         let dot: f32 = dx.data().iter().zip(y.data()).map(|(&a, &b)| a * b).sum();
         assert!(dot.abs() < 1e-6);
     }

@@ -1,9 +1,10 @@
 //! Row-wise log-softmax and negative log-likelihood kernels.
 //!
-//! Since the SIMD redesign, `log_softmax` forward/backward are thin
-//! shims over the fused three-pass vectorized kernels in
-//! [`crate::simd`] (max / exp-sum / normalize); NLL stays scalar (it is
-//! a sparse gather).
+//! `log_softmax` forward is a thin shim over the fused three-pass
+//! vectorized kernel in [`crate::simd`] (max / exp-sum / normalize);
+//! the backward sweep calls the matching
+//! [`simd::log_softmax_backward_with`] directly. NLL stays scalar (it
+//! is a sparse gather).
 
 use crate::error::{Result, TensorError};
 use crate::simd;
@@ -20,12 +21,6 @@ use crate::Tensor;
 /// Returns an error if the input is not rank-2.
 pub fn log_softmax_forward(x: &Tensor) -> Result<Tensor> {
     simd::log_softmax(x)
-}
-
-/// Backward of row-wise log-softmax:
-/// `dx = gy - softmax(x) * sum(gy, per row)`.
-pub fn log_softmax_backward(y: &Tensor, gy: &Tensor) -> Tensor {
-    simd::log_softmax_backward(y, gy)
 }
 
 /// Mean negative log-likelihood: `-(1/n) Σ logp[i, targets[i]]`.
@@ -128,7 +123,7 @@ mod tests {
         let x = Tensor::from_vec([1, 3], vec![0.2, -0.3, 0.5]).unwrap();
         let y = log_softmax_forward(&x).unwrap();
         let gy = nll_backward((1, 3), &[1], 1.0);
-        let dx = log_softmax_backward(&y, &gy);
+        let dx = simd::log_softmax_backward(&y, &gy);
         let p: Vec<f32> = y.data().iter().map(|&v| v.exp()).collect();
         let expect = [p[0], p[1] - 1.0, p[2]];
         for (a, e) in dx.data().iter().zip(expect) {

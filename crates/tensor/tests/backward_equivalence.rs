@@ -5,12 +5,10 @@
 //! diamond tapes (shared subexpressions feeding consumers at different
 //! wavefront levels), wide fan-out onto one gradient slot, conv/bn
 //! pipelines, `take_grad` mid-use, and re-swept tapes (the
-//! double-backward stale-gradient regression). Panel-cache coverage
-//! rides the same harness: re-sweeps that hit the cached operand packs,
-//! cap-forced eviction, conv shapes straddling `KC`/`NR` panel edges,
-//! and the `forward`/`forward_serial` replay pair (values must
-//! reproduce the recorded tape — or a freshly recorded one after
-//! `refresh_leaf` — bitwise).
+//! double-backward stale-gradient regression). Re-sweeps of the
+//! blocked-GEMM tower pair and of a conv whose fused column panels
+//! straddle the `KC`/`NR` panel edges — panels the conv node holds from
+//! its forward for every backward — ride the same harness.
 //!
 //! CI runs this suite under `SDC_THREADS=7` like the gemm suite; the
 //! explicit `Runtime::install` scopes below make the thread counts
@@ -273,13 +271,11 @@ fn serial_then_scheduled_resweep_matches() {
     assert_same_grads(&g, &reference, &ids, "serial-then-scheduled");
 }
 
-/// Re-swept tapes with operand-panel caching active: the second and
-/// third sweeps hit the per-node panel cache (the first sweep packed
-/// the operands), and must reproduce the serial reference bitwise.
-/// With the cache cap forced to zero every insert is declined — the
-/// eviction path — and results must still not move by a bit.
+/// Re-swept tapes: the second and third sweeps recycle the first
+/// sweep's gradient storage and repack every GEMM operand, and must
+/// reproduce the serial reference bitwise.
 #[test]
-fn panel_cache_hits_and_eviction_leave_gradients_bitwise_unchanged() {
+fn tower_pair_resweeps_match_serial_bitwise() {
     let mut reference = Graph::new();
     let (loss, ids) = tower_pair(&mut reference);
     Runtime::new(1).install(|| reference.backward_serial(loss).unwrap());
@@ -291,24 +287,14 @@ fn panel_cache_hits_and_eviction_leave_gradients_bitwise_unchanged() {
                 g.backward(loss_again).unwrap();
             }
         });
-        assert_same_grads(&g, &reference, &ids, &format!("cached resweep threads={threads}"));
-
-        let mut g0 = Graph::new();
-        let (loss_capped, _) = tower_pair(&mut g0);
-        g0.set_panel_cache_cap(0);
-        Runtime::new(threads).install(|| {
-            for _ in 0..2 {
-                g0.backward(loss_capped).unwrap();
-            }
-        });
-        assert_same_grads(&g0, &reference, &ids, &format!("cap-0 resweep threads={threads}"));
+        assert_same_grads(&g, &reference, &ids, &format!("resweep threads={threads}"));
     }
 }
 
 /// A conv whose patch dimension (29·3·3 = 261) straddles the `KC = 256`
 /// panel edge and whose column count (2·5·5 = 50) is not a multiple of
 /// `NR`, with padding — the fused im2col writer's hardest alignment
-/// case, and large enough for the column panels to be cached.
+/// case.
 fn conv_panel_straddle(g: &mut Graph) -> (VarId, Vec<VarId>) {
     let x = g.leaf(rand_t([2 * 29 * 5 * 5], 61).reshape([2, 29, 5, 5]).unwrap());
     let w = g.leaf(rand_t([4 * 29 * 3 * 3], 62).reshape([4, 29, 3, 3]).unwrap());
@@ -323,9 +309,9 @@ fn conv_panel_straddle(g: &mut Graph) -> (VarId, Vec<VarId>) {
 fn conv_shapes_straddling_panel_boundaries_match_serial_bitwise() {
     check_scheduler_vs_serial(conv_panel_straddle, "conv_panel_straddle");
 
-    // Re-swept: backward reuses the retained column panels (cache
-    // hits); with the cap at zero it re-unfolds every sweep. Both must
-    // equal the serial reference bitwise.
+    // Re-swept: every backward reuses the column panels the conv node
+    // holds from its forward, and must equal the serial reference
+    // bitwise.
     let mut reference = Graph::new();
     let (loss, ids) = conv_panel_straddle(&mut reference);
     Runtime::new(1).install(|| reference.backward_serial(loss).unwrap());
@@ -336,153 +322,7 @@ fn conv_shapes_straddling_panel_boundaries_match_serial_bitwise() {
             g.backward(loss_again).unwrap();
             g.backward(loss_again).unwrap();
         });
-        assert_same_grads(&g, &reference, &ids, &format!("conv cached threads={threads}"));
-
-        let mut g0 = Graph::new();
-        let (loss_capped, _) = conv_panel_straddle(&mut g0);
-        g0.set_panel_cache_cap(0);
-        Runtime::new(threads).install(|| {
-            g0.backward(loss_capped).unwrap();
-            g0.backward(loss_capped).unwrap();
-        });
-        assert_same_grads(&g0, &reference, &ids, &format!("conv cap-0 threads={threads}"));
-    }
-}
-
-/// With unchanged leaves, the forward replay — level-overlapped or
-/// serial, warm or cold panel caches — must reproduce every recorded
-/// value bitwise, at every thread count.
-#[test]
-fn forward_replay_reproduces_recorded_values_bitwise() {
-    type Builder = fn(&mut Graph) -> (VarId, Vec<VarId>);
-    let builders: [(Builder, &str); 3] = [
-        (tower_pair, "tower_pair"),
-        (conv_and_misc_ops, "conv_and_misc_ops"),
-        (conv_panel_straddle, "conv_panel_straddle"),
-    ];
-    for (build, name) in builders {
-        for threads in THREADS {
-            for serial in [false, true] {
-                let mut g = Graph::new();
-                let (loss, ids) = build(&mut g);
-                let recorded: Vec<Tensor> = ids.iter().map(|&id| g.value(id).clone()).collect();
-                Runtime::new(threads).install(|| {
-                    g.backward(loss).unwrap(); // warm the panel caches
-                    if serial {
-                        g.forward_serial(loss).unwrap();
-                    } else {
-                        g.forward(loss).unwrap();
-                    }
-                });
-                for (k, (&id, want)) in ids.iter().zip(&recorded).enumerate() {
-                    let ctx = format!("{name} replay serial={serial} threads={threads} node {k}");
-                    assert_bits_eq(g.value(id), want, &ctx);
-                }
-            }
-        }
-    }
-}
-
-/// Refreshing a leaf and replaying must equal recording a fresh tape
-/// against the new value — bitwise, for values *and* for the gradients
-/// of a subsequent backward — whether the replay is level-overlapped
-/// or serial, at every thread count.
-#[test]
-fn forward_after_leaf_refresh_matches_a_freshly_recorded_tape() {
-    let build = |g: &mut Graph, x0: &Tensor| {
-        let x = g.leaf(x0.clone());
-        let w1 = g.leaf(rand_t([128, 128], 301));
-        let w2 = g.leaf(rand_t([128, 128], 302));
-        let h = g.matmul(x, w1).unwrap();
-        let r = g.relu(h);
-        let p = g.matmul(r, w2).unwrap();
-        let z = g.l2_normalize_rows(p).unwrap();
-        let loss = g.mean_all(z);
-        (x, loss, vec![x, w1, w2, h, r, p, z, loss])
-    };
-    let x_old = rand_t([64, 128], 300);
-    let x_new = rand_t([64, 128], 999);
-
-    // Reference: a tape recorded directly against the new value.
-    let mut fresh = Graph::new();
-    let (_, fresh_loss, fresh_ids) = build(&mut fresh, &x_new);
-    Runtime::new(1).install(|| fresh.backward_serial(fresh_loss).unwrap());
-
-    for threads in THREADS {
-        for serial in [false, true] {
-            let mut g = Graph::new();
-            let (x, loss, ids) = build(&mut g, &x_old);
-            Runtime::new(threads).install(|| {
-                g.backward(loss).unwrap(); // warm the panel caches on the old values
-                g.refresh_leaf(x, x_new.clone()).unwrap();
-                if serial {
-                    g.forward_serial(loss).unwrap();
-                } else {
-                    g.forward(loss).unwrap();
-                }
-            });
-            for (k, (&id, &fid)) in ids.iter().zip(&fresh_ids).enumerate() {
-                let ctx = format!("refresh serial={serial} threads={threads} node {k}");
-                assert_bits_eq(g.value(id), fresh.value(fid), &ctx);
-            }
-            Runtime::new(threads).install(|| g.backward(loss).unwrap());
-            assert_same_grads(
-                &g,
-                &fresh,
-                &ids,
-                &format!("refresh grads serial={serial} threads={threads}"),
-            );
-        }
-    }
-}
-
-/// Folded from the old `zz_review_probe.rs` standalone probe: an extra
-/// backward sneaking in **between** `refresh_leaf` and the forward
-/// replay — a stale-value sweep that packs gradient panels under the
-/// new epoch — must leave the gradients of the documented
-/// refresh → forward → backward order bitwise unchanged.
-#[test]
-fn backward_between_refresh_and_replay_then_backward_again() {
-    let build = |g: &mut Graph, x0: &Tensor| {
-        let x = g.leaf(x0.clone());
-        let w = g.leaf(rand_t([64, 64], 7));
-        let m = g.matmul(x, w).unwrap();
-        let sq = g.mul(m, m).unwrap();
-        let loss = g.sum_all(sq);
-        (x, w, loss)
-    };
-    let x_old = rand_t([64, 64], 1);
-    let x_new = rand_t([64, 64], 2);
-
-    for threads in THREADS {
-        // Reference: refresh -> forward -> backward (the documented
-        // order).
-        let mut a = Graph::new();
-        let (xa, wa, la) = build(&mut a, &x_old);
-        Runtime::new(threads).install(|| {
-            a.backward(la).unwrap();
-            a.refresh_leaf(xa, x_new.clone()).unwrap();
-            a.forward(la).unwrap();
-            a.backward(la).unwrap();
-        });
-
-        // Probe: the stale backward sneaks in between refresh and
-        // forward.
-        let mut b = Graph::new();
-        let (xb, wb, lb) = build(&mut b, &x_old);
-        Runtime::new(threads).install(|| {
-            b.backward(lb).unwrap();
-            b.refresh_leaf(xb, x_new.clone()).unwrap();
-            b.backward(lb).unwrap(); // stale-value sweep under the new epoch
-            b.forward(lb).unwrap();
-            b.backward(lb).unwrap();
-        });
-
-        assert_bits_eq(
-            b.grad(wb).unwrap(),
-            a.grad(wa).unwrap(),
-            &format!("stale-sweep probe w-grad, threads={threads}"),
-        );
+        assert_same_grads(&g, &reference, &ids, &format!("conv resweep threads={threads}"));
     }
 }
 

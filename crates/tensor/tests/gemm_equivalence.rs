@@ -117,7 +117,7 @@ fn nonfinite_operands_match_the_naive_kernels() {
 
 #[test]
 fn prepacked_reuse_is_bitwise_stable_across_calls_and_threads() {
-    // The panel-cache hit path: a `PackedPanels` built once and consumed
+    // The conv2d-forward path: a `PackedPanels` built once and consumed
     // repeatedly must give results bitwise-identical to the naive
     // reference on every call, at every thread count, for both operand
     // orientations and across KC/NR panel edges.
@@ -146,7 +146,7 @@ fn prepacked_reuse_is_bitwise_stable_across_calls_and_threads() {
 
 #[test]
 fn panels_as_a_operand_reuse_matches_naive_at_every_thread_count() {
-    // The conv2d-backward path: the cached column panels serve as the
+    // The conv2d-backward path: the forward's column panels serve as the
     // *A* operand (`dWᵀ = colsᵀ · g`), read back element-wise through
     // the panel layout. Reuse across calls must stay bitwise equal to
     // the naive product of the unpacked operands.
