@@ -1065,6 +1065,18 @@ mod tests {
     }
 
     #[test]
+    fn empty_images_get_an_error_reply_and_the_service_survives() {
+        let service = ScoringService::start(tiny_model(1), ServeConfig::default());
+        let client = service.client(0);
+        // A zero-height image is smaller than the stem conv's padded
+        // 3×3 window: the conv geometry check must turn it into an
+        // error reply rather than a panic on the batcher thread.
+        let empty = vec![Sample::new(Tensor::zeros([3, 0, 5]), 0, 0)];
+        assert!(client.score(empty).is_err());
+        assert!(client.score(samples(2, 6)).is_ok());
+    }
+
+    #[test]
     fn client_outliving_service_gets_error_not_hang() {
         let service = ScoringService::start(tiny_model(1), ServeConfig::default());
         let client = service.client(0);

@@ -7,9 +7,9 @@
 //! [`im2col_packed`] writes receptive-field patches **directly** into
 //! the blocked GEMM's `pack_b` panel layout (a [`PackedPanels`] value
 //! holding the *transposed* column matrix `colsᵀ`, logical shape
-//! `patch × rows`), computing each element's packed offset from the
-//! conv geometry — no intermediate column tensor, no second copy
-//! inside the GEMM. The forward product is then
+//! `patch × rows`), walking one `NR`-wide column panel at a time — no
+//! intermediate column tensor, no second copy inside the GEMM. The
+//! forward product is then
 //! `prodᵀ = W · colsᵀ` via [`gemm_prepacked`](super::gemm::gemm_prepacked)
 //! and backward reuses the *same* panels for
 //! `dWᵀ = colsᵀ · g` via [`gemm_panels_a`](super::gemm::gemm_panels_a)
@@ -33,11 +33,11 @@
 //! contract, which covers finite data.
 //!
 //! The unfold/fold loops and the layout rearrangements parallelize over
-//! disjoint output regions (uniform `NR`-float packed rows for
-//! [`im2col_packed`], patch rows for [`im2col`], per-sample channel
-//! images for `col2im`) on the `sdc-runtime` pool; every element is
-//! produced by exactly one chunk with the serial accumulation order, so
-//! outputs are bit-identical at any thread count.
+//! disjoint output regions (fixed `ELEM_CHUNK`-float runs of packed
+//! rows for [`im2col_packed`], patch rows for [`im2col`], per-sample
+//! channel images for `col2im`) on the `sdc-runtime` pool; every element
+//! is produced by exactly one chunk with the serial accumulation order,
+//! so outputs are bit-identical at any thread count.
 
 use crate::error::{Result, TensorError};
 use crate::ops::gemm::{self, PackedPanels, Trans, KC, NR};
@@ -49,18 +49,45 @@ pub fn conv_out_dim(input: usize, kernel: usize, stride: usize, padding: usize) 
     (input + 2 * padding - kernel) / stride + 1
 }
 
+/// Output size `(oh, ow)` of a `kernel`/`stride`/`padding` convolution
+/// over an `h × w` input, rejecting geometry [`conv_out_dim`] cannot
+/// evaluate: a zero stride or kernel, or a kernel larger than the
+/// padded input.
+fn out_dims(
+    op: &'static str,
+    h: usize,
+    w: usize,
+    kernel: usize,
+    stride: usize,
+    padding: usize,
+) -> Result<(usize, usize)> {
+    if stride == 0 || kernel == 0 || kernel > h + 2 * padding || kernel > w + 2 * padding {
+        return Err(TensorError::InvalidArgument {
+            op,
+            message: format!(
+                "kernel {kernel} / stride {stride} / padding {padding} invalid for input {h}x{w}"
+            ),
+        });
+    }
+    Ok((conv_out_dim(h, kernel, stride, padding), conv_out_dim(w, kernel, stride, padding)))
+}
+
 /// Unfolds `x: (n, c, h, w)` into a matrix of shape
 /// `(n * oh * ow, c * kh * kw)` whose rows are receptive-field patches.
 ///
 /// Out-of-bounds (padding) positions contribute zeros.
+///
+/// # Errors
+///
+/// Returns an error if `x` is not rank-4 or the geometry is invalid
+/// (see [`conv2d_forward`]).
 pub fn im2col(x: &Tensor, kernel: usize, stride: usize, padding: usize) -> Result<Tensor> {
     let (n, c, h, w) = x.shape().as_nchw().ok_or_else(|| TensorError::RankMismatch {
         op: "im2col",
         expected: 4,
         actual: x.shape().clone(),
     })?;
-    let oh = conv_out_dim(h, kernel, stride, padding);
-    let ow = conv_out_dim(w, kernel, stride, padding);
+    let (oh, ow) = out_dims("im2col", h, w, kernel, stride, padding)?;
     let patch = c * kernel * kernel;
     let rows = n * oh * ow;
     let mut cols = Tensor::zeros([rows, patch]);
@@ -104,14 +131,26 @@ pub fn im2col(x: &Tensor, kernel: usize, stride: usize, padding: usize) -> Resul
 /// the `B` operand of `prodᵀ = W · colsᵀ` (forward) or the `A` operand
 /// of `dWᵀ = colsᵀ · g` (backward) without any further packing pass.
 ///
-/// The writer parallelizes over uniform `NR`-float packed rows: packed
-/// row `q` lives in `k`-panel slab `q / (KC · jpanels)`, and within the
-/// slab (whose depth `kc` may be short on the final slab) addresses
-/// column panel `jp` and patch element `p_in` as
-/// `(within / kc, within % kc)`. Each row is written by exactly one
-/// chunk; panel tail lanes past the last output position and padded
-/// input positions keep the buffer's zero initialization, matching
-/// `pack_b`'s zero-padding discipline bit for bit.
+/// The writer walks panels rather than addressing elements: each
+/// `NR`-wide column panel computes its lanes' receptive-field origins
+/// once (the input offset and `iy`/`ix` of each window's top-left tap,
+/// negative inside the padding), then steps through its `kc` patch
+/// elements with `(ci, ky, kx)` advanced incrementally, so it divides
+/// only where a panel starts. Addressing each element from its flat
+/// index, as a GPU im2col does with one thread per element, costs five
+/// to seven integer divisions per float; on a CPU core that made this
+/// copy the largest cost of a training step. The writer parallelizes
+/// over fixed `ELEM_CHUNK`-float runs of packed rows (512 rows, so pool
+/// overhead stays small against the copy); a run may start or end
+/// inside a panel. Each row is written by exactly one chunk; panel tail
+/// lanes past the last output position and padded input positions keep
+/// the buffer's zero initialization, matching `pack_b`'s zero-padding
+/// discipline bit for bit.
+///
+/// # Errors
+///
+/// Returns an error if `x` is not rank-4 or the geometry is invalid
+/// (see [`conv2d_forward`]).
 pub fn im2col_packed(
     x: &Tensor,
     kernel: usize,
@@ -123,44 +162,68 @@ pub fn im2col_packed(
         expected: 4,
         actual: x.shape().clone(),
     })?;
-    let oh = conv_out_dim(h, kernel, stride, padding);
-    let ow = conv_out_dim(w, kernel, stride, padding);
+    let (oh, ow) = out_dims("im2col_packed", h, w, kernel, stride, padding)?;
     let patch = c * kernel * kernel;
     let rows = n * oh * ow;
     let jpanels = gemm::col_panels(rows);
     let mut buf = vec![0.0f32; patch * jpanels * NR];
     let xd = x.data();
+    // Writes packed rows `first_row..` into `piece`, one panel segment
+    // (the rows of one column panel inside the piece) at a time.
     let fill = |first_row: usize, piece: &mut [f32]| {
-        for (r, prow) in piece.chunks_mut(NR).enumerate() {
-            let q = first_row + r;
+        let mut q = first_row;
+        let mut rest = piece;
+        while !rest.is_empty() {
             let slab = q / (KC * jpanels);
-            let within = q % (KC * jpanels);
             let kc = KC.min(patch - slab * KC);
+            let within = q - slab * KC * jpanels;
             let (jp, p_in) = (within / kc, within % kc);
-            let p = slab * KC + p_in;
-            let ci = p / (kernel * kernel);
-            let (ky, kx) = ((p / kernel) % kernel, p % kernel);
-            let dy = ky as isize - padding as isize;
-            let dx = kx as isize - padding as isize;
-            for (lane, slot) in prow.iter_mut().enumerate() {
-                let col = jp * NR + lane;
-                if col >= rows {
-                    break; // tail lanes stay at the buffer's 0.0
-                }
-                let ni = col / (oh * ow);
-                let rem = col % (oh * ow);
-                let (oy, ox) = (rem / ow, rem % ow);
-                let iy = (oy * stride) as isize + dy;
-                let ix = (ox * stride) as isize + dx;
-                if iy < 0 || iy >= h as isize || ix < 0 || ix >= w as isize {
-                    continue; // padding positions stay zero
-                }
-                *slot = xd[((ni * c + ci) * h + iy as usize) * w + ix as usize];
+            let seg_rows = (kc - p_in).min(rest.len() / NR);
+            let (seg, tail) = std::mem::take(&mut rest).split_at_mut(seg_rows * NR);
+
+            // Each lane's receptive-field origin: the input offset of its
+            // window's top-left tap and that tap's (iy, ix), negative
+            // inside the padding. Tail lanes past the last output
+            // position keep an `iy` no tap brings into bounds.
+            let mut origin = [0isize; NR];
+            let mut iy0 = [isize::MIN / 2; NR];
+            let mut ix0 = [0isize; NR];
+            let col = jp * NR;
+            for lane in 0..NR.min(rows - col) {
+                let (ni, pos) = ((col + lane) / (oh * ow), (col + lane) % (oh * ow));
+                iy0[lane] = (pos / ow * stride) as isize - padding as isize;
+                ix0[lane] = (pos % ow * stride) as isize - padding as isize;
+                origin[lane] = (ni * c * h * w) as isize + iy0[lane] * w as isize + ix0[lane];
             }
+
+            let p = slab * KC + p_in;
+            let (mut ci, mut ky, mut kx) = (p / (kernel * kernel), p / kernel % kernel, p % kernel);
+            for prow in seg.chunks_exact_mut(NR) {
+                let tap = ((ci * h + ky) * w + kx) as isize;
+                for lane in 0..NR {
+                    // Negative coordinates wrap to huge, failing the bound.
+                    let iy = (iy0[lane] + ky as isize) as usize;
+                    let ix = (ix0[lane] + kx as isize) as usize;
+                    if iy < h && ix < w {
+                        prow[lane] = xd[(origin[lane] + tap) as usize];
+                    }
+                }
+                kx += 1;
+                if kx == kernel {
+                    kx = 0;
+                    ky += 1;
+                    if ky == kernel {
+                        ky = 0;
+                        ci += 1;
+                    }
+                }
+            }
+            q += seg_rows;
+            rest = tail;
         }
     };
-    par::dispatch_chunks(&mut buf, par::ROW_CHUNK * NR, rows * patch, |ci, piece| {
-        fill(ci * par::ROW_CHUNK, piece);
+    par::dispatch_chunks(&mut buf, par::ELEM_CHUNK, rows * patch, |chunk, piece| {
+        fill(chunk * (par::ELEM_CHUNK / NR), piece);
     });
     Ok(PackedPanels::from_parts(buf, patch, rows))
 }
@@ -179,8 +242,7 @@ pub fn col2im(
     stride: usize,
     padding: usize,
 ) -> Result<Tensor> {
-    let oh = conv_out_dim(h, kernel, stride, padding);
-    let ow = conv_out_dim(w, kernel, stride, padding);
+    let (oh, ow) = out_dims("col2im", h, w, kernel, stride, padding)?;
     let patch = c * kernel * kernel;
     let expected = [n * oh * ow, patch];
     if cols.shape().dims() != expected {
@@ -235,7 +297,9 @@ pub fn col2im(
 ///
 /// # Errors
 ///
-/// Returns an error on rank or channel mismatches.
+/// Returns an error on rank or channel mismatches, a zero stride or
+/// kernel, or a kernel larger than the padded input (`k > h + 2p` or
+/// `k > w + 2p`).
 pub fn conv2d_forward(
     x: &Tensor,
     weight: &Tensor,
@@ -275,14 +339,7 @@ pub fn conv2d_forward_packed(
             rhs: weight.shape().clone(),
         });
     }
-    if stride == 0 {
-        return Err(TensorError::InvalidArgument {
-            op: "conv2d",
-            message: "stride must be nonzero".into(),
-        });
-    }
-    let oh = conv_out_dim(h, k, stride, padding);
-    let ow = conv_out_dim(w, k, stride, padding);
+    let (oh, ow) = out_dims("conv2d", h, w, k, stride, padding)?;
     let patch = c_in * k * k;
     let rows = n * oh * ow;
 
@@ -503,10 +560,87 @@ mod tests {
     }
 
     #[test]
-    fn zero_stride_is_rejected() {
+    fn invalid_geometry_is_rejected_not_panicked_on() {
+        let invalid = |r: Result<()>| matches!(r, Err(TensorError::InvalidArgument { .. }));
+        // Kernels larger than the padded input (on both axes, on one),
+        // zero strides, a zero-height image, a zero kernel.
+        for (shape, k, s, p) in [
+            ([1, 1, 2, 2], 5, 1, 0),
+            ([1, 1, 2, 2], 5, 1, 1),
+            ([1, 1, 2, 2], 1, 0, 0),
+            ([1, 1, 5, 5], 3, 0, 1),
+            ([1, 3, 0, 5], 3, 1, 1),
+            ([1, 1, 4, 2], 3, 1, 0),
+            ([1, 1, 3, 3], 0, 1, 0),
+        ] {
+            let x = Tensor::zeros(shape);
+            let w = Tensor::zeros([1, shape[1], k, k]);
+            assert!(invalid(conv2d_forward(&x, &w, None, s, p).map(drop)), "{shape:?} {k}/{s}/{p}");
+            assert!(invalid(im2col(&x, k, s, p).map(drop)), "{shape:?} {k}/{s}/{p}");
+            assert!(invalid(im2col_packed(&x, k, s, p).map(drop)), "{shape:?} {k}/{s}/{p}");
+            let cols = Tensor::zeros([1, 1]);
+            let [n, c, h, wd] = shape;
+            assert!(invalid(col2im(&cols, n, c, h, wd, k, s, p).map(drop)));
+        }
+        // The largest kernel that fits the padded input is valid.
         let x = Tensor::zeros([1, 1, 2, 2]);
-        let w = Tensor::zeros([1, 1, 1, 1]);
-        assert!(conv2d_forward(&x, &w, None, 0, 0).is_err());
+        assert_eq!(conv2d_forward(&x, &Tensor::zeros([1, 1, 4, 4]), None, 1, 1).unwrap().len(), 1);
+    }
+
+    /// The packed unfold against the reference: [`im2col`] packed by
+    /// `pack_b`, compared bit for bit on 1, 2 and 7 threads. The shapes
+    /// cover `c·k²` across one and two `KC` boundaries (261, 288, 576 at
+    /// `k = 3`), column counts short of and off multiples of `NR`, and
+    /// inputs large enough to dispatch several chunks that start and
+    /// end inside panels; invalid geometries must error on both sides.
+    #[test]
+    fn packed_unfold_matches_packed_reference_bitwise() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use sdc_runtime::Runtime;
+        let mut rng = StdRng::seed_from_u64(17);
+        let inputs: Vec<Tensor> = [
+            [1, 1, 1, 1],
+            [1, 3, 5, 5],
+            [2, 2, 4, 7],
+            [3, 1, 7, 4],
+            [2, 29, 3, 3],
+            [1, 32, 5, 4],
+            [1, 64, 3, 3],
+            [2, 16, 12, 12],
+            [3, 32, 7, 7],
+        ]
+        .into_iter()
+        .map(|shape| {
+            let mut x = Tensor::randn(shape, 1.0, &mut rng);
+            x.data_mut()[0] = -0.0;
+            x
+        })
+        .collect();
+        let geometries: Vec<(usize, usize, usize)> = (1..=3)
+            .flat_map(|k| (1..=3).flat_map(move |s| (0..=2).map(move |p| (k, s, p))))
+            .collect();
+        for threads in [1, 2, 7] {
+            Runtime::new(threads).install(|| {
+                for x in &inputs {
+                    for &(k, s, p) in &geometries {
+                        let at = format!("threads {threads}, {:?}, k{k} s{s} p{p}", x.shape());
+                        let Ok(cols) = im2col(x, k, s, p) else {
+                            assert!(im2col_packed(x, k, s, p).is_err(), "{at}");
+                            continue;
+                        };
+                        let want = PackedPanels::pack("test", &cols, Trans::T).unwrap();
+                        let got = im2col_packed(x, k, s, p).unwrap();
+                        assert_eq!((got.k(), got.m()), (want.k(), want.m()), "{at}");
+                        let (got, want) = (got.as_slice(), want.as_slice());
+                        assert_eq!(got.len(), want.len(), "{at}");
+                        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+                            assert_eq!(a.to_bits(), b.to_bits(), "{at}: packed float {i}");
+                        }
+                    }
+                }
+            });
+        }
     }
 
     fn assert_bits_eq(a: &Tensor, b: &Tensor) {

@@ -190,8 +190,8 @@ impl PackedPanels {
 
     /// Wraps an externally written buffer that is already in the
     /// [`pack_b`-layout][Self::pack] for a logical `k × m` matrix. Used
-    /// by conv2d's fused im2col, which computes per-element packed
-    /// offsets and writes column panels directly.
+    /// by conv2d's fused im2col, which walks the column panels and
+    /// writes them directly.
     pub(crate) fn from_parts(buf: Vec<f32>, k: usize, m: usize) -> Self {
         debug_assert_eq!(buf.len(), k * col_panels(m) * NR);
         Self { buf, k, m }
@@ -205,6 +205,12 @@ impl PackedPanels {
     /// Logical column count.
     pub fn m(&self) -> usize {
         self.m
+    }
+
+    /// The packed buffer itself, for layout tests.
+    #[cfg(test)]
+    pub(crate) fn as_slice(&self) -> &[f32] {
+        &self.buf
     }
 
     /// Random access to logical element `(p, j)` — the inverse of the
