@@ -139,13 +139,15 @@ impl ContrastiveModel {
 
     /// Shared eval-mode forward over the full batch, split into fixed
     /// [`BATCH_CHUNK`]-sample chunks on the worker pool when large
-    /// enough. `project` selects projection head + ℓ2 normalization;
-    /// otherwise encoder features are returned.
+    /// enough, at every thread count: one thread runs the chunks in
+    /// order, which at 64 samples is about twice as fast per sample as
+    /// one whole-batch forward. `project` selects projection head + ℓ2
+    /// normalization; otherwise encoder features are returned.
     fn eval_forward(&self, images: &Tensor, project: bool) -> Result<Tensor> {
         let dims = images.shape().dims();
         let n = if dims.is_empty() { 0 } else { dims[0] };
         let out_dim = if project { self.projection_dim() } else { self.feature_dim() };
-        if n >= 2 * BATCH_CHUNK && sdc_runtime::current_threads() > 1 {
+        if n >= 2 * BATCH_CHUNK {
             let sample_len = images.len() / n;
             let mut out = Tensor::zeros([n, out_dim]);
             let src = images.data();
@@ -245,6 +247,39 @@ mod tests {
         let images = Tensor::zeros([2, 3, 8, 8]);
         let h = model.features(&images).unwrap();
         assert_eq!(h.shape().dims(), &[2, model.feature_dim()]);
+    }
+
+    /// Chunked scoring (every batch of at least two chunks, at every
+    /// thread count) equals one unchunked forward bit for bit, including
+    /// batches that end in a partial chunk.
+    #[test]
+    fn chunked_eval_matches_one_unchunked_forward_bitwise() {
+        let model = tiny_model();
+        let mut rng = StdRng::seed_from_u64(4);
+        for n in [16, 17, 23, 64] {
+            let images = Tensor::randn([n, 3, 8, 8], 1.0, &mut rng);
+            for threads in [1, 2] {
+                sdc_runtime::Runtime::new(threads).install(|| {
+                    for project in [true, false] {
+                        let got = if project {
+                            model.project_shared(&images)
+                        } else {
+                            model.features_shared(&images)
+                        };
+                        let got = got.unwrap();
+                        let want = model.eval_forward_single(images.clone(), project).unwrap();
+                        assert_eq!(got.shape(), want.shape());
+                        for (i, (a, b)) in got.data().iter().zip(want.data()).enumerate() {
+                            assert_eq!(
+                                a.to_bits(),
+                                b.to_bits(),
+                                "n={n} threads={threads} project={project}: element {i}"
+                            );
+                        }
+                    }
+                });
+            }
+        }
     }
 
     #[test]

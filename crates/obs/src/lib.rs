@@ -71,8 +71,11 @@
 //!   `runtime.jobs` is the mean number of participating threads).
 //! * `tensor.*` — the autodiff/GEMM stack (`sdc-tensor`): scope timers
 //!   `tensor.gemm`, `tensor.gemm.pack_b`, `tensor.gemm.kernel` around
-//!   the blocked kernel, and `tensor.backward.{sweep,level}` around the
-//!   level-scheduled backward sweep.
+//!   the blocked kernel (one `tensor.gemm` per GEMM call, including the
+//!   per-sample products of conv2d's input gradient, which run
+//!   concurrently on pool threads, so its sum can exceed wall time), and
+//!   `tensor.backward.{sweep,level}` around the level-scheduled backward
+//!   sweep.
 
 #![deny(missing_docs)]
 

@@ -1,5 +1,6 @@
-//! 2-D convolution kernels via im2col / col2im, with a fused
-//! im2col-into-packing fast path.
+//! 2-D convolution kernels: a forward that unfolds straight into packed
+//! GEMM panels, a backward that never forms the column matrix, and the
+//! unfused [`im2col`] / [`col2im`] pair they are checked against.
 //!
 //! ## Fused column packing
 //!
@@ -32,12 +33,47 @@
 //! non-finite inputs, and equally out of scope for the determinism
 //! contract, which covers finite data.
 //!
+//! ## Backward
+//!
+//! [`conv2d_backward_packed`] computes both gradient products without a
+//! column matrix:
+//!
+//! - **Weight gradient.** `dWᵀ = colsᵀ · g` takes the retained panels as
+//!   the GEMM's `A` operand. The GEMM's `A` packer walks them: logical
+//!   row `i` of `colsᵀ` is row `i − kp0` of every column-panel block of
+//!   its `k`-panel `kp0`, so each `NR`-run of a row is one contiguous
+//!   read and nothing divides per element.
+//! - **Input gradient.** Each chunk of a sample-parallel dispatch takes
+//!   one sample `ni`. On its own thread it computes
+//!   `dcolsᵀ = Wᵀ · gy[ni]` (`patch × oh·ow`: 83 KB for a 16-channel
+//!   3×3 conv on 12×12 images, so it stays in L2) and folds it into
+//!   `dx[ni]` plane by plane. No whole-batch `dcols` is written and no
+//!   nested pool job is dispatched.
+//!
+//! ### Why the fold reproduces `col2im` bit for bit
+//!
+//! [`col2im`], the reference adjoint, adds into every pixel in ascending
+//! `(oy, ox, ky, kx)` order. Pixel `(iy, ix)` receives tap `(ky, kx)` of
+//! output position `(oy, ox)` only when `oy·s + ky = iy + p` and
+//! `ox·s + kx = ix + p`. So along one pixel's contributions `oy` rises
+//! exactly as `ky` falls, and `ox` exactly as `kx` falls. Folding whole
+//! `(ci, ky, kx)` planes in descending `(ky, kx)` order therefore adds
+//! the same values to every pixel in the same sequence, starting from the
+//! same `+0.0`; one plane touches a pixel at most once. (Ascending order
+//! would reverse each pixel's sum.) Each `dcolsᵀ` element is the same
+//! ascending-`c_out`, one-accumulator sum as the whole-batch `g · W` it
+//! replaces, with the factors swapped as above. At stride 1 a plane row
+//! lands on a contiguous image row, so the fold is a slice add.
+//!
 //! The unfold/fold loops and the layout rearrangements parallelize over
 //! disjoint output regions (fixed `ELEM_CHUNK`-float runs of packed
 //! rows for [`im2col_packed`], patch rows for [`im2col`], per-sample
-//! channel images for `col2im`) on the `sdc-runtime` pool; every element
-//! is produced by exactly one chunk with the serial accumulation order,
-//! so outputs are bit-identical at any thread count.
+//! channel images for [`col2im`], whole samples for the input gradient)
+//! on the `sdc-runtime` pool; every element is produced by exactly one
+//! chunk with the serial accumulation order, so outputs are
+//! bit-identical at any thread count.
+
+use std::ops::Range;
 
 use crate::error::{Result, TensorError};
 use crate::ops::gemm::{self, PackedPanels, Trans, KC, NR};
@@ -229,8 +265,18 @@ pub fn im2col_packed(
 }
 
 /// Folds a column matrix produced by [`im2col`] back into an image batch,
-/// accumulating overlapping contributions. This is the adjoint of `im2col`
-/// and is used to compute input gradients.
+/// adding overlapping contributions into each pixel in ascending
+/// `(oy, ox, ky, kx)` order.
+///
+/// This is the adjoint of `im2col` and the reference for the input
+/// gradient of [`conv2d_backward_packed`], which reproduces it bit for
+/// bit without a column matrix (see the module docs). No production
+/// path calls it.
+///
+/// # Errors
+///
+/// Returns an error if the geometry is invalid (see [`conv2d_forward`])
+/// or `cols` is not `(n·oh·ow) × (c·k²)`.
 #[allow(clippy::too_many_arguments)] // full conv geometry is inherent to the adjoint
 pub fn col2im(
     cols: &Tensor,
@@ -373,10 +419,16 @@ pub fn conv2d_forward_packed(
 /// Backward 2-D convolution. Given the output gradient `gy` of shape
 /// `(n, c_out, oh, ow)`, returns `(dx, dw, db)`.
 ///
-/// The column panels are re-unfolded here via [`im2col_packed`]; the
-/// autodiff graph avoids even that by retaining the forward pass's
+/// The column panels are re-unfolded here via [`im2col_packed`] and
+/// handed to [`conv2d_backward_packed`], which computes both gradients.
+/// The autodiff graph skips the unfold by retaining the forward pass's
 /// panels on the tape node and calling [`conv2d_backward_packed`]
 /// directly, so each input is unfolded exactly once.
+///
+/// # Errors
+///
+/// As [`conv2d_backward_packed`], plus an invalid geometry (see
+/// [`conv2d_forward`]).
 pub fn conv2d_backward(
     x: &Tensor,
     weight: &Tensor,
@@ -393,11 +445,18 @@ pub fn conv2d_backward(
 /// Backward 2-D convolution reusing already-packed column panels.
 ///
 /// `colst` must be the panels produced by [`im2col_packed`] (or
-/// returned by [`conv2d_forward_packed`]) for this exact `x`/geometry;
-/// a shape mismatch is rejected. The weight gradient is computed as
-/// `dWᵀ = colsᵀ · g` with the panels as the pre-packed `A` operand —
-/// see the module docs for why this transposed formulation is
-/// bitwise-identical to the `gᵀ · cols` reference for finite data.
+/// returned by [`conv2d_forward_packed`]) for this exact `x`/geometry.
+/// The weight gradient is `dWᵀ = colsᵀ · g` with the panels as the
+/// pre-packed `A` operand. The input gradient is computed per sample as
+/// `dcolsᵀ = Wᵀ · gy[ni]` and folded straight into `dx`. The module docs
+/// explain why both are bitwise-identical to the `gᵀ · cols` and
+/// `col2im(g · W)` references for finite data.
+///
+/// # Errors
+///
+/// Returns an error if `gy` is not `(n, c_out, oh, ow)` for this
+/// geometry, or if the panels' shape is not this unfold's
+/// `(c_in·k²) × (n·oh·ow)`.
 pub fn conv2d_backward_packed(
     x: &Tensor,
     weight: &Tensor,
@@ -410,12 +469,13 @@ pub fn conv2d_backward_packed(
     let (n, c_in, h, w) = x.shape().as_nchw().expect("conv2d_backward: x validated in forward");
     let (c_out, _, k, _) =
         weight.shape().as_nchw().expect("conv2d_backward: w validated in forward");
-    let (gn, gc, oh, ow) = gy.shape().as_nchw().ok_or_else(|| TensorError::RankMismatch {
+    let gdims = gy.shape().as_nchw().ok_or_else(|| TensorError::RankMismatch {
         op: "conv2d_backward",
         expected: 4,
         actual: gy.shape().clone(),
     })?;
-    if gn != n || gc != c_out {
+    let (oh, ow) = out_dims("conv2d_backward", h, w, k, stride, padding)?;
+    if gdims != (n, c_out, oh, ow) {
         return Err(TensorError::ShapeMismatch {
             op: "conv2d_backward",
             lhs: gy.shape().clone(),
@@ -433,9 +493,9 @@ pub fn conv2d_backward_packed(
 
     // Rearrange gy (n, c_out, oh, ow) -> (n*oh*ow, c_out); the parallel
     // unit is one sample's contiguous (oh*ow, c_out) block.
+    let gd = gy.data();
     let mut gmat = Tensor::zeros([n * oh * ow, c_out]);
     {
-        let gd = gy.data();
         let block = oh * ow * c_out;
         let fill = |first_sample: usize, piece: &mut [f32]| {
             for (r, sample) in piece.chunks_mut(block).enumerate() {
@@ -457,14 +517,46 @@ pub fn conv2d_backward_packed(
     // panels; the transpose back to (c_out, patch) is a bit-copy.
     let dwt = gemm::gemm_panels_a("conv2d_backward", colst, &gmat, Trans::N)?;
     let dw = super::matmul::transpose(&dwt)?.reshape([c_out, c_in, k, k])?;
-    // dcols: (n*oh*ow, patch) = gmat · Wmat
+
+    // dx, one sample per chunk: dcolsᵀ = Wᵀ · gy[ni] (patch × oh·ow) on
+    // the chunk's own thread, folded into dx[ni] plane by plane in
+    // descending (ky, kx) order — col2im's per-pixel addition sequence
+    // (see the module docs).
     let wmat = weight.reshape([c_out, patch])?;
-    let dcols = super::matmul::matmul(&gmat, &wmat)?;
-    let dx = col2im(&dcols, n, c_in, h, w, k, stride, padding)?;
+    let mut dx = Tensor::zeros([n, c_in, h, w]);
+    let plane = oh * ow;
+    let fill = |first_sample: usize, piece: &mut [f32]| {
+        for (r, dxn) in piece.chunks_mut(c_in * h * w).enumerate() {
+            let gyn = &gd[(first_sample + r) * c_out * plane..][..c_out * plane];
+            let dcolst = gemm::gemm_serial(&wmat, Trans::T, gyn, plane);
+            for (img, planes) in dxn.chunks_mut(h * w).zip(dcolst.chunks(k * k * plane)) {
+                for ky in (0..k).rev() {
+                    let oys = taps_inside(h, oh, ky, stride, padding);
+                    for kx in (0..k).rev() {
+                        let oxs = taps_inside(w, ow, kx, stride, padding);
+                        if oxs.is_empty() {
+                            continue;
+                        }
+                        let src = &planes[(ky * k + kx) * plane..];
+                        let ix = oxs.start * stride + kx - padding;
+                        for oy in oys.clone() {
+                            let row = &src[oy * ow + oxs.start..oy * ow + oxs.end];
+                            let dst = &mut img[(oy * stride + ky - padding) * w + ix..];
+                            if stride == 1 {
+                                dst.iter_mut().zip(row).for_each(|(d, &v)| *d += v);
+                            } else {
+                                dst.iter_mut().step_by(stride).zip(row).for_each(|(d, &v)| *d += v);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    };
+    par::dispatch_chunks(dx.data_mut(), c_in * h * w, n * patch * c_out * plane, fill);
 
     let db = if want_bias {
         let mut db = Tensor::zeros([c_out]);
-        let gd = gy.data();
         let dbd = db.data_mut();
         for ni in 0..n {
             for (co, acc) in dbd.iter_mut().enumerate() {
@@ -477,6 +569,14 @@ pub fn conv2d_backward_packed(
         None
     };
     Ok((dx, dw, db))
+}
+
+/// The output positions `o < out` whose tap `o·stride + t − padding`
+/// lands inside `0..len`.
+fn taps_inside(len: usize, out: usize, t: usize, stride: usize, padding: usize) -> Range<usize> {
+    let lo = padding.saturating_sub(t).div_ceil(stride);
+    let hi = (len + padding).saturating_sub(t).div_ceil(stride).min(out);
+    lo..hi.max(lo)
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //!
 //! This module is the engine behind [`matmul`](super::matmul::matmul),
 //! [`matmul_nt`](super::matmul::matmul_nt) and
-//! [`matmul_tn`](super::matmul::matmul_tn) (and, through them, the
-//! conv2d im2col path). It implements the classic three-level blocking
+//! [`matmul_tn`](super::matmul::matmul_tn), and behind conv2d's packed
+//! products. It implements the classic three-level blocking
 //! scheme: the output is cut into [`MC`]-row chunks (the parallel unit,
 //! dispatched on the `sdc-runtime` pool), the shared dimension into
 //! [`KC`]-deep panels packed into contiguous buffers, and each panel
@@ -55,10 +55,16 @@
 //! `PackedPanels::from_parts`), so the column tensor is never
 //! materialized unpacked, and the conv tape node holds those panels
 //! from its forward product until its backward reuses them as the `A`
-//! operand of the weight gradient. Every other product packs its
-//! operands per call. Because packing copies operand bits verbatim
-//! (rule 3 above), a GEMM over reused panels reads the same bits as one
-//! that packs fresh — reuse can never change rounding.
+//! operand of the weight gradient. As an `A` operand the panels are
+//! walked, not addressed: `pack_a` copies each `NR`-run of a logical row
+//! from its column-panel block with one contiguous read. Every other
+//! product packs its operands per call. Because packing copies operand
+//! bits verbatim (rule 3 above), a GEMM over reused panels reads the
+//! same bits as one that packs fresh — reuse can never change rounding.
+//!
+//! The blocked kernel also runs without dispatch, on the calling thread,
+//! for conv2d's per-sample input-gradient products: those already run
+//! inside a sample-parallel pool chunk.
 
 use std::mem::MaybeUninit;
 
@@ -140,21 +146,12 @@ fn mat_ref(t: &Tensor, trans: Trans) -> MatRef<'_> {
 }
 
 /// An `A`-operand source for the blocked kernel: either a strided view
-/// of a tensor or a previously packed panel set read back element-wise.
+/// of a tensor or a previously packed panel set, which [`pack_a`] walks
+/// one contiguous `NR`-run at a time.
 #[derive(Clone, Copy)]
 enum ASource<'a> {
     Mat(MatRef<'a>),
     Panels(&'a PackedPanels),
-}
-
-impl ASource<'_> {
-    #[inline]
-    fn get(&self, r: usize, c: usize) -> f32 {
-        match self {
-            ASource::Mat(m) => m.get(r, c),
-            ASource::Panels(p) => p.get(r, c),
-        }
-    }
 }
 
 /// An owned `B`-side packing of a logical `k × m` matrix in the blocked
@@ -211,17 +208,6 @@ impl PackedPanels {
     #[cfg(test)]
     pub(crate) fn as_slice(&self) -> &[f32] {
         &self.buf
-    }
-
-    /// Random access to logical element `(p, j)` — the inverse of the
-    /// panel layout, used when the panels serve as the `A` operand of a
-    /// transposed-product GEMM.
-    #[inline]
-    fn get(&self, p: usize, j: usize) -> f32 {
-        let kp0 = p - p % KC;
-        let kc = KC.min(self.k - kp0);
-        let jpanels = col_panels(self.m);
-        self.buf[b_panel_offset(kp0, kc, j / NR, jpanels) + (p - kp0) * NR + j % NR]
     }
 }
 
@@ -322,10 +308,12 @@ pub fn gemm_prepacked(
 }
 
 /// `C = P · op_b(B)` where the `A` operand is the logical `k × m`
-/// matrix a [`PackedPanels`] encodes (read back element-wise through
-/// the panel layout). Conv2d backward uses this to compute `dWᵀ`
-/// straight from the forward product's column panels, so the column
-/// matrix is never re-unfolded. `B` is packed internally as usual.
+/// matrix a [`PackedPanels`] encodes, walked panel by panel: logical row
+/// `i` is row `i − kp0` of every column-panel block of its `k`-panel
+/// `kp0`, so `pack_a` copies each `NR`-run of a row with one contiguous
+/// read. Conv2d backward uses this to compute `dWᵀ` straight from the
+/// forward product's column panels, so the column matrix is never
+/// re-unfolded. `B` is packed internally as usual.
 ///
 /// # Errors
 ///
@@ -350,6 +338,28 @@ pub fn gemm_panels_a(
         pack_b(mat_ref(b, trans_b), kb, m)
     };
     Ok(blocked_core(ASource::Panels(a), &packed_b, a.k, kb, m))
+}
+
+/// `C = op_a(A) · B` on the calling thread, where `B` is a row-major
+/// `k × m` slice; returns `C` row-major (`n × m`). This is the blocked
+/// kernel without pool dispatch, for callers that already run inside a
+/// pool chunk (conv2d's per-sample input gradient), where dispatching
+/// again would add a nested pool job per call. Same packing and
+/// micro-kernel as [`blocked`], so the same bits.
+pub(crate) fn gemm_serial(a: &Tensor, trans_a: Trans, b: &[f32], m: usize) -> Vec<f32> {
+    let (n, k) = logical_dims("gemm_serial", a, trans_a).expect("gemm_serial: A is rank-2");
+    assert_eq!(b.len(), k * m, "gemm_serial: B is not k × m");
+    let _gemm_timer = sdc_obs::scope!("tensor.gemm");
+    let packed_b = pack_b(MatRef { data: b, ld: m, trans: Trans::N }, k, m);
+    // SAFETY: one `fill_chunk` call covers all `n` rows and writes every
+    // element of them; an empty buffer has nothing to write.
+    unsafe {
+        uninit_output(n * m, |out| {
+            if !out.is_empty() {
+                fill_chunk(0, out, m, k, ASource::Mat(mat_ref(a, trans_a)), &packed_b);
+            }
+        })
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -455,29 +465,41 @@ fn blocked_unchecked(
 /// The blocked kernel over an already-packed `B`: the shared tail of
 /// [`blocked_unchecked`], [`gemm_prepacked`] and [`gemm_panels_a`].
 fn blocked_core(aref: ASource<'_>, packed_b: &[f32], n: usize, k: usize, m: usize) -> Tensor {
-    // Output starts uninitialized: when `k > 0` the first k-panel
-    // stores into every element of its chunk before anything reads it,
-    // and when `k == 0` the chunk fill zero-fills (see fill_chunk). The
-    // zero-fill `Tensor::zeros` would otherwise double-touch the
-    // buffer.
-    let mut data: Vec<MaybeUninit<f32>> = Vec::with_capacity(n * m);
-    // SAFETY: `MaybeUninit<f32>` needs no initialization.
-    unsafe { data.set_len(n * m) };
-
     let _gemm_timer = sdc_obs::scope!("tensor.gemm");
-    par::dispatch_chunks(&mut data, MC * m, n * k * m, |chunk_index, rows| {
-        let _t = sdc_obs::scope!("tensor.gemm.kernel");
-        fill_chunk(chunk_index * MC, rows, m, k, aref, packed_b);
-    });
-
-    // SAFETY: every element was written by exactly one chunk (zero-fill
-    // when `k == 0`, first-k-panel stores otherwise), and
-    // `MaybeUninit<f32>` has the same layout as `f32`.
+    // SAFETY: the dispatch hands every `MC`-row chunk of the buffer to
+    // `fill_chunk`, which writes each element of its rows; with `m == 0`
+    // the buffer is empty.
     let data = unsafe {
-        let mut data = std::mem::ManuallyDrop::new(data);
-        Vec::from_raw_parts(data.as_mut_ptr().cast::<f32>(), data.len(), data.capacity())
+        uninit_output(n * m, |data| {
+            par::dispatch_chunks(data, MC * m, n * k * m, |chunk_index, rows| {
+                let _t = sdc_obs::scope!("tensor.gemm.kernel");
+                fill_chunk(chunk_index * MC, rows, m, k, aref, packed_b);
+            });
+        })
     };
     Tensor::from_vec([n, m], data).expect("gemm output length n*m")
+}
+
+/// A `len`-float GEMM output written by `fill`. It starts uninitialized:
+/// when `k > 0` the first k-panel stores into every element of its
+/// chunk before anything reads it, and when `k == 0` the chunk fill
+/// zero-fills (see [`fill_chunk`]), so zero-filling it first would
+/// touch the buffer twice.
+///
+/// # Safety
+///
+/// `fill` must write every element of the slice it is given.
+unsafe fn uninit_output(len: usize, fill: impl FnOnce(&mut [MaybeUninit<f32>])) -> Vec<f32> {
+    let mut data: Vec<MaybeUninit<f32>> = Vec::with_capacity(len);
+    // SAFETY: `MaybeUninit<f32>` needs no initialization.
+    unsafe { data.set_len(len) };
+    fill(&mut data);
+    // SAFETY: the caller guarantees `fill` wrote every element, and
+    // `MaybeUninit<f32>` has the same layout as `f32`.
+    unsafe {
+        let mut data = std::mem::ManuallyDrop::new(data);
+        Vec::from_raw_parts(data.as_mut_ptr().cast::<f32>(), data.len(), data.capacity())
+    }
 }
 
 /// Number of `NR`-wide column panels covering `m` columns.
@@ -529,15 +551,35 @@ pub(crate) fn b_panel_offset(p0: usize, kc: usize, jp: usize, jpanels: usize) ->
 /// `dst[tile · MR · kc + p · MR + r] = A[i0 + tile·MR + r, p0 + p]`.
 /// Rows past `mc` pad with zeros (their lanes are discarded on store).
 fn pack_a(dst: &mut Vec<f32>, a: ASource<'_>, i0: usize, mc: usize, p0: usize, kc: usize) {
-    let tiles = mc.div_ceil(MR);
     dst.clear();
-    dst.resize(tiles * MR * kc, 0.0);
-    for tile in 0..tiles {
-        let base = tile * MR * kc;
-        let rows = MR.min(mc - tile * MR);
-        for p in 0..kc {
-            for r in 0..rows {
-                dst[base + p * MR + r] = a.get(i0 + tile * MR + r, p0 + p);
+    dst.resize(mc.div_ceil(MR) * MR * kc, 0.0);
+    for (t, tile) in dst.chunks_exact_mut(MR * kc).enumerate() {
+        let (top, rows) = (i0 + t * MR, MR.min(mc - t * MR));
+        match a {
+            ASource::Mat(m) => {
+                for (p, lanes) in tile.chunks_exact_mut(MR).enumerate() {
+                    for (r, slot) in lanes.iter_mut().take(rows).enumerate() {
+                        *slot = m.get(top + r, p0 + p);
+                    }
+                }
+            }
+            // Row `i` is row `i − kp0` of every column-panel block of its
+            // k-panel `kp0`. `p0` is a multiple of `KC`, hence of `NR`, so
+            // the `NR` columns of one column panel are one contiguous run,
+            // and the next panel's run starts `kcp · NR` floats on.
+            ASource::Panels(pa) => {
+                for r in 0..rows {
+                    let i = top + r;
+                    let kp0 = i - i % KC;
+                    let kcp = KC.min(pa.k - kp0);
+                    let row = b_panel_offset(kp0, kcp, p0 / NR, col_panels(pa.m)) + (i - kp0) * NR;
+                    for (q, run) in tile.chunks_mut(NR * MR).enumerate() {
+                        let src = &pa.buf[row + q * kcp * NR..];
+                        for (lanes, &v) in run.chunks_exact_mut(MR).zip(src) {
+                            lanes[r] = v;
+                        }
+                    }
+                }
             }
         }
     }
@@ -821,17 +863,6 @@ mod tests {
                 &gemm_panels_a("t", &pa, &b, Trans::N).unwrap(),
                 &naive(&a, Trans::N, &b, Trans::N).unwrap(),
             );
-        }
-    }
-
-    #[test]
-    fn panel_random_access_reads_back_the_operand() {
-        let b = rand_t([KC + 5, 2 * NR + 3], 21);
-        let pb = PackedPanels::pack("t", &b, Trans::N).unwrap();
-        for p in [0, 1, KC - 1, KC, KC + 4] {
-            for j in [0, NR - 1, NR, 2 * NR + 2] {
-                assert_eq!(pb.get(p, j).to_bits(), b.data()[p * (2 * NR + 3) + j].to_bits());
-            }
         }
     }
 

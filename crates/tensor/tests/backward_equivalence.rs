@@ -8,7 +8,9 @@
 //! double-backward stale-gradient regression). Re-sweeps of the
 //! blocked-GEMM tower pair and of a conv whose fused column panels
 //! straddle the `KC`/`NR` panel edges — panels the conv node holds from
-//! its forward for every backward — ride the same harness.
+//! its forward for every backward — ride the same harness. The conv
+//! kernel's own input and weight gradients are also checked against the
+//! column-matrix references `col2im(g · W)` and `gᵀ · cols`.
 //!
 //! CI runs this suite under `SDC_THREADS=7` like the gemm suite; the
 //! explicit `Runtime::install` scopes below make the thread counts
@@ -16,6 +18,10 @@
 
 use proptest::prelude::*;
 use sdc_runtime::Runtime;
+use sdc_tensor::ops::conv::{
+    col2im, conv2d_backward_packed, conv2d_forward_packed, conv_out_dim, im2col,
+};
+use sdc_tensor::ops::matmul::{matmul, matmul_tn};
 use sdc_tensor::{Graph, Tensor, VarId};
 
 /// Thread counts exercised everywhere: serial, even, and an odd
@@ -323,6 +329,70 @@ fn conv_shapes_straddling_panel_boundaries_match_serial_bitwise() {
             g.backward(loss_again).unwrap();
         });
         assert_same_grads(&g, &reference, &ids, &format!("conv resweep threads={threads}"));
+    }
+}
+
+/// The conv input gradient against its column-matrix reference,
+/// `col2im(gmat · W)` built from the same `gy` (`gmat` is `gy` laid out
+/// `(n·oh·ow) × c_out`), bit for bit on 1-, 2- and 7-thread runtimes;
+/// the weight gradient is checked against `gmatᵀ · cols` on the way. The
+/// per-sample fold must give every pixel its contributions in col2im's
+/// order: folding the planes in ascending `(ky, kx)` order fails here.
+/// Shapes: 1×1 images, `oh·ow` off a multiple of `NR` (6×6),
+/// `c_in·k² = 261` crossing `KC` at `k = 3`, the bench encoder's stage-0
+/// input, and a `-0.0` in both `x` and `gy`; every `k, s ∈ {1, 2, 3}`,
+/// `p ∈ {0, 1, 2}` whose kernel fits the padded input.
+#[test]
+fn conv_input_gradient_matches_col2im_reference_bitwise() {
+    let cases = [
+        ([1, 1, 1, 1], 2),
+        ([3, 2, 1, 1], 3),
+        ([2, 3, 5, 5], 4),
+        ([1, 4, 6, 6], 5),
+        ([2, 29, 5, 5], 3),
+        ([2, 16, 12, 12], 16),
+        ([3, 5, 7, 4], 6),
+    ];
+    for (case, &(shape, c_out)) in cases.iter().enumerate() {
+        let [n, c_in, h, w] = shape;
+        let seed = 70 + 10 * case as u64;
+        let mut x = rand_t(shape, seed);
+        x.data_mut()[0] = -0.0;
+        for (k, s, p) in
+            (1..=3).flat_map(|k| (1..=3).flat_map(move |s| (0..=2).map(move |p| (k, s, p))))
+        {
+            if k > h + 2 * p || k > w + 2 * p {
+                continue;
+            }
+            let ctx = format!("{shape:?} c_out={c_out} k{k} s{s} p{p}");
+            let wt = rand_t([c_out, c_in, k, k], seed + 1);
+            let (oh, ow) = (conv_out_dim(h, k, s, p), conv_out_dim(w, k, s, p));
+            let mut gy = rand_t([n, c_out, oh, ow], seed + 2);
+            gy.data_mut()[0] = -0.0;
+            let (dx_ref, dw_ref) = Runtime::new(1).install(|| {
+                let mut gmat = Tensor::zeros([n * oh * ow, c_out]);
+                let gm = gmat.data_mut();
+                for (i, &v) in gy.data().iter().enumerate() {
+                    let (ni, co, pos) =
+                        (i / (c_out * oh * ow), i / (oh * ow) % c_out, i % (oh * ow));
+                    gm[(ni * oh * ow + pos) * c_out + co] = v;
+                }
+                let wmat = wt.reshape([c_out, c_in * k * k]).unwrap();
+                let dcols = matmul(&gmat, &wmat).unwrap();
+                let dx = col2im(&dcols, n, c_in, h, w, k, s, p).unwrap();
+                let dw = matmul_tn(&gmat, &im2col(&x, k, s, p).unwrap()).unwrap();
+                (dx, dw.reshape(wt.shape().clone()).unwrap())
+            });
+            for threads in THREADS {
+                Runtime::new(threads).install(|| {
+                    let (_, colst) = conv2d_forward_packed(&x, &wt, None, s, p).unwrap();
+                    let (dx, dw, _) =
+                        conv2d_backward_packed(&x, &wt, &gy, s, p, false, &colst).unwrap();
+                    assert_bits_eq(&dx, &dx_ref, &format!("{ctx} threads={threads}: dx"));
+                    assert_bits_eq(&dw, &dw_ref, &format!("{ctx} threads={threads}: dw"));
+                });
+            }
+        }
     }
 }
 

@@ -147,10 +147,19 @@ fn prepacked_reuse_is_bitwise_stable_across_calls_and_threads() {
 #[test]
 fn panels_as_a_operand_reuse_matches_naive_at_every_thread_count() {
     // The conv2d-backward path: the forward's column panels serve as the
-    // *A* operand (`dWᵀ = colsᵀ · g`), read back element-wise through
-    // the panel layout. Reuse across calls must stay bitwise equal to
-    // the naive product of the unpacked operands.
-    for &(n, k, m) in &[(KC + 3, 2 * NR + 1, 5), (MR, NR, NR), (MC + 1, KC, 3)] {
+    // *A* operand (`dWᵀ = colsᵀ · g`), walked panel by panel. Reuse
+    // across calls must stay bitwise equal to the naive product of the
+    // unpacked operands. The last two shapes reduce over more than one
+    // `KC` panel, so the walk must offset each into the right column
+    // panels (the second is the stem conv's 16·12·12 = 2,304-row
+    // reduction).
+    for &(n, k, m) in &[
+        (KC + 3, 2 * NR + 1, 5),
+        (MR, NR, NR),
+        (MC + 1, KC, 3),
+        (261, 2 * KC + NR + 3, 16),
+        (27, 9 * KC, 16),
+    ] {
         let seed = (n * 777 + m * 13 + k) as u64;
         let a = rand_t([n, k], seed);
         let b = rand_t([k, m], seed + 1);
