@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sdc_data::augment::{strong_augmentation, Augment, Compose};
 use sdc_data::{stack_image_tensors, Sample, SegmentSource};
-use sdc_nn::optim::{Adam, Optimizer};
+use sdc_nn::optim::Adam;
 use sdc_nn::{Bindings, Forward};
 use sdc_persist::{Persist, PersistError, StateReader, StateWriter};
 use sdc_tensor::{Graph, Result, Tensor};

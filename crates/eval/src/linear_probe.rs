@@ -9,7 +9,7 @@ use rand::{RngExt, SeedableRng};
 use sdc_core::model::ContrastiveModel;
 use sdc_data::Sample;
 use sdc_nn::models::LinearClassifier;
-use sdc_nn::optim::{Adam, Optimizer};
+use sdc_nn::optim::Adam;
 use sdc_nn::{Bindings, Forward, Module, ParamStore};
 use sdc_tensor::{Graph, Result, Tensor, TensorError};
 use serde::{Deserialize, Serialize};

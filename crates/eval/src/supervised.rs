@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sdc_data::{stack_images, Sample};
 use sdc_nn::models::{EncoderConfig, LinearClassifier, ResNetEncoder};
-use sdc_nn::optim::{Adam, Optimizer};
+use sdc_nn::optim::Adam;
 use sdc_nn::{Bindings, Forward, Module, ParamStore};
 use sdc_tensor::{Graph, Result, TensorError};
 use serde::{Deserialize, Serialize};

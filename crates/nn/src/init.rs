@@ -16,18 +16,6 @@ pub fn he_normal<R: Rng + RngExt + ?Sized>(
     Tensor::randn(shape, std, rng)
 }
 
-/// Xavier (Glorot) uniform initialization over
-/// `[-sqrt(6/(fan_in+fan_out)), +sqrt(6/(fan_in+fan_out))]`.
-pub fn xavier_uniform<R: Rng + RngExt + ?Sized>(
-    shape: impl Into<Shape>,
-    fan_in: usize,
-    fan_out: usize,
-    rng: &mut R,
-) -> Tensor {
-    let bound = (6.0 / (fan_in + fan_out).max(1) as f32).sqrt();
-    Tensor::rand_uniform(shape, -bound, bound, rng)
-}
-
 /// Fan-in of a convolution weight `(c_out, c_in, k, k)`.
 pub fn conv_fan_in(c_in: usize, kernel: usize) -> usize {
     c_in * kernel * kernel
@@ -48,14 +36,6 @@ mod tests {
             (t.data().iter().map(|x| (x - mean).powi(2)).sum::<f32>() / t.len() as f32).sqrt();
         let expect = (2.0f32 / 50.0).sqrt();
         assert!((std - expect).abs() < 0.01, "std {std}, expect {expect}");
-    }
-
-    #[test]
-    fn xavier_uniform_respects_bound() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let t = xavier_uniform([1000], 10, 10, &mut rng);
-        let bound = (6.0f32 / 20.0).sqrt();
-        assert!(t.max() <= bound && t.min() >= -bound);
     }
 
     #[test]

@@ -13,7 +13,6 @@ pub struct BatchNorm2d {
     beta: ParamId,
     running_mean: BufferId,
     running_var: BufferId,
-    channels: usize,
     eps: f32,
     momentum: f32,
 }
@@ -39,22 +38,7 @@ impl BatchNorm2d {
         let running_mean =
             store.add_buffer(format!("{name}.running_mean"), Tensor::zeros([channels]));
         let running_var = store.add_buffer(format!("{name}.running_var"), Tensor::ones([channels]));
-        Self { gamma, beta, running_mean, running_var, channels, eps, momentum }
-    }
-
-    /// Number of normalized channels.
-    pub fn channels(&self) -> usize {
-        self.channels
-    }
-
-    /// Handle to the scale parameter.
-    pub fn gamma(&self) -> ParamId {
-        self.gamma
-    }
-
-    /// Handle to the shift parameter.
-    pub fn beta(&self) -> ParamId {
-        self.beta
+        Self { gamma, beta, running_mean, running_var, eps, momentum }
     }
 
     /// Current running mean.

@@ -17,9 +17,6 @@ pub struct Conv2d {
     bias: Option<ParamId>,
     stride: usize,
     padding: usize,
-    in_channels: usize,
-    out_channels: usize,
-    kernel: usize,
 }
 
 impl Conv2d {
@@ -43,22 +40,7 @@ impl Conv2d {
         );
         let bias =
             bias.then(|| store.add_param(format!("{name}.bias"), Tensor::zeros([out_channels])));
-        Self { weight, bias, stride, padding, in_channels, out_channels, kernel }
-    }
-
-    /// Number of input channels.
-    pub fn in_channels(&self) -> usize {
-        self.in_channels
-    }
-
-    /// Number of output channels.
-    pub fn out_channels(&self) -> usize {
-        self.out_channels
-    }
-
-    /// Kernel size.
-    pub fn kernel(&self) -> usize {
-        self.kernel
+        Self { weight, bias, stride, padding }
     }
 
     /// Handle to the weight parameter.

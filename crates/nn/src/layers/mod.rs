@@ -2,14 +2,10 @@
 
 mod batchnorm;
 mod conv;
-mod dropout;
 mod linear;
 mod pool;
-mod sequential;
 
 pub use batchnorm::BatchNorm2d;
 pub use conv::Conv2d;
-pub use dropout::Dropout;
 pub use linear::Linear;
-pub use pool::{GlobalAvgPool, MaxPool2d, Relu};
-pub use sequential::{AvgPool2d, Sequential};
+pub use pool::GlobalAvgPool;

@@ -1,40 +1,8 @@
-//! Stateless layers: activations and pooling.
+//! Global average pooling, the encoder's last spatial layer.
 
 use sdc_tensor::{Result, VarId};
 
 use crate::module::{Forward, Module};
-
-/// Rectified linear unit as a module, for composing into sequential stacks.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Relu;
-
-impl Module for Relu {
-    fn forward(&self, ctx: &mut Forward<'_>, x: VarId) -> Result<VarId> {
-        Ok(ctx.graph.relu(x))
-    }
-}
-
-/// Max pooling with a square window.
-#[derive(Debug, Clone, Copy)]
-pub struct MaxPool2d {
-    /// Window size.
-    pub kernel: usize,
-    /// Stride.
-    pub stride: usize,
-}
-
-impl MaxPool2d {
-    /// Creates a max-pool layer.
-    pub fn new(kernel: usize, stride: usize) -> Self {
-        Self { kernel, stride }
-    }
-}
-
-impl Module for MaxPool2d {
-    fn forward(&self, ctx: &mut Forward<'_>, x: VarId) -> Result<VarId> {
-        ctx.graph.max_pool2d(x, self.kernel, self.stride)
-    }
-}
 
 /// Global average pooling `(n, c, h, w) -> (n, c)`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -53,15 +21,13 @@ mod tests {
     use sdc_tensor::{Graph, Tensor};
 
     #[test]
-    fn stateless_layers_forward() {
+    fn global_avg_pool_forward() {
         let mut g = Graph::new();
         let mut store = ParamStore::new();
         let mut bind = Bindings::new();
         let mut ctx = Forward::new(&mut g, &mut store, &mut bind, true);
-        let x = ctx.graph.leaf(Tensor::from_vec([1, 1, 2, 2], vec![-1.0, 2.0, 3.0, -4.0]).unwrap());
-        let r = Relu.forward(&mut ctx, x).unwrap();
-        let p = MaxPool2d::new(2, 2).forward(&mut ctx, r).unwrap();
-        let a = GlobalAvgPool.forward(&mut ctx, p).unwrap();
+        let x = ctx.graph.leaf(Tensor::from_vec([1, 1, 2, 2], vec![0.0, 2.0, 3.0, 7.0]).unwrap());
+        let a = GlobalAvgPool.forward(&mut ctx, x).unwrap();
         assert_eq!(g.value(a).data(), &[3.0]);
     }
 }

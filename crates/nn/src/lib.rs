@@ -1,7 +1,7 @@
 //! # sdc-nn
 //!
-//! Neural-network layers, residual encoder models, and optimizers built
-//! on [`sdc_tensor`], forming the model substrate for the *Selective Data
+//! Neural-network layers, residual encoder models, and the Adam
+//! optimizer built on [`sdc_tensor`], forming the model substrate for the *Selective Data
 //! Contrast* (DAC 2021) reproduction.
 //!
 //! The paper's architecture is reproduced faithfully in structure:
@@ -18,12 +18,11 @@
 //! 2. run modules through a [`Forward`] context (parameters are bound as
 //!    graph leaves on the fly),
 //! 3. `graph.backward(loss)`, then [`Bindings::accumulate_grads`],
-//! 4. hand the store to an [`optim::Optimizer`].
+//! 4. hand the store to [`optim::Adam::step`].
 
 #![warn(missing_docs)]
 
 pub mod checkpoint;
-mod ema;
 pub mod init;
 pub mod layers;
 pub mod models;
@@ -31,6 +30,5 @@ mod module;
 pub mod optim;
 mod param;
 
-pub use ema::EmaTracker;
 pub use module::{Forward, Module, StoreAccess};
 pub use param::{Bindings, Buffer, BufferId, ParamId, ParamStore, Parameter};

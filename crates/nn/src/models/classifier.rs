@@ -62,13 +62,13 @@ mod tests {
 
     #[test]
     fn classifier_trains_on_separable_toy_data() {
-        // Two linearly separable clusters should be fit quickly by SGD on
-        // the classifier alone — the Stage-2 path of the paper.
-        use crate::optim::{Optimizer, Sgd};
+        // Two linearly separable clusters should be fit quickly by Adam
+        // on the classifier alone — the Stage-2 path of the paper.
+        use crate::optim::Adam;
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(22);
         let clf = LinearClassifier::new(&mut store, 2, 2, &mut rng);
-        let mut opt = Sgd::new(0.5, 0.0, 0.0);
+        let mut opt = Adam::new(0.1);
         let x = Tensor::from_vec([4, 2], vec![2.0, 0.1, 1.5, -0.2, -2.0, 0.3, -1.8, 0.0]).unwrap();
         let targets = vec![0usize, 0, 1, 1];
         let mut last = f32::INFINITY;

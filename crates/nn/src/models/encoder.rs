@@ -37,12 +37,6 @@ impl EncoderConfig {
         Self { in_channels: 3, base_width: 16, stage_blocks: vec![1, 1] }
     }
 
-    /// Medium encoder for the larger synthetic datasets: width 32,
-    /// three stages.
-    pub fn medium() -> Self {
-        Self { in_channels: 3, base_width: 32, stage_blocks: vec![1, 1, 1] }
-    }
-
     /// The paper's backbone: ResNet-18 (width 64, stages [2, 2, 2, 2]).
     ///
     /// Works, but is slow on CPU; the scaled experiments default to
@@ -199,11 +193,6 @@ impl ResNetEncoder {
     /// Dimension of the produced feature vectors.
     pub fn feature_dim(&self) -> usize {
         self.feature_dim
-    }
-
-    /// Number of residual blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
     }
 }
 

@@ -3,7 +3,6 @@
 use sdc_persist::{Persist, PersistError, StateReader, StateWriter};
 use sdc_tensor::Tensor;
 
-use super::Optimizer;
 use crate::param::ParamStore;
 
 /// Adam with bias correction and ℓ2 weight decay, matching the paper's
@@ -36,13 +35,40 @@ impl Adam {
     pub fn steps(&self) -> u64 {
         self.t
     }
+
+    /// Applies one update using the gradients accumulated in `store`.
+    /// Gradients are *not* zeroed; call [`ParamStore::zero_grads`]
+    /// before accumulating the next step.
+    pub fn step(&mut self, store: &mut ParamStore) {
+        while self.m.len() < store.num_params() {
+            let shape = store.params()[self.m.len()].value.shape().clone();
+            self.m.push(Tensor::zeros(shape.clone()));
+            self.v.push(Tensor::zeros(shape));
+        }
+        self.t += 1;
+        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
+        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        for (i, p) in store.params_mut().iter_mut().enumerate() {
+            let m = self.m[i].data_mut();
+            let v = self.v[i].data_mut();
+            for (((md, vd), &gd), w) in
+                m.iter_mut().zip(v.iter_mut()).zip(p.grad.data()).zip(p.value.data_mut())
+            {
+                let g = gd + self.weight_decay * *w;
+                *md = self.beta1 * *md + (1.0 - self.beta1) * g;
+                *vd = self.beta2 * *vd + (1.0 - self.beta2) * g * g;
+                let mhat = *md / bc1;
+                let vhat = *vd / bc2;
+                *w -= self.lr * mhat / (vhat.sqrt() + self.eps);
+            }
+        }
+    }
 }
 
-/// Snapshot capture of the full optimizer state: hyper-parameters
-/// (which are mutable at runtime — schedules drive the learning rate),
-/// the step counter `t`, and both moment vectors, bit-exactly. Restore
+/// Snapshot capture of the full optimizer state: hyper-parameters, the
+/// step counter `t`, and both moment vectors, bit-exactly. Restore
 /// into an [`Adam`] for the same parameter layout; the next
-/// [`Optimizer::step`] then continues the interrupted trajectory
+/// [`Adam::step`] then continues the interrupted trajectory
 /// exactly.
 impl Persist for Adam {
     fn save(&self, w: &mut StateWriter) {
@@ -94,41 +120,6 @@ impl Persist for Adam {
         self.m = m;
         self.v = v;
         Ok(())
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, store: &mut ParamStore) {
-        while self.m.len() < store.num_params() {
-            let shape = store.params()[self.m.len()].value.shape().clone();
-            self.m.push(Tensor::zeros(shape.clone()));
-            self.v.push(Tensor::zeros(shape));
-        }
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for (i, p) in store.params_mut().iter_mut().enumerate() {
-            let m = self.m[i].data_mut();
-            let v = self.v[i].data_mut();
-            for (((md, vd), &gd), w) in
-                m.iter_mut().zip(v.iter_mut()).zip(p.grad.data()).zip(p.value.data_mut())
-            {
-                let g = gd + self.weight_decay * *w;
-                *md = self.beta1 * *md + (1.0 - self.beta1) * g;
-                *vd = self.beta2 * *vd + (1.0 - self.beta2) * g * g;
-                let mhat = *md / bc1;
-                let vhat = *vd / bc2;
-                *w -= self.lr * mhat / (vhat.sqrt() + self.eps);
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
     }
 }
 

@@ -1,31 +1,5 @@
-//! Optimizers operating on a [`ParamStore`].
-//!
-//! [`ParamStore`]: crate::ParamStore
+//! The optimizer operating on a [`ParamStore`](crate::ParamStore).
 
 mod adam;
-mod clip;
-mod schedule;
-mod sgd;
 
 pub use adam::Adam;
-pub use clip::{clip_grad_norm, clip_grad_value};
-pub use schedule::LrSchedule;
-pub use sgd::Sgd;
-
-use crate::param::ParamStore;
-
-/// A first-order optimizer consuming gradients accumulated in a
-/// [`ParamStore`].
-pub trait Optimizer {
-    /// Applies one update using the currently accumulated gradients.
-    /// Gradients are *not* zeroed; call
-    /// [`ParamStore::zero_grads`] before accumulating the next step.
-    fn step(&mut self, store: &mut ParamStore);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Replaces the learning rate (for schedules and the paper's
-    /// `lr ∝ √batch` buffer-size scaling).
-    fn set_learning_rate(&mut self, lr: f32);
-}

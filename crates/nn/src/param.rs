@@ -54,7 +54,6 @@ pub struct Buffer {
 /// let mut store = ParamStore::new();
 /// let w = store.add_param("w", Tensor::zeros([2, 2]));
 /// assert_eq!(store.param(w).value.len(), 4);
-/// assert_eq!(store.num_trainable(), 4);
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ParamStore {
@@ -121,25 +120,11 @@ impl ParamStore {
         self.params.len()
     }
 
-    /// Total number of trainable scalar values.
-    pub fn num_trainable(&self) -> usize {
-        self.params.iter().map(|p| p.value.len()).sum()
-    }
-
     /// Zeroes every parameter gradient.
     pub fn zero_grads(&mut self) {
         for p in &mut self.params {
             p.grad.fill(0.0);
         }
-    }
-
-    /// Global ℓ2 norm of all gradients, useful for debugging and clipping.
-    pub fn grad_norm(&self) -> f32 {
-        self.params
-            .iter()
-            .map(|p| p.grad.data().iter().map(|&g| g * g).sum::<f32>())
-            .sum::<f32>()
-            .sqrt()
     }
 }
 
@@ -279,7 +264,6 @@ mod tests {
         assert_eq!(store.param(w).name, "w");
         assert_eq!(store.buffer(b).value.len(), 3);
         assert_eq!(store.num_params(), 1);
-        assert_eq!(store.num_trainable(), 6);
     }
 
     #[test]
@@ -298,8 +282,8 @@ mod tests {
         let mut g = Graph::new();
         let mut bind = Bindings::new();
         let wid = bind.bind(&mut g, &store, w);
-        let y = g.scale(wid, 2.0);
-        let loss = g.sum_all(y);
+        let y = g.scale(wid, 4.0);
+        let loss = g.mean_all(y);
         g.backward(loss).unwrap();
         bind.accumulate_grads(&g, &mut store);
         assert_eq!(store.param(w).grad.data(), &[2.0, 2.0]);
@@ -314,7 +298,7 @@ mod tests {
         let a = bind.bind(&mut g, &store, w);
         let b = bind.bind(&mut g, &store, w);
         let s = g.add(a, b).unwrap();
-        let loss = g.sum_all(s);
+        let loss = g.mean_all(s);
         g.backward(loss).unwrap();
         bind.accumulate_grads(&g, &mut store);
         assert_eq!(store.param(w).grad.data(), &[2.0]);
@@ -349,13 +333,5 @@ mod tests {
         let err = sdc_persist::load_state(&mut other, &bytes).unwrap_err();
         assert!(matches!(err, sdc_persist::PersistError::StateMismatch { .. }), "{err}");
         assert_eq!(other.params()[0].value.data(), &[3.0, 3.0], "failed load must not mutate");
-    }
-
-    #[test]
-    fn grad_norm_is_euclidean() {
-        let mut store = ParamStore::new();
-        let w = store.add_param("w", Tensor::zeros([2]));
-        store.param_mut(w).grad = Tensor::from_vec([2], vec![3.0, 4.0]).unwrap();
-        assert!((store.grad_norm() - 5.0).abs() < 1e-6);
     }
 }

@@ -37,7 +37,7 @@ impl GradCheckReport {
 /// let x = Tensor::from_vec([3], vec![0.5, -1.0, 2.0])?;
 /// let reports = check_gradients(&[x], 1e-2, |g, ids| {
 ///     let y = g.relu(ids[0]);
-///     Ok(g.sum_all(y))
+///     Ok(g.mean_all(y))
 /// })?;
 /// assert!(reports[0].within(1e-2));
 /// # Ok::<(), sdc_tensor::TensorError>(())
@@ -99,7 +99,7 @@ mod tests {
         let x = Tensor::from_vec([4], vec![1.0, -2.0, 0.5, 3.0]).unwrap();
         let reports = check_gradients(&[x], 1e-2, |g, ids| {
             let y = g.scale(ids[0], 2.5);
-            Ok(g.sum_all(y))
+            Ok(g.mean_all(y))
         })
         .unwrap();
         assert!(reports[0].within(1e-3), "{reports:?}");

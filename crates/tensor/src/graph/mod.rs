@@ -28,25 +28,15 @@
 
 use crate::error::{Result, TensorError};
 use crate::ops::conv::{conv2d_backward_packed, conv2d_forward_packed};
-use crate::ops::elementwise::{
-    clamp_forward, div_forward, exp_forward, ln_forward, sigmoid_forward, sqrt_forward,
-    tanh_forward,
-};
 use crate::ops::gemm::PackedPanels;
-use crate::ops::matmul::{matmul, matmul_nt, matmul_tn, transpose};
+use crate::ops::matmul::{matmul, matmul_nt, matmul_tn};
 use crate::ops::norm::{
     batch_norm2d_backward, batch_norm2d_forward, l2_normalize_rows_forward, BnBatchStats, BnSaved,
 };
-use crate::ops::pool::{
-    avg_pool2d_backward, avg_pool2d_forward, global_avg_pool_backward, global_avg_pool_forward,
-    max_pool2d_backward, max_pool2d_forward,
-};
-use crate::ops::reduce::{
-    mean_rows_backward, mean_rows_forward, sum_cols_backward, sum_cols_forward, sum_rows_backward,
-    sum_rows_forward,
-};
+use crate::ops::pool::{global_avg_pool_backward, global_avg_pool_forward};
+use crate::ops::reduce::sum_cols_forward;
 use crate::ops::softmax::{log_softmax_forward, nll_backward, nll_forward};
-use crate::simd::{self, BinaryKernel, RowNorms, UnaryKernel};
+use crate::simd::{self, RowNorms, UnaryKernel};
 use crate::tensor::DestBuf;
 use crate::{Shape, Tensor};
 
@@ -65,21 +55,21 @@ impl VarId {
     }
 }
 
+/// The tape's op kinds: the ones the models, trainer and probe record,
+/// plus `Matmul` and `MeanAll`, which the backward benches build their
+/// tapes from (`MeanAll` is also the scalar loss the gradient-check
+/// suites reduce to).
 #[derive(Debug)]
 enum Op {
     Leaf,
     Add(VarId, VarId),
-    Sub(VarId, VarId),
-    Mul(VarId, VarId),
     Scale(VarId, f32),
-    AddScalar(VarId),
     AddBias {
         x: VarId,
         b: VarId,
     },
     Matmul(VarId, VarId),
     MatmulNt(VarId, VarId),
-    Transpose(VarId),
     Relu(VarId),
     Conv2d {
         x: VarId,
@@ -91,10 +81,6 @@ enum Op {
         /// until backward reuses them for the weight gradient.
         colst: PackedPanels,
     },
-    MaxPool2d {
-        x: VarId,
-        argmax: Vec<u32>,
-    },
     GlobalAvgPool(VarId),
     BatchNorm2d {
         x: VarId,
@@ -102,7 +88,6 @@ enum Op {
         beta: VarId,
         saved: BnSaved,
     },
-    Reshape(VarId),
     Concat0 {
         a: VarId,
         b: VarId,
@@ -122,34 +107,6 @@ enum Op {
         mask: Vec<bool>,
     },
     MeanAll(VarId),
-    SumAll(VarId),
-    Exp(VarId),
-    Ln {
-        x: VarId,
-        eps: f32,
-    },
-    Sqrt(VarId),
-    Tanh(VarId),
-    Sigmoid(VarId),
-    Clamp {
-        x: VarId,
-        lo: f32,
-        hi: f32,
-    },
-    Div(VarId, VarId),
-    AvgPool2d {
-        x: VarId,
-        k: usize,
-        s: usize,
-    },
-    SumRows(VarId),
-    MeanRows(VarId),
-    SumCols(VarId),
-    Dropout {
-        x: VarId,
-        mask: Vec<bool>,
-        scale: f32,
-    },
 }
 
 impl Op {
@@ -165,39 +122,20 @@ impl Op {
         match self {
             Op::Leaf => {}
             Op::Add(a, b)
-            | Op::Sub(a, b)
-            | Op::Mul(a, b)
             | Op::Matmul(a, b)
             | Op::MatmulNt(a, b)
-            | Op::Div(a, b)
             | Op::Concat0 { a, b, .. }
             | Op::AddBias { x: a, b } => {
                 f(a.0);
                 f(b.0);
             }
             Op::Scale(x, _)
-            | Op::AddScalar(x)
-            | Op::Transpose(x)
             | Op::Relu(x)
             | Op::GlobalAvgPool(x)
-            | Op::Reshape(x)
             | Op::LogSoftmax(x)
             | Op::MeanAll(x)
-            | Op::SumAll(x)
-            | Op::Exp(x)
-            | Op::Sqrt(x)
-            | Op::Tanh(x)
-            | Op::Sigmoid(x)
-            | Op::SumRows(x)
-            | Op::MeanRows(x)
-            | Op::SumCols(x)
-            | Op::MaxPool2d { x, .. }
-            | Op::AvgPool2d { x, .. }
             | Op::L2NormalizeRows { x, .. }
-            | Op::MaskedFill { x, .. }
-            | Op::Dropout { x, .. }
-            | Op::Clamp { x, .. }
-            | Op::Ln { x, .. } => f(x.0),
+            | Op::MaskedFill { x, .. } => f(x.0),
             Op::NllLoss { logp: x, .. } => f(x.0),
             Op::Conv2d { x, w, b, .. } => {
                 f(x.0);
@@ -356,64 +294,29 @@ impl Graph {
         VarId(self.nodes.len() - 1)
     }
 
-    fn binary_same_shape(
-        &mut self,
-        op_name: &'static str,
-        a: VarId,
-        b: VarId,
-        f: impl Fn(f32, f32) -> f32 + Sync,
-        op: Op,
-    ) -> Result<VarId> {
-        let va = &self.nodes[a.0].value;
-        let vb = &self.nodes[b.0].value;
-        if va.shape() != vb.shape() {
-            return Err(TensorError::ShapeMismatch {
-                op: op_name,
-                lhs: va.shape().clone(),
-                rhs: vb.shape().clone(),
-            });
-        }
-        let value = va.zip_map(vb, f)?;
-        Ok(self.push(op, value))
-    }
-
     /// Elementwise sum of two same-shaped nodes.
     ///
     /// # Errors
     ///
     /// Returns an error if the shapes differ.
     pub fn add(&mut self, a: VarId, b: VarId) -> Result<VarId> {
-        self.binary_same_shape("add", a, b, |x, y| x + y, Op::Add(a, b))
-    }
-
-    /// Elementwise difference `a - b` of two same-shaped nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the shapes differ.
-    pub fn sub(&mut self, a: VarId, b: VarId) -> Result<VarId> {
-        self.binary_same_shape("sub", a, b, |x, y| x - y, Op::Sub(a, b))
-    }
-
-    /// Elementwise product of two same-shaped nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the shapes differ.
-    pub fn mul(&mut self, a: VarId, b: VarId) -> Result<VarId> {
-        self.binary_same_shape("mul", a, b, |x, y| x * y, Op::Mul(a, b))
+        let va = &self.nodes[a.0].value;
+        let vb = &self.nodes[b.0].value;
+        if va.shape() != vb.shape() {
+            return Err(TensorError::ShapeMismatch {
+                op: "add",
+                lhs: va.shape().clone(),
+                rhs: vb.shape().clone(),
+            });
+        }
+        let value = va.zip_map(vb, |x, y| x + y)?;
+        Ok(self.push(Op::Add(a, b), value))
     }
 
     /// Multiplies every element by a constant.
     pub fn scale(&mut self, x: VarId, c: f32) -> VarId {
         let value = simd::unary(UnaryKernel::Scale { c }, &self.nodes[x.0].value);
         self.push(Op::Scale(x, c), value)
-    }
-
-    /// Adds a constant to every element.
-    pub fn add_scalar(&mut self, x: VarId, c: f32) -> VarId {
-        let value = simd::unary(UnaryKernel::AddScalar { c }, &self.nodes[x.0].value);
-        self.push(Op::AddScalar(x), value)
     }
 
     /// Adds a `(d)` bias vector to every row of an `(n, d)` node.
@@ -469,16 +372,6 @@ impl Graph {
         Ok(self.push(Op::MatmulNt(a, b), value))
     }
 
-    /// Transpose of a rank-2 node.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the node is not rank-2.
-    pub fn transpose(&mut self, x: VarId) -> Result<VarId> {
-        let value = transpose(&self.nodes[x.0].value)?;
-        Ok(self.push(Op::Transpose(x), value))
-    }
-
     /// Rectified linear unit, `max(x, 0)` elementwise.
     pub fn relu(&mut self, x: VarId) -> VarId {
         let value = simd::unary(UnaryKernel::Relu, &self.nodes[x.0].value);
@@ -507,16 +400,6 @@ impl Graph {
             padding,
         )?;
         Ok(self.push(Op::Conv2d { x, w, b, stride, padding, colst }, value))
-    }
-
-    /// Max pooling with square window `k` and stride `s`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input is not rank-4 or the window is invalid.
-    pub fn max_pool2d(&mut self, x: VarId, k: usize, s: usize) -> Result<VarId> {
-        let (value, argmax) = max_pool2d_forward(&self.nodes[x.0].value, k, s)?;
-        Ok(self.push(Op::MaxPool2d { x, argmax }, value))
     }
 
     /// Global average pooling `(n, c, h, w) -> (n, c)`.
@@ -555,17 +438,6 @@ impl Graph {
         )?;
         let id = self.push(Op::BatchNorm2d { x, gamma, beta, saved }, value);
         Ok((id, batch_stats))
-    }
-
-    /// Reinterprets a node's data under a new shape with the same element
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if element counts differ.
-    pub fn reshape(&mut self, x: VarId, shape: impl Into<Shape>) -> Result<VarId> {
-        let value = self.nodes[x.0].value.reshape(shape)?;
-        Ok(self.push(Op::Reshape(x), value))
     }
 
     /// Concatenates two rank-2 nodes along axis 0.
@@ -660,134 +532,6 @@ impl Graph {
         self.push(Op::MeanAll(x), value)
     }
 
-    /// Sum of all elements. Returns a scalar node.
-    pub fn sum_all(&mut self, x: VarId) -> VarId {
-        let value = Tensor::scalar(self.nodes[x.0].value.sum());
-        self.push(Op::SumAll(x), value)
-    }
-
-    /// Elementwise exponential.
-    pub fn exp(&mut self, x: VarId) -> VarId {
-        let value = exp_forward(&self.nodes[x.0].value);
-        self.push(Op::Exp(x), value)
-    }
-
-    /// Elementwise natural log of `max(x, eps)`.
-    pub fn ln(&mut self, x: VarId, eps: f32) -> VarId {
-        let value = ln_forward(&self.nodes[x.0].value, eps);
-        self.push(Op::Ln { x, eps }, value)
-    }
-
-    /// Elementwise square root of `max(x, 0)`.
-    pub fn sqrt(&mut self, x: VarId) -> VarId {
-        let value = sqrt_forward(&self.nodes[x.0].value);
-        self.push(Op::Sqrt(x), value)
-    }
-
-    /// Elementwise hyperbolic tangent.
-    pub fn tanh(&mut self, x: VarId) -> VarId {
-        let value = tanh_forward(&self.nodes[x.0].value);
-        self.push(Op::Tanh(x), value)
-    }
-
-    /// Elementwise logistic sigmoid.
-    pub fn sigmoid(&mut self, x: VarId) -> VarId {
-        let value = sigmoid_forward(&self.nodes[x.0].value);
-        self.push(Op::Sigmoid(x), value)
-    }
-
-    /// Elementwise clamp to `[lo, hi]`; gradient is blocked outside the
-    /// open interval.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `lo > hi`.
-    pub fn clamp(&mut self, x: VarId, lo: f32, hi: f32) -> Result<VarId> {
-        let value = clamp_forward(&self.nodes[x.0].value, lo, hi)?;
-        Ok(self.push(Op::Clamp { x, lo, hi }, value))
-    }
-
-    /// Elementwise division `a / b` of same-shaped nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if shapes differ.
-    pub fn div(&mut self, a: VarId, b: VarId) -> Result<VarId> {
-        let value = div_forward(&self.nodes[a.0].value, &self.nodes[b.0].value)?;
-        Ok(self.push(Op::Div(a, b), value))
-    }
-
-    /// Windowed average pooling with square window `k` and stride `s`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input is not rank-4 or the window invalid.
-    pub fn avg_pool2d(&mut self, x: VarId, k: usize, s: usize) -> Result<VarId> {
-        let value = avg_pool2d_forward(&self.nodes[x.0].value, k, s)?;
-        Ok(self.push(Op::AvgPool2d { x, k, s }, value))
-    }
-
-    /// Row sums of a rank-2 node: `(n, d) -> (n)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input is not rank-2.
-    pub fn sum_rows(&mut self, x: VarId) -> Result<VarId> {
-        let value = sum_rows_forward(&self.nodes[x.0].value)?;
-        Ok(self.push(Op::SumRows(x), value))
-    }
-
-    /// Row means of a rank-2 node: `(n, d) -> (n)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input is not rank-2.
-    pub fn mean_rows(&mut self, x: VarId) -> Result<VarId> {
-        let value = mean_rows_forward(&self.nodes[x.0].value)?;
-        Ok(self.push(Op::MeanRows(x), value))
-    }
-
-    /// Column sums of a rank-2 node: `(n, d) -> (d)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input is not rank-2.
-    pub fn sum_cols(&mut self, x: VarId) -> Result<VarId> {
-        let value = sum_cols_forward(&self.nodes[x.0].value)?;
-        Ok(self.push(Op::SumCols(x), value))
-    }
-
-    /// Inverted dropout with an explicit keep-mask: kept elements are
-    /// scaled by `1 / keep_prob` so the expectation is unchanged. The
-    /// caller supplies the mask (drawn from its seeded RNG), keeping the
-    /// graph deterministic.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the mask length differs from the element count
-    /// or `keep_prob` is not in `(0, 1]`.
-    pub fn dropout(&mut self, x: VarId, keep_mask: Vec<bool>, keep_prob: f32) -> Result<VarId> {
-        let vx = &self.nodes[x.0].value;
-        if keep_mask.len() != vx.len() {
-            return Err(TensorError::InvalidArgument {
-                op: "dropout",
-                message: format!("mask length {} != element count {}", keep_mask.len(), vx.len()),
-            });
-        }
-        if !(0.0..=1.0).contains(&keep_prob) || keep_prob == 0.0 {
-            return Err(TensorError::InvalidArgument {
-                op: "dropout",
-                message: format!("keep_prob must be in (0, 1], got {keep_prob}"),
-            });
-        }
-        let scale = 1.0 / keep_prob;
-        let mut value = vx.clone();
-        for (v, &keep) in value.data_mut().iter_mut().zip(&keep_mask) {
-            *v = if keep { *v * scale } else { 0.0 };
-        }
-        Ok(self.push(Op::Dropout { x, mask: keep_mask, scale }, value))
-    }
-
     /// Clears every gradient slot on the tape.
     ///
     /// Both backward entry points call this before seeding the loss, so
@@ -880,19 +624,6 @@ impl Graph {
         src.copy_with(self.dest(src.len()))
     }
 
-    /// A dispatched unary kernel over pool-drawn storage.
-    fn pooled_unary(&self, k: UnaryKernel, x: &Tensor) -> Tensor {
-        simd::unary_with(k, x, self.dest(x.len()))
-    }
-
-    /// A dispatched binary kernel over pool-drawn storage. Backward
-    /// operand shapes always match on a well-formed tape; the typed
-    /// shape-mismatch error propagates (and aborts the sweep cleanly)
-    /// if the tape was corrupted.
-    fn pooled_binary(&self, k: BinaryKernel, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        simd::binary_with(k, a, b, self.dest(a.len()))
-    }
-
     /// `Tensor::full(shape, v)` over pool-drawn storage.
     fn pooled_full(&self, shape: Shape, value: f32) -> Tensor {
         let len = shape.num_elements();
@@ -904,22 +635,12 @@ impl Graph {
         let out = match &node.op {
             Op::Leaf => vec![],
             Op::Add(a, b) => vec![(a.0, self.pooled_copy(g)), (b.0, self.pooled_copy(g))],
-            Op::Sub(a, b) => {
-                vec![(a.0, self.pooled_copy(g)), (b.0, self.pooled_unary(UnaryKernel::Neg, g))]
-            }
-            Op::Mul(a, b) => {
-                let ga = self.pooled_binary(BinaryKernel::Mul, g, &self.nodes[b.0].value)?;
-                let gb = self.pooled_binary(BinaryKernel::Mul, g, &self.nodes[a.0].value)?;
-                vec![(a.0, ga), (b.0, gb)]
-            }
             Op::Scale(x, c) => {
-                vec![(x.0, self.pooled_unary(UnaryKernel::Scale { c: *c }, g))]
+                vec![(x.0, simd::unary_with(UnaryKernel::Scale { c: *c }, g, self.dest(g.len())))]
             }
-            Op::AddScalar(x) => vec![(x.0, self.pooled_copy(g))],
             Op::AddBias { x, b } => {
                 // The bias gradient is the column sum of the upstream
-                // gradient — the same kernel as the SumCols op, which
-                // chunks columns over the worker pool.
+                // gradient, chunked by columns over the worker pool.
                 let gb = sum_cols_forward(g)?;
                 vec![(x.0, self.pooled_copy(g)), (b.0, gb)]
             }
@@ -936,10 +657,12 @@ impl Graph {
                 let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
                 vec![(a.0, matmul(g, vb)?), (b.0, matmul_tn(g, va)?)]
             }
-            Op::Transpose(x) => vec![(x.0, transpose(g)?)],
             Op::Relu(x) => {
-                let gx = self.pooled_binary(BinaryKernel::ReluBwd, g, &self.nodes[x.0].value)?;
-                vec![(x.0, gx)]
+                // Operand shapes always match on a well-formed tape; on a
+                // corrupted one the typed shape-mismatch error aborts the
+                // sweep cleanly.
+                let x_val = &self.nodes[x.0].value;
+                vec![(x.0, simd::relu_backward_with(g, x_val, self.dest(g.len()))?)]
             }
             Op::Conv2d { x, w, b, stride, padding, colst } => {
                 // The weight-gradient GEMM reads the column panels the
@@ -959,11 +682,6 @@ impl Graph {
                 }
                 v
             }
-            Op::MaxPool2d { x, argmax, .. } => {
-                let parent = &self.nodes[x.0].value;
-                let flat = max_pool2d_backward(g, argmax, parent.len());
-                vec![(x.0, flat.reshape(parent.shape().clone())?)]
-            }
             Op::GlobalAvgPool(x) => {
                 let (n, c, h, w) =
                     self.nodes[x.0].value.shape().as_nchw().expect("validated in forward");
@@ -977,9 +695,6 @@ impl Graph {
                     g,
                 );
                 vec![(x.0, dx), (gamma.0, dgamma), (beta.0, dbeta)]
-            }
-            Op::Reshape(x) => {
-                vec![(x.0, g.reshape(self.nodes[x.0].value.shape().clone())?)]
             }
             Op::Concat0 { a, b, split } => {
                 let ga = Tensor::from_vec(
@@ -1022,56 +737,6 @@ impl Graph {
                 let v = g.item() / parent.len() as f32;
                 vec![(x.0, self.pooled_full(parent.shape().clone(), v))]
             }
-            Op::SumAll(x) => {
-                let parent = &self.nodes[x.0].value;
-                vec![(x.0, self.pooled_full(parent.shape().clone(), g.item()))]
-            }
-            Op::Exp(x) => vec![(x.0, self.pooled_binary(BinaryKernel::Mul, g, &node.value)?)],
-            Op::Ln { x, eps } => {
-                let k = BinaryKernel::LnBwd { eps: *eps };
-                vec![(x.0, self.pooled_binary(k, g, &self.nodes[x.0].value)?)]
-            }
-            Op::Sqrt(x) => vec![(x.0, self.pooled_binary(BinaryKernel::SqrtBwd, g, &node.value)?)],
-            Op::Tanh(x) => vec![(x.0, self.pooled_binary(BinaryKernel::TanhBwd, g, &node.value)?)],
-            Op::Sigmoid(x) => {
-                vec![(x.0, self.pooled_binary(BinaryKernel::SigmoidBwd, g, &node.value)?)]
-            }
-            Op::Clamp { x, lo, hi } => {
-                let k = BinaryKernel::ClampBwd { lo: *lo, hi: *hi };
-                vec![(x.0, self.pooled_binary(k, g, &self.nodes[x.0].value)?)]
-            }
-            Op::Div(a, b) => {
-                let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-                let da = self.pooled_binary(BinaryKernel::Div, g, bv)?;
-                let num = self.pooled_binary(BinaryKernel::Mul, g, av)?;
-                let db = self.pooled_binary(BinaryKernel::NegDivSq, &num, bv)?;
-                self.pool.recycle(num);
-                vec![(a.0, da), (b.0, db)]
-            }
-            Op::AvgPool2d { x, k, s } => {
-                let (n, c, h, w) =
-                    self.nodes[x.0].value.shape().as_nchw().expect("validated in forward");
-                vec![(x.0, avg_pool2d_backward(g, n, c, h, w, *k, *s))]
-            }
-            Op::SumRows(x) => {
-                let (n, d) = self.nodes[x.0].value.shape().as_matrix().expect("validated");
-                vec![(x.0, sum_rows_backward(g, n, d))]
-            }
-            Op::MeanRows(x) => {
-                let (n, d) = self.nodes[x.0].value.shape().as_matrix().expect("validated");
-                vec![(x.0, mean_rows_backward(g, n, d))]
-            }
-            Op::SumCols(x) => {
-                let (n, d) = self.nodes[x.0].value.shape().as_matrix().expect("validated");
-                vec![(x.0, sum_cols_backward(g, n, d))]
-            }
-            Op::Dropout { x, mask, scale } => {
-                let mut gx = self.pooled_copy(g);
-                for (v, &keep) in gx.data_mut().iter_mut().zip(mask) {
-                    *v = if keep { *v * scale } else { 0.0 };
-                }
-                vec![(x.0, gx)]
-            }
         };
         Ok(out)
     }
@@ -1091,22 +756,10 @@ mod tests {
         let a = g.leaf(t2(&[1.0, 2.0, 3.0, 4.0]));
         let b = g.leaf(t2(&[5.0, 6.0, 7.0, 8.0]));
         let s = g.add(a, b).unwrap();
-        let loss = g.sum_all(s);
+        let loss = g.mean_all(s);
         g.backward(loss).unwrap();
-        assert_eq!(g.grad(a).unwrap().data(), &[1.0; 4]);
-        assert_eq!(g.grad(b).unwrap().data(), &[1.0; 4]);
-    }
-
-    #[test]
-    fn mul_backward_swaps_operands() {
-        let mut g = Graph::new();
-        let a = g.leaf(t2(&[1.0, 2.0, 3.0, 4.0]));
-        let b = g.leaf(t2(&[5.0, 6.0, 7.0, 8.0]));
-        let p = g.mul(a, b).unwrap();
-        let loss = g.sum_all(p);
-        g.backward(loss).unwrap();
-        assert_eq!(g.grad(a).unwrap().data(), &[5.0, 6.0, 7.0, 8.0]);
-        assert_eq!(g.grad(b).unwrap().data(), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(g.grad(a).unwrap().data(), &[0.25; 4]);
+        assert_eq!(g.grad(b).unwrap().data(), &[0.25; 4]);
     }
 
     #[test]
@@ -1115,34 +768,34 @@ mod tests {
         let a = g.leaf(Tensor::ones([2, 3]));
         let b = g.leaf(Tensor::ones([3, 4]));
         let c = g.matmul(a, b).unwrap();
-        let loss = g.sum_all(c);
+        let loss = g.mean_all(c);
         g.backward(loss).unwrap();
         assert_eq!(g.grad(a).unwrap().shape().dims(), &[2, 3]);
         assert_eq!(g.grad(b).unwrap().shape().dims(), &[3, 4]);
-        // d(sum(A·B))/dA = ones·Bᵀ: each entry = 4 (row-sum of ones(3,4)ᵀ).
-        assert_eq!(g.grad(a).unwrap().data(), &[4.0; 6]);
-        assert_eq!(g.grad(b).unwrap().data(), &[2.0; 12]);
+        // d(mean(A·B))/dA = (1/8)·ones·Bᵀ: each entry = 4/8.
+        assert_eq!(g.grad(a).unwrap().data(), &[0.5; 6]);
+        assert_eq!(g.grad(b).unwrap().data(), &[0.25; 12]);
     }
 
     #[test]
     fn relu_blocks_negative_gradient() {
         let mut g = Graph::new();
-        let x = g.leaf(Tensor::from_vec([3], vec![-1.0, 0.0, 2.0]).unwrap());
+        let x = g.leaf(Tensor::from_vec([4], vec![-1.0, 0.0, 2.0, 3.0]).unwrap());
         let y = g.relu(x);
-        let loss = g.sum_all(y);
+        let loss = g.mean_all(y);
         g.backward(loss).unwrap();
-        assert_eq!(g.grad(x).unwrap().data(), &[0.0, 0.0, 1.0]);
+        assert_eq!(g.grad(x).unwrap().data(), &[0.0, 0.0, 0.25, 0.25]);
     }
 
     #[test]
     fn reused_node_accumulates_gradient() {
-        // loss = sum(x + x) should give dx = 2.
+        // loss = mean(x + x) over two elements should give dx = 1.
         let mut g = Graph::new();
         let x = g.leaf(Tensor::ones([2]));
         let s = g.add(x, x).unwrap();
-        let loss = g.sum_all(s);
+        let loss = g.mean_all(s);
         g.backward(loss).unwrap();
-        assert_eq!(g.grad(x).unwrap().data(), &[2.0, 2.0]);
+        assert_eq!(g.grad(x).unwrap().data(), &[1.0, 1.0]);
     }
 
     #[test]
@@ -1156,14 +809,14 @@ mod tests {
     fn concat0_splits_gradient() {
         let mut g = Graph::new();
         let a = g.leaf(Tensor::ones([1, 2]));
-        let b = g.leaf(Tensor::ones([2, 2]));
+        let b = g.leaf(Tensor::ones([3, 2]));
         let c = g.concat0(a, b).unwrap();
-        assert_eq!(g.value(c).shape().dims(), &[3, 2]);
+        assert_eq!(g.value(c).shape().dims(), &[4, 2]);
         let scaled = g.scale(c, 3.0);
-        let loss = g.sum_all(scaled);
+        let loss = g.mean_all(scaled);
         g.backward(loss).unwrap();
-        assert_eq!(g.grad(a).unwrap().data(), &[3.0, 3.0]);
-        assert_eq!(g.grad(b).unwrap().data(), &[3.0; 4]);
+        assert_eq!(g.grad(a).unwrap().data(), &[0.375; 2]);
+        assert_eq!(g.grad(b).unwrap().data(), &[0.375; 6]);
     }
 
     #[test]
@@ -1172,9 +825,9 @@ mod tests {
         let x = g.leaf(Tensor::from_vec([2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap());
         let m = g.masked_fill(x, vec![true, false, false, true], -9.0).unwrap();
         assert_eq!(g.value(m).data(), &[-9.0, 2.0, 3.0, -9.0]);
-        let loss = g.sum_all(m);
+        let loss = g.mean_all(m);
         g.backward(loss).unwrap();
-        assert_eq!(g.grad(x).unwrap().data(), &[0.0, 1.0, 1.0, 0.0]);
+        assert_eq!(g.grad(x).unwrap().data(), &[0.0, 0.25, 0.25, 0.0]);
     }
 
     #[test]
@@ -1197,10 +850,10 @@ mod tests {
     fn grad_values_survive_take() {
         let mut g = Graph::new();
         let x = g.leaf(Tensor::ones([2]));
-        let loss = g.sum_all(x);
+        let loss = g.mean_all(x);
         g.backward(loss).unwrap();
         let taken = g.take_grad(x).unwrap();
-        assert_eq!(taken.data(), &[1.0, 1.0]);
+        assert_eq!(taken.data(), &[0.5, 0.5]);
         assert!(g.grad(x).is_none());
     }
 
@@ -1231,33 +884,37 @@ mod tests {
     }
 
     /// Re-sweeping exercises the gradient pool: sweep 2 recycles sweep
-    /// 1's buffers through every pooled op (copy, map, zip, full). The
-    /// recycled-storage results must be bit-identical to a fresh
-    /// graph's — recycling reuses storage, never values.
+    /// 1's buffers through every pool-fed backward (copy, scale, relu,
+    /// ℓ2-normalize, log-softmax, full). The recycled-storage results
+    /// must be bit-identical to a fresh graph's — recycling reuses
+    /// storage, never values.
     #[test]
     fn pooled_resweeps_match_a_fresh_graph_bitwise() {
         let build = |g: &mut Graph| {
             let a = g.leaf(t2(&[1.5, -2.0, 3.25, 0.5]));
             let b = g.leaf(t2(&[0.25, 4.0, -1.0, 2.0]));
+            let bias = g.leaf(Tensor::from_vec([2], vec![0.75, -0.5]).unwrap());
             let sum = g.add(a, b).unwrap();
-            let diff = g.sub(sum, b).unwrap();
-            let prod = g.mul(diff, a).unwrap();
-            let scaled = g.scale(prod, -1.75);
+            let biased = g.add_bias(sum, bias).unwrap();
+            let scaled = g.scale(biased, -1.75);
             let masked = g.masked_fill(scaled, vec![false, true, false, false], 0.0).unwrap();
             let relu = g.relu(masked);
-            let loss = g.mean_all(relu);
-            (a, b, loss)
+            let prod = g.matmul(relu, a).unwrap();
+            let z = g.l2_normalize_rows(prod).unwrap();
+            let lp = g.log_softmax(z).unwrap();
+            let loss = g.mean_all(lp);
+            (a, b, bias, loss)
         };
         let mut fresh = Graph::new();
-        let (fa, fb, floss) = build(&mut fresh);
+        let (fa, fb, fbias, floss) = build(&mut fresh);
         fresh.backward(floss).unwrap();
 
         let mut reswept = Graph::new();
-        let (ra, rb, rloss) = build(&mut reswept);
+        let (ra, rb, rbias, rloss) = build(&mut reswept);
         for _ in 0..3 {
             reswept.backward(rloss).unwrap();
         }
-        for (f, r) in [(fa, ra), (fb, rb)] {
+        for (f, r) in [(fa, ra), (fb, rb), (fbias, rbias)] {
             let want: Vec<u32> =
                 fresh.grad(f).unwrap().data().iter().map(|v| v.to_bits()).collect();
             let got: Vec<u32> =
@@ -1271,7 +928,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.leaf(t2(&[1.0, 2.0, 3.0, 4.0]));
         let y = g.relu(x);
-        let loss = g.sum_all(y);
+        let loss = g.mean_all(y);
         g.backward(loss).unwrap();
         let taken = g.take_grad(x).unwrap();
         g.backward(loss).unwrap();
@@ -1284,14 +941,13 @@ mod tests {
     fn failed_sweep_leaves_no_torn_gradients() {
         for serial in [false, true] {
             let mut g = Graph::new();
-            let a = g.leaf(t2(&[1.0, 2.0, 3.0, 4.0]));
-            let b = g.leaf(t2(&[5.0, 6.0, 7.0, 8.0]));
-            let p = g.mul(a, b).unwrap();
-            let q = g.scale(p, 2.0);
-            let loss = g.sum_all(q);
-            // Corrupt a parent value so Mul's backward `zip_map` fails
-            // partway through the sweep (after Scale already ran).
-            g.nodes[b.0].value = Tensor::ones([3]);
+            let a = g.leaf(t2(&[1.0, -2.0, 3.0, -4.0]));
+            let r = g.relu(a);
+            let q = g.scale(r, 2.0);
+            let loss = g.mean_all(q);
+            // Corrupt a parent value so Relu's backward fails on a shape
+            // mismatch partway through the sweep (after Scale already ran).
+            g.nodes[a.0].value = Tensor::ones([3]);
             let result = if serial { g.backward_serial(loss) } else { g.backward(loss) };
             assert!(result.is_err(), "corrupted tape swept cleanly (serial={serial})");
             for i in 0..g.len() {

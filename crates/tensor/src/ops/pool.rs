@@ -1,149 +1,7 @@
-//! Pooling kernels: max pooling and global average pooling.
+//! Global average pooling, the encoder's last spatial op.
 
 use crate::error::{Result, TensorError};
 use crate::Tensor;
-
-use super::conv::conv_out_dim;
-
-/// Forward max pooling over `(n, c, h, w)` with square window `k` and
-/// stride `s`. Returns the pooled tensor and the flat argmax index (into
-/// the input) of every output element, which the backward pass scatters
-/// gradient through.
-///
-/// # Errors
-///
-/// Returns an error if the input is not rank-4 or the window does not fit.
-pub fn max_pool2d_forward(x: &Tensor, k: usize, s: usize) -> Result<(Tensor, Vec<u32>)> {
-    let (n, c, h, w) = x.shape().as_nchw().ok_or_else(|| TensorError::RankMismatch {
-        op: "max_pool2d",
-        expected: 4,
-        actual: x.shape().clone(),
-    })?;
-    if k == 0 || s == 0 || k > h || k > w {
-        return Err(TensorError::InvalidArgument {
-            op: "max_pool2d",
-            message: format!("window {k} / stride {s} invalid for input {h}x{w}"),
-        });
-    }
-    let oh = conv_out_dim(h, k, s, 0);
-    let ow = conv_out_dim(w, k, s, 0);
-    let mut out = Tensor::zeros([n, c, oh, ow]);
-    let mut argmax = vec![0u32; n * c * oh * ow];
-    let xd = x.data();
-    let od = out.data_mut();
-    for ni in 0..n {
-        for ci in 0..c {
-            let plane = (ni * c + ci) * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0usize;
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            let iy = oy * s + ky;
-                            let ix = ox * s + kx;
-                            let idx = plane + iy * w + ix;
-                            if xd[idx] > best {
-                                best = xd[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    let o = ((ni * c + ci) * oh + oy) * ow + ox;
-                    od[o] = best;
-                    argmax[o] = best_idx as u32;
-                }
-            }
-        }
-    }
-    Ok((out, argmax))
-}
-
-/// Backward max pooling: routes each output gradient to the input element
-/// that produced the max.
-pub fn max_pool2d_backward(gy: &Tensor, argmax: &[u32], input_len: usize) -> Tensor {
-    let mut gx = vec![0.0f32; input_len];
-    for (g, &idx) in gy.data().iter().zip(argmax) {
-        gx[idx as usize] += g;
-    }
-    Tensor::from_vec(vec![input_len], gx).expect("length matches by construction")
-}
-
-/// Forward windowed average pooling over `(n, c, h, w)` with square
-/// window `k` and stride `s` (no padding).
-///
-/// # Errors
-///
-/// Returns an error if the input is not rank-4 or the window is invalid.
-pub fn avg_pool2d_forward(x: &Tensor, k: usize, s: usize) -> Result<Tensor> {
-    let (n, c, h, w) = x.shape().as_nchw().ok_or_else(|| TensorError::RankMismatch {
-        op: "avg_pool2d",
-        expected: 4,
-        actual: x.shape().clone(),
-    })?;
-    if k == 0 || s == 0 || k > h || k > w {
-        return Err(TensorError::InvalidArgument {
-            op: "avg_pool2d",
-            message: format!("window {k} / stride {s} invalid for input {h}x{w}"),
-        });
-    }
-    let oh = conv_out_dim(h, k, s, 0);
-    let ow = conv_out_dim(w, k, s, 0);
-    let inv_area = 1.0 / (k * k) as f32;
-    let mut out = Tensor::zeros([n, c, oh, ow]);
-    let xd = x.data();
-    let od = out.data_mut();
-    for ni in 0..n {
-        for ci in 0..c {
-            let plane = (ni * c + ci) * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = 0.0;
-                    for ky in 0..k {
-                        let row = plane + (oy * s + ky) * w + ox * s;
-                        acc += xd[row..row + k].iter().sum::<f32>();
-                    }
-                    od[((ni * c + ci) * oh + oy) * ow + ox] = acc * inv_area;
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Backward windowed average pooling: spreads each output gradient
-/// uniformly over its window (overlaps accumulate).
-pub fn avg_pool2d_backward(
-    gy: &Tensor,
-    n: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    k: usize,
-    s: usize,
-) -> Tensor {
-    let oh = conv_out_dim(h, k, s, 0);
-    let ow = conv_out_dim(w, k, s, 0);
-    let inv_area = 1.0 / (k * k) as f32;
-    let gd = gy.data();
-    let mut gx = Tensor::zeros([n, c, h, w]);
-    let gxd = gx.data_mut();
-    for ni in 0..n {
-        for ci in 0..c {
-            let plane = (ni * c + ci) * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let g = gd[((ni * c + ci) * oh + oy) * ow + ox] * inv_area;
-                    for ky in 0..k {
-                        let row = plane + (oy * s + ky) * w + ox * s;
-                        gxd[row..row + k].iter_mut().for_each(|v| *v += g);
-                    }
-                }
-            }
-        }
-    }
-    gx
-}
 
 /// Global average pooling `(n, c, h, w) -> (n, c)`.
 ///
@@ -191,32 +49,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn max_pool_picks_maxima() {
-        let x = Tensor::from_vec(
-            [1, 1, 4, 4],
-            vec![
-                1.0, 2.0, 5.0, 6.0, //
-                3.0, 4.0, 7.0, 8.0, //
-                -1.0, -2.0, 0.0, 0.0, //
-                -3.0, -4.0, 0.0, 9.0,
-            ],
-        )
-        .unwrap();
-        let (y, argmax) = max_pool2d_forward(&x, 2, 2).unwrap();
-        assert_eq!(y.data(), &[4.0, 8.0, -1.0, 9.0]);
-        assert_eq!(argmax, vec![5, 7, 8, 15]);
-    }
-
-    #[test]
-    fn max_pool_backward_routes_to_argmax() {
-        let x = Tensor::from_vec([1, 1, 2, 2], vec![1.0, 9.0, 3.0, 4.0]).unwrap();
-        let (y, argmax) = max_pool2d_forward(&x, 2, 2).unwrap();
-        let gy = Tensor::ones(y.shape().clone());
-        let gx = max_pool2d_backward(&gy, &argmax, x.len());
-        assert_eq!(gx.data(), &[0.0, 1.0, 0.0, 0.0]);
-    }
-
-    #[test]
     fn global_avg_pool_means_planes() {
         let x = Tensor::from_vec([1, 2, 2, 2], vec![1.0, 2.0, 3.0, 4.0, 10.0, 10.0, 10.0, 10.0])
             .unwrap();
@@ -229,41 +61,5 @@ mod tests {
         let gy = Tensor::from_vec([1, 2], vec![4.0, 8.0]).unwrap();
         let gx = global_avg_pool_backward(&gy, 1, 2, 2, 2);
         assert_eq!(gx.data(), &[1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]);
-    }
-
-    #[test]
-    fn oversized_window_is_rejected() {
-        let x = Tensor::zeros([1, 1, 2, 2]);
-        assert!(max_pool2d_forward(&x, 3, 1).is_err());
-        assert!(max_pool2d_forward(&x, 2, 0).is_err());
-        assert!(avg_pool2d_forward(&x, 3, 1).is_err());
-    }
-
-    #[test]
-    fn avg_pool_averages_windows() {
-        let x =
-            Tensor::from_vec([1, 1, 2, 4], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]).unwrap();
-        let y = avg_pool2d_forward(&x, 2, 2).unwrap();
-        assert_eq!(y.data(), &[3.5, 5.5]);
-    }
-
-    #[test]
-    fn avg_pool_backward_spreads_gradient() {
-        let gy = Tensor::from_vec([1, 1, 1, 2], vec![4.0, 8.0]).unwrap();
-        let gx = avg_pool2d_backward(&gy, 1, 1, 2, 4, 2, 2);
-        assert_eq!(gx.data(), &[1.0, 1.0, 2.0, 2.0, 1.0, 1.0, 2.0, 2.0]);
-    }
-
-    #[test]
-    fn avg_pool_equals_global_when_window_covers_image() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(2);
-        let x = Tensor::randn([2, 3, 4, 4], 1.0, &mut rng);
-        let windowed = avg_pool2d_forward(&x, 4, 4).unwrap();
-        let global = global_avg_pool_forward(&x).unwrap();
-        for (a, b) in windowed.data().iter().zip(global.data()) {
-            assert!((a - b).abs() < 1e-5);
-        }
     }
 }

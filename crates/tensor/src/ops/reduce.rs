@@ -1,57 +1,17 @@
-//! Row reductions over rank-2 tensors.
+//! The column reduction behind `AddBias`'s bias gradient.
 //!
-//! Since the SIMD redesign the forward reductions are thin shims over
-//! the runtime-dispatched [`crate::simd::reduce`] descriptors; the
-//! broadcast backwards remain plain (they are memory-bound fills).
+//! A thin shim over the runtime-dispatched [`crate::simd::reduce`]
+//! descriptor.
 
 use crate::error::Result;
 use crate::simd::{self, ReduceKernel};
 use crate::Tensor;
 
-/// Sums each row of an `(n, d)` tensor into an `(n)` vector.
-///
-/// # Errors
-///
-/// Returns an error if the input is not rank-2.
-pub fn sum_rows_forward(x: &Tensor) -> Result<Tensor> {
-    simd::reduce(ReduceKernel::SumRows, x)
-}
-
-/// Backward of [`sum_rows_forward`]: broadcasts each row's gradient
-/// across its columns.
-pub fn sum_rows_backward(gy: &Tensor, n: usize, d: usize) -> Tensor {
-    let gd = gy.data();
-    let mut out = Tensor::zeros([n, d]);
-    let od = out.data_mut();
-    for i in 0..n {
-        od[i * d..(i + 1) * d].iter_mut().for_each(|v| *v = gd[i]);
-    }
-    out
-}
-
-/// Means each row of an `(n, d)` tensor into an `(n)` vector.
-///
-/// # Errors
-///
-/// Returns an error if the input is not rank-2.
-pub fn mean_rows_forward(x: &Tensor) -> Result<Tensor> {
-    simd::reduce(ReduceKernel::MeanRows, x)
-}
-
-/// Backward of [`mean_rows_forward`].
-pub fn mean_rows_backward(gy: &Tensor, n: usize, d: usize) -> Tensor {
-    let mut out = sum_rows_backward(gy, n, d);
-    let inv = 1.0 / d as f32;
-    out.data_mut().iter_mut().for_each(|v| *v *= inv);
-    out
-}
-
 /// Sums each *column* of an `(n, d)` tensor into a `(d)` vector.
 ///
 /// Columns are split into fixed `COL_CHUNK`-wide pieces on the
-/// worker pool (also serving `AddBias`'s bias gradient in
-/// `Graph::backward`); each column accumulates its rows in ascending
-/// order regardless of chunking, so the result is bit-identical at any
+/// worker pool; each column accumulates its rows in ascending order
+/// regardless of chunking, so the result is bit-identical at any
 /// thread count.
 ///
 /// # Errors
@@ -61,30 +21,9 @@ pub fn sum_cols_forward(x: &Tensor) -> Result<Tensor> {
     simd::reduce(ReduceKernel::SumCols, x)
 }
 
-/// Backward of [`sum_cols_forward`]: broadcasts each column's gradient
-/// down its rows.
-pub fn sum_cols_backward(gy: &Tensor, n: usize, d: usize) -> Tensor {
-    let gd = gy.data();
-    let mut out = Tensor::zeros([n, d]);
-    let od = out.data_mut();
-    for i in 0..n {
-        for j in 0..d {
-            od[i * d + j] = gd[j];
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sum_and_mean_rows() {
-        let x = Tensor::from_vec([2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        assert_eq!(sum_rows_forward(&x).unwrap().data(), &[6.0, 15.0]);
-        assert_eq!(mean_rows_forward(&x).unwrap().data(), &[2.0, 5.0]);
-    }
 
     #[test]
     fn sum_cols() {
@@ -93,19 +32,7 @@ mod tests {
     }
 
     #[test]
-    fn backwards_broadcast() {
-        let gy = Tensor::from_vec([2], vec![1.0, 2.0]).unwrap();
-        assert_eq!(sum_rows_backward(&gy, 2, 2).data(), &[1.0, 1.0, 2.0, 2.0]);
-        assert_eq!(mean_rows_backward(&gy, 2, 2).data(), &[0.5, 0.5, 1.0, 1.0]);
-        let gc = Tensor::from_vec([2], vec![3.0, 4.0]).unwrap();
-        assert_eq!(sum_cols_backward(&gc, 2, 2).data(), &[3.0, 4.0, 3.0, 4.0]);
-    }
-
-    #[test]
     fn rank_validation() {
-        let bad = Tensor::zeros([2, 2, 2]);
-        assert!(sum_rows_forward(&bad).is_err());
-        assert!(mean_rows_forward(&bad).is_err());
-        assert!(sum_cols_forward(&bad).is_err());
+        assert!(sum_cols_forward(&Tensor::zeros([2, 2, 2])).is_err());
     }
 }

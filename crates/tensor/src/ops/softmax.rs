@@ -123,7 +123,7 @@ mod tests {
         let x = Tensor::from_vec([1, 3], vec![0.2, -0.3, 0.5]).unwrap();
         let y = log_softmax_forward(&x).unwrap();
         let gy = nll_backward((1, 3), &[1], 1.0);
-        let dx = simd::log_softmax_backward(&y, &gy);
+        let dx = simd::log_softmax_backward_with(&y, &gy, crate::DestBuf::fresh());
         let p: Vec<f32> = y.data().iter().map(|&v| v.exp()).collect();
         let expect = [p[0], p[1] - 1.0, p[2]];
         for (a, e) in dx.data().iter().zip(expect) {

@@ -101,27 +101,9 @@ impl SimdF32 for AvxVec {
     }
 
     #[inline(always)]
-    fn sqrt(self) -> Self {
-        // SAFETY: as above. `vsqrtps` is IEEE correctly rounded.
-        AvxVec(unsafe { _mm256_sqrt_ps(self.0) })
-    }
-
-    #[inline(always)]
     fn floor(self) -> Self {
         // SAFETY: as above.
         AvxVec(unsafe { _mm256_floor_ps(self.0) })
-    }
-
-    #[inline(always)]
-    fn neg(self) -> Self {
-        // SAFETY: as above. Sign-bit XOR, exact.
-        AvxVec(unsafe { _mm256_xor_ps(self.0, _mm256_set1_ps(f32::from_bits(0x8000_0000))) })
-    }
-
-    #[inline(always)]
-    fn abs(self) -> Self {
-        // SAFETY: as above. Sign-bit clear, exact.
-        AvxVec(unsafe { _mm256_and_ps(self.0, _mm256_set1_ps(f32::from_bits(0x7FFF_FFFF))) })
     }
 
     #[inline(always)]
@@ -146,12 +128,6 @@ impl SimdF32 for AvxVec {
     fn is_nan(self) -> Self {
         // SAFETY: as above. Unordered-with-self is true exactly on NaN.
         AvxVec(unsafe { _mm256_cmp_ps::<_CMP_UNORD_Q>(self.0, self.0) })
-    }
-
-    #[inline(always)]
-    fn and_mask(self, o: Self) -> Self {
-        // SAFETY: as above.
-        AvxVec(unsafe { _mm256_and_ps(self.0, o.0) })
     }
 
     #[inline(always)]

@@ -10,7 +10,7 @@
 //!
 //! Every kernel fixes one evaluation order, independent of ISA:
 //!
-//! * **Maps** (unary/binary): elements are processed in 8-lane groups
+//! * **Maps** (unary, relu backward): elements are processed in 8-lane groups
 //!   left to right; the trailing `len % 8` elements are computed as a
 //!   zero-padded 8-lane group whose dead lanes are discarded. Each lane
 //!   is an independent IEEE computation, so scalar and AVX2 agree
@@ -29,15 +29,15 @@
 //! `ROW_CHUNK`, `COL_CHUNK` — all multiples of 8), so threading remains
 //! bit-identical at any `SDC_THREADS`.
 
-use super::math::{exp_lane, ln_lane, vexp, vln, vsigmoid, vtanh};
+use super::math::{exp_lane, ln_lane, vexp, NAN_CANON};
 use super::vec::{max_c_scalar, ScalarVec, SimdF32, LANES};
-use super::{BinaryKernel, Isa, ReduceKernel, UnaryKernel};
+use super::{Isa, UnaryKernel};
 
 /// One chunk's worth of vectorisable work, generic over the lane type.
 ///
 /// This is the dispatch seam: implementors are the unary-map,
-/// binary-zip, horizontal-reduce, and fused map-reduce chunk forms the
-/// public entry points construct.
+/// relu-backward zip, horizontal-reduce, and fused map-reduce chunk
+/// forms the public entry points construct.
 pub(crate) trait SimdOp {
     /// What the chunk evaluation produces (usually `()`; results are
     /// written through mutable slices).
@@ -66,53 +66,19 @@ pub(crate) fn dispatch_with<O: SimdOp>(isa: Isa, op: O) -> O::Output {
 fn apply_unary<S: SimdF32>(k: UnaryKernel, x: S) -> S {
     match k {
         UnaryKernel::Exp => vexp(x),
-        UnaryKernel::Ln { eps } => vln(x.max_c(S::splat(eps))),
-        UnaryKernel::Sqrt => x.max_c(S::splat(0.0)).sqrt(),
-        UnaryKernel::Tanh => vtanh(x),
-        UnaryKernel::Sigmoid => vsigmoid(x),
-        UnaryKernel::Clamp { lo, hi } => {
-            // NaN propagates unchanged, matching `f32::clamp`.
-            let c = x.max_c(S::splat(lo)).min_c(S::splat(hi));
-            S::blend(x.is_nan(), x, c)
-        }
         UnaryKernel::Relu => {
             let zero = S::splat(0.0);
             S::blend(x.cmp_gt(zero), x, zero)
         }
         UnaryKernel::Scale { c } => x.mul(S::splat(c)),
-        UnaryKernel::AddScalar { c } => x.add(S::splat(c)),
-        UnaryKernel::Neg => x.neg(),
     }
 }
 
-/// Apply a binary kernel to one 8-lane group pair.
+/// Relu backward on one 8-lane group pair: `gy` where `x > 0`, else 0.
 #[inline(always)]
-fn apply_binary<S: SimdF32>(k: BinaryKernel, a: S, b: S) -> S {
-    let one = S::splat(1.0);
+fn relu_bwd<S: SimdF32>(gy: S, x: S) -> S {
     let zero = S::splat(0.0);
-    match k {
-        BinaryKernel::Add => a.add(b),
-        BinaryKernel::Sub => a.sub(b),
-        BinaryKernel::Mul => a.mul(b),
-        BinaryKernel::Div => a.div(b),
-        // dx = g · (1 - y²), with (a, b) = (gy, y).
-        BinaryKernel::TanhBwd => a.mul(one.sub(b.mul(b))),
-        // dx = g · y · (1 - y), with (a, b) = (gy, y).
-        BinaryKernel::SigmoidBwd => a.mul(b).mul(one.sub(b)),
-        // dx = g / (2·y) where y > 0 else 0, with (a, b) = (gy, y).
-        BinaryKernel::SqrtBwd => S::blend(b.cmp_gt(zero), a.div(S::splat(2.0).mul(b)), zero),
-        // dx = g / max(x, eps), with (a, b) = (gy, x).
-        BinaryKernel::LnBwd { eps } => a.div(b.max_c(S::splat(eps))),
-        // Gradient passes only strictly inside (lo, hi); (a, b) = (gy, x).
-        BinaryKernel::ClampBwd { lo, hi } => {
-            let inside = b.cmp_gt(S::splat(lo)).and_mask(b.cmp_lt(S::splat(hi)));
-            S::blend(inside, a, zero)
-        }
-        // dx = g where x > 0 else 0, with (a, b) = (gy, x).
-        BinaryKernel::ReluBwd => S::blend(b.cmp_gt(zero), a, zero),
-        // db = (-t) / b², with (a, b) = (gy·a_fwd, b_fwd).
-        BinaryKernel::NegDivSq => a.neg().div(b.mul(b)),
-    }
+    S::blend(x.cmp_gt(zero), gy, zero)
 }
 
 /// A unary map over one contiguous chunk.
@@ -144,35 +110,33 @@ impl SimdOp for UnaryChunk<'_> {
     }
 }
 
-/// A binary zip over one contiguous chunk pair.
-pub(crate) struct BinaryChunk<'a> {
-    pub k: BinaryKernel,
-    pub a: &'a [f32],
-    pub b: &'a [f32],
+/// The relu backward zip over one contiguous chunk pair.
+pub(crate) struct ReluBwdChunk<'a> {
+    pub gy: &'a [f32],
+    pub x: &'a [f32],
     pub dst: &'a mut [f32],
 }
 
-impl SimdOp for BinaryChunk<'_> {
+impl SimdOp for ReluBwdChunk<'_> {
     type Output = ();
 
     #[inline(always)]
     fn eval<S: SimdF32>(self) {
-        debug_assert_eq!(self.a.len(), self.dst.len());
-        debug_assert_eq!(self.b.len(), self.dst.len());
+        debug_assert_eq!(self.gy.len(), self.dst.len());
+        debug_assert_eq!(self.x.len(), self.dst.len());
         let n = self.dst.len();
         let mut i = 0;
         while i + LANES <= n {
-            apply_binary::<S>(self.k, S::load(&self.a[i..]), S::load(&self.b[i..]))
-                .store(&mut self.dst[i..]);
+            relu_bwd::<S>(S::load(&self.gy[i..]), S::load(&self.x[i..])).store(&mut self.dst[i..]);
             i += LANES;
         }
         if i < n {
             let rem = n - i;
-            let mut pa = [0.0f32; LANES];
-            let mut pb = [0.0f32; LANES];
-            pa[..rem].copy_from_slice(&self.a[i..]);
-            pb[..rem].copy_from_slice(&self.b[i..]);
-            let out = apply_binary::<S>(self.k, S::load(&pa), S::load(&pb)).to_array();
+            let mut pg = [0.0f32; LANES];
+            let mut px = [0.0f32; LANES];
+            pg[..rem].copy_from_slice(&self.gy[i..]);
+            px[..rem].copy_from_slice(&self.x[i..]);
+            let out = relu_bwd::<S>(S::load(&pg), S::load(&px)).to_array();
             self.dst[i..].copy_from_slice(&out[..rem]);
         }
     }
@@ -272,10 +236,11 @@ fn row_expsum<S: SimdF32>(row: &[f32], max: f32) -> f32 {
     s
 }
 
-/// A row-wise horizontal reduction over a chunk of rows. `src` holds
-/// exactly `dst.len()` rows of width `d`.
+/// Row sums over a chunk of rows. `src` holds exactly `dst.len()` rows
+/// of width `d`. A NaN sum is written as the canonical quiet NaN: which
+/// NaN operand an `fadd` propagates is not preserved by the optimizer,
+/// so only the canonical pattern is the same on every ISA and build.
 pub(crate) struct RowReduceChunk<'a> {
-    pub k: ReduceKernel,
     pub src: &'a [f32],
     pub d: usize,
     pub dst: &'a mut [f32],
@@ -288,19 +253,15 @@ impl SimdOp for RowReduceChunk<'_> {
     fn eval<S: SimdF32>(self) {
         let d = self.d;
         for (r, out) in self.dst.iter_mut().enumerate() {
-            let row = &self.src[r * d..(r + 1) * d];
-            let s = row_sum::<S>(row);
-            *out = match self.k {
-                ReduceKernel::SumRows => s,
-                ReduceKernel::MeanRows => s / d as f32,
-                ReduceKernel::SumCols => unreachable!("column reduce uses SumColsChunk"),
-            };
+            let s = row_sum::<S>(&self.src[r * d..(r + 1) * d]);
+            *out = if s.is_nan() { f32::from_bits(NAN_CANON) } else { s };
         }
     }
 }
 
 /// A column-sum over one `COL_CHUNK`-wide band of columns. `dst` is
-/// `out[j0 .. j0 + w]`; `src` is the full `(n, d)` matrix.
+/// `out[j0 .. j0 + w]`; `src` is the full `(n, d)` matrix. NaN sums are
+/// written as the canonical quiet NaN, as in [`RowReduceChunk`].
 pub(crate) struct SumColsChunk<'a> {
     pub src: &'a [f32],
     pub n: usize,
@@ -320,12 +281,13 @@ impl SimdOp for SumColsChunk<'_> {
         // Groups of 8 adjacent columns: each column is an independent
         // lane accumulating rows in ascending order — the exact scalar
         // order, so these bits match the historical scalar sum_cols.
+        let nan = S::splat(f32::from_bits(NAN_CANON));
         while j + LANES <= w {
             let mut acc = S::splat(0.0);
             for i in 0..n {
                 acc = acc.add(S::load(&self.src[i * d + j0 + j..]));
             }
-            acc.store(&mut self.dst[j..]);
+            S::blend(acc.is_nan(), nan, acc).store(&mut self.dst[j..]);
             j += LANES;
         }
         // Trailing columns: plain scalar, ascending rows.
@@ -334,7 +296,7 @@ impl SimdOp for SumColsChunk<'_> {
             for i in 0..n {
                 s += self.src[i * d + j0 + jj];
             }
-            self.dst[jj] = s;
+            self.dst[jj] = if s.is_nan() { f32::from_bits(NAN_CANON) } else { s };
         }
     }
 }

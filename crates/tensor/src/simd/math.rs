@@ -1,7 +1,7 @@
 //! Generic vectorisable transcendental math.
 //!
-//! These replace libm's `expf`/`logf`/`tanhf` for the converted kernels
-//! with Cephes-style polynomial implementations written against the
+//! These replace libm's `expf`/`logf` for the converted kernels with
+//! Cephes-style polynomial implementations written against the
 //! 8-lane [`SimdF32`] abstraction. Because the *same generic code* is
 //! the retained scalar reference (instantiated with `ScalarVec`) and
 //! the AVX2 fast path (instantiated with `AvxVec`), the two produce
@@ -119,22 +119,6 @@ pub(crate) fn vln<S: SimdF32>(x: S) -> S {
     y = y.sub(z.mul(S::splat(0.5)));
     let r = m.add(y).add(e.mul(S::splat(LN2_HI)));
     S::blend(x.cmp_eq(S::splat(f32::INFINITY)), S::splat(f32::INFINITY), r)
-}
-
-/// Canonical vectorised `tanh(x)` via `sign(x)·(1-e)/(1+e)` with
-/// `e = exp(-2|x|)`. Exact `0.0` at the origin; saturates to `±1`.
-#[inline(always)]
-pub(crate) fn vtanh<S: SimdF32>(x: S) -> S {
-    let e = vexp(S::splat(-2.0).mul(x.abs()));
-    let t = S::splat(1.0).sub(e).div(S::splat(1.0).add(e));
-    S::blend(x.cmp_lt(S::splat(0.0)), t.neg(), t)
-}
-
-/// Canonical vectorised logistic sigmoid `1/(1+exp(-x))`. Exact `0.5`
-/// at the origin.
-#[inline(always)]
-pub(crate) fn vsigmoid<S: SimdF32>(x: S) -> S {
-    S::splat(1.0).div(S::splat(1.0).add(vexp(x.neg())))
 }
 
 /// Scalar one-lane `exp` with the canonical semantics — used by

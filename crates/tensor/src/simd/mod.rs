@@ -1,11 +1,12 @@
 //! Runtime-dispatched vectorized kernels for the non-GEMM hot path.
 //!
-//! This module is the unified ops surface behind `exp`/`ln`/`sqrt`/
-//! `tanh`/`sigmoid`/`clamp`/`div`, the row/column reductions, the fused
-//! three-pass `log_softmax`, and `l2_normalize_rows` — every kernel the
-//! scoring path runs besides GEMM. Kernels are *descriptors*
-//! ([`UnaryKernel`], [`BinaryKernel`], [`ReduceKernel`]) evaluated by a
-//! dispatcher that picks one instruction set **once per process**:
+//! This module is the unified ops surface behind the elementwise
+//! `relu`/`scale` maps and the relu backward, the row/column
+//! reductions, the fused three-pass `log_softmax`, and
+//! `l2_normalize_rows` — every kernel the scoring path runs besides
+//! GEMM. Maps and reductions are *descriptors* ([`UnaryKernel`],
+//! [`ReduceKernel`]) evaluated by a dispatcher that picks one
+//! instruction set **once per process**:
 //!
 //! * **AVX2** on `x86-64` when the CPU supports it, entered through a
 //!   `#[target_feature(enable = "avx2")]` generic instantiation;
@@ -34,11 +35,11 @@
 //! `COL_CHUNK`, all multiples of the lane width), so chunk boundaries —
 //! and therefore results — are unchanged at any `SDC_THREADS`.
 //!
-//! Transcendentals (`exp`, `ln`, `tanh`, `sigmoid`) use Cephes-style
-//! polynomial evaluations (~2 ulp) rather than libm, because libm is
-//! not vectorisable and its exact bits are not reproducible across a
-//! lane abstraction; the polynomial definitions here are canonical for
-//! this crate from now on.
+//! Transcendentals (`exp` and the `ln` of log-softmax's row sum) use
+//! Cephes-style polynomial evaluations (~2 ulp) rather than libm,
+//! because libm is not vectorisable and its exact bits are not
+//! reproducible across a lane abstraction; the polynomial definitions
+//! here are canonical for this crate from now on.
 
 #![deny(missing_docs)]
 
@@ -58,7 +59,7 @@ use crate::tensor::DestBuf;
 use crate::Tensor;
 
 use kernels::{
-    dispatch_with, BinaryChunk, L2NormBwdChunk, LogSoftmaxBwdChunk, LogSoftmaxChunk, RowDivChunk,
+    dispatch_with, L2NormBwdChunk, LogSoftmaxBwdChunk, LogSoftmaxChunk, ReluBwdChunk, RowDivChunk,
     RowNormsChunk, RowReduceChunk, SumColsChunk, UnaryChunk,
 };
 
@@ -129,26 +130,6 @@ pub enum UnaryKernel {
     /// `exp(x)`: overflow → `+inf`, deep underflow → `0`, NaN → the
     /// canonical quiet NaN.
     Exp,
-    /// `ln(max(x, eps))` — the eps clamp keeps the log's domain
-    /// positive and normal. `eps` must be a positive normal number.
-    Ln {
-        /// Lower clamp applied before the log.
-        eps: f32,
-    },
-    /// `sqrt(max(x, 0))` (IEEE correctly rounded; NaN → 0 via the
-    /// canonical max).
-    Sqrt,
-    /// `tanh(x)` via `sign(x)·(1-e)/(1+e)` with `e = exp(-2|x|)`.
-    Tanh,
-    /// Logistic sigmoid `1/(1+exp(-x))`.
-    Sigmoid,
-    /// `clamp(x, lo, hi)`; NaN propagates unchanged like `f32::clamp`.
-    Clamp {
-        /// Lower bound.
-        lo: f32,
-        /// Upper bound.
-        hi: f32,
-    },
     /// `max(x, 0)` by compare+select (NaN and `-0.0` map to `+0.0`).
     Relu,
     /// `x * c`.
@@ -156,59 +137,21 @@ pub enum UnaryKernel {
         /// The constant factor.
         c: f32,
     },
-    /// `x + c`.
-    AddScalar {
-        /// The constant addend.
-        c: f32,
-    },
-    /// Sign-bit flip (exactly Rust's unary `-`).
-    Neg,
-}
-
-/// Elementwise binary kernels over same-shape operands `(a, b)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BinaryKernel {
-    /// `a + b`.
-    Add,
-    /// `a - b`.
-    Sub,
-    /// `a * b`.
-    Mul,
-    /// `a / b` (no zero-guard; callers clamp `b`).
-    Div,
-    /// tanh backward `g·(1 - y²)` with `(a, b) = (gy, y)`.
-    TanhBwd,
-    /// sigmoid backward `g·y·(1 - y)` with `(a, b) = (gy, y)`.
-    SigmoidBwd,
-    /// sqrt backward `g/(2y)` where `y > 0`, else 0, with
-    /// `(a, b) = (gy, y)`.
-    SqrtBwd,
-    /// ln backward `g / max(x, eps)` with `(a, b) = (gy, x)`.
-    LnBwd {
-        /// The forward pass's domain clamp.
-        eps: f32,
-    },
-    /// clamp backward: `g` strictly inside `(lo, hi)`, else 0, with
-    /// `(a, b) = (gy, x)`.
-    ClampBwd {
-        /// Lower bound of the forward clamp.
-        lo: f32,
-        /// Upper bound of the forward clamp.
-        hi: f32,
-    },
-    /// relu backward: `g` where `x > 0`, else 0, with `(a, b) = (gy, x)`.
-    ReluBwd,
-    /// `(-a) / b²` — the second half of division's `db`.
-    NegDivSq,
 }
 
 /// Horizontal reduction kernels over rank-2 tensors.
+///
+/// NaN contract: a reduction whose result is NaN returns the canonical
+/// quiet NaN `0x7fc00000`, whichever NaN operand (or `inf + -inf`)
+/// produced it. IEEE-754 leaves the sign and payload of a propagated
+/// NaN unspecified, and the optimizer does not preserve which operand
+/// an `fadd` propagates, so only the canonical pattern is reproducible
+/// across ISAs and builds. Non-NaN results are exact IEEE sums in the
+/// documented order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceKernel {
     /// Sum each row of `(n, d)` into `(n)`.
     SumRows,
-    /// Mean of each row of `(n, d)` into `(n)`.
-    MeanRows,
     /// Sum each column of `(n, d)` into `(d)`; columns accumulate rows
     /// in ascending order (the historical `sum_cols` bits).
     SumCols,
@@ -221,24 +164,9 @@ pub enum ReduceKernel {
 pub struct RowNorms(Vec<f32>);
 
 impl RowNorms {
-    /// Wrap a raw norms vector (one entry per row).
-    pub fn from_vec(norms: Vec<f32>) -> Self {
-        RowNorms(norms)
-    }
-
     /// The norms as a slice, row-aligned with the normalized tensor.
     pub fn as_slice(&self) -> &[f32] {
         &self.0
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether there are no rows.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 }
 
@@ -269,35 +197,35 @@ fn unary_impl(k: UnaryKernel, x: &Tensor, dest: DestBuf, isa: Isa) -> Tensor {
     Tensor::from_vec(x.shape().clone(), data).expect("destination length matches shape")
 }
 
-fn binary_impl(k: BinaryKernel, a: &Tensor, b: &Tensor, dest: DestBuf, isa: Isa) -> Result<Tensor> {
-    if a.shape() != b.shape() {
+fn relu_backward_impl(gy: &Tensor, x: &Tensor, dest: DestBuf, isa: Isa) -> Result<Tensor> {
+    if gy.shape() != x.shape() {
         return Err(TensorError::ShapeMismatch {
-            op: "simd_binary",
-            lhs: a.shape().clone(),
-            rhs: b.shape().clone(),
+            op: "relu_backward",
+            lhs: gy.shape().clone(),
+            rhs: x.shape().clone(),
         });
     }
-    let n = a.len();
+    let n = gy.len();
     let mut data = dest.take(n);
-    let (ad, bd) = (a.data(), b.data());
+    let (gd, xd) = (gy.data(), x.data());
     par::dispatch_chunks(&mut data, par::ELEM_CHUNK, n, |ci, piece| {
         let base = ci * par::ELEM_CHUNK;
         let end = base + piece.len();
-        dispatch_with(isa, BinaryChunk { k, a: &ad[base..end], b: &bd[base..end], dst: piece });
+        dispatch_with(isa, ReluBwdChunk { gy: &gd[base..end], x: &xd[base..end], dst: piece });
     });
-    Ok(Tensor::from_vec(a.shape().clone(), data).expect("destination length matches shape"))
+    Ok(Tensor::from_vec(gy.shape().clone(), data).expect("destination length matches shape"))
 }
 
 fn reduce_impl(k: ReduceKernel, x: &Tensor, isa: Isa) -> Result<Tensor> {
     let (n, d) = require_matrix(x, "simd_reduce")?;
     let xd = x.data();
     match k {
-        ReduceKernel::SumRows | ReduceKernel::MeanRows => {
+        ReduceKernel::SumRows => {
             let mut out = Tensor::zeros([n]);
             par::dispatch_chunks(out.data_mut(), par::ROW_CHUNK, n * d, |ci, piece| {
                 let row0 = ci * par::ROW_CHUNK;
                 let src = &xd[row0 * d..(row0 + piece.len()) * d];
-                dispatch_with(isa, RowReduceChunk { k, src, d, dst: piece });
+                dispatch_with(isa, RowReduceChunk { src, d, dst: piece });
             });
             Ok(out)
         }
@@ -409,23 +337,14 @@ pub fn unary_with(k: UnaryKernel, x: &Tensor, dest: DestBuf) -> Tensor {
     unary_impl(k, x, dest, active_isa())
 }
 
-/// Apply a binary kernel elementwise, allocating a fresh output.
+/// Relu backward into a caller-supplied destination buffer: `gy`
+/// where `x > 0`, else `+0.0` (NaN `x` blocks the gradient).
 ///
 /// # Errors
 ///
 /// Returns an error if the operand shapes differ.
-pub fn binary(k: BinaryKernel, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    binary_impl(k, a, b, DestBuf::fresh(), active_isa())
-}
-
-/// Apply a binary kernel elementwise into a caller-supplied destination
-/// buffer.
-///
-/// # Errors
-///
-/// Returns an error if the operand shapes differ.
-pub fn binary_with(k: BinaryKernel, a: &Tensor, b: &Tensor, dest: DestBuf) -> Result<Tensor> {
-    binary_impl(k, a, b, dest, active_isa())
+pub fn relu_backward_with(gy: &Tensor, x: &Tensor, dest: DestBuf) -> Result<Tensor> {
+    relu_backward_impl(gy, x, dest, active_isa())
 }
 
 /// Run a horizontal reduction over a rank-2 tensor.
@@ -446,12 +365,8 @@ pub fn log_softmax(x: &Tensor) -> Result<Tensor> {
     log_softmax_impl(x, active_isa())
 }
 
-/// Backward of [`log_softmax`]: `dx = gy - exp(y)·rowsum(gy)`.
-pub fn log_softmax_backward(y: &Tensor, gy: &Tensor) -> Tensor {
-    log_softmax_backward_impl(y, gy, DestBuf::fresh(), active_isa())
-}
-
-/// [`log_softmax_backward`] into a caller-supplied destination buffer.
+/// Backward of [`log_softmax`] into a caller-supplied destination
+/// buffer: `dx = gy - exp(y)·rowsum(gy)`.
 pub fn log_softmax_backward_with(y: &Tensor, gy: &Tensor, dest: DestBuf) -> Tensor {
     log_softmax_backward_impl(y, gy, dest, active_isa())
 }
@@ -466,14 +381,8 @@ pub fn l2_normalize_rows(x: &Tensor, eps: f32) -> Result<(Tensor, RowNorms)> {
     l2_normalize_rows_impl(x, eps, active_isa())
 }
 
-/// Backward of [`l2_normalize_rows`]:
-/// `dx = (gy - y·⟨gy, y⟩)/norm` per row.
-pub fn l2_normalize_rows_backward(y: &Tensor, norms: &RowNorms, gy: &Tensor) -> Tensor {
-    l2_normalize_rows_backward_impl(y, norms, gy, DestBuf::fresh(), active_isa())
-}
-
-/// [`l2_normalize_rows_backward`] into a caller-supplied destination
-/// buffer.
+/// Backward of [`l2_normalize_rows`] into a caller-supplied destination
+/// buffer: `dx = (gy - y·⟨gy, y⟩)/norm` per row.
 pub fn l2_normalize_rows_backward_with(
     y: &Tensor,
     norms: &RowNorms,
@@ -497,13 +406,14 @@ pub mod scalar_ref {
         unary_impl(k, x, DestBuf::fresh(), Isa::Scalar)
     }
 
-    /// Scalar-reference [`super::binary`].
+    /// Scalar-reference [`super::relu_backward_with`], into fresh
+    /// storage.
     ///
     /// # Errors
     ///
     /// Returns an error if the operand shapes differ.
-    pub fn binary(k: BinaryKernel, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        binary_impl(k, a, b, DestBuf::fresh(), Isa::Scalar)
+    pub fn relu_backward(gy: &Tensor, x: &Tensor) -> Result<Tensor> {
+        relu_backward_impl(gy, x, DestBuf::fresh(), Isa::Scalar)
     }
 
     /// Scalar-reference [`super::reduce`].
@@ -524,7 +434,8 @@ pub mod scalar_ref {
         log_softmax_impl(x, Isa::Scalar)
     }
 
-    /// Scalar-reference [`super::log_softmax_backward`].
+    /// Scalar-reference [`super::log_softmax_backward_with`], into
+    /// fresh storage.
     pub fn log_softmax_backward(y: &Tensor, gy: &Tensor) -> Tensor {
         log_softmax_backward_impl(y, gy, DestBuf::fresh(), Isa::Scalar)
     }
@@ -538,7 +449,8 @@ pub mod scalar_ref {
         l2_normalize_rows_impl(x, eps, Isa::Scalar)
     }
 
-    /// Scalar-reference [`super::l2_normalize_rows_backward`].
+    /// Scalar-reference [`super::l2_normalize_rows_backward_with`], into
+    /// fresh storage.
     pub fn l2_normalize_rows_backward(y: &Tensor, norms: &RowNorms, gy: &Tensor) -> Tensor {
         l2_normalize_rows_backward_impl(y, norms, gy, DestBuf::fresh(), Isa::Scalar)
     }

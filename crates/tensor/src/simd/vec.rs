@@ -45,14 +45,8 @@ pub(crate) trait SimdF32: Copy {
     fn mul(self, o: Self) -> Self;
     /// Lanewise `self / o`.
     fn div(self, o: Self) -> Self;
-    /// Lanewise IEEE square root (correctly rounded on every ISA).
-    fn sqrt(self) -> Self;
     /// Lanewise round toward negative infinity.
     fn floor(self) -> Self;
-    /// Lanewise sign-bit flip (exact; identical to Rust's `-x`).
-    fn neg(self) -> Self;
-    /// Lanewise sign-bit clear (exact `|x|`).
-    fn abs(self) -> Self;
 
     /// Mask of lanes where `self > o` (ordered; false on NaN).
     fn cmp_gt(self, o: Self) -> Self;
@@ -62,8 +56,6 @@ pub(crate) trait SimdF32: Copy {
     fn cmp_eq(self, o: Self) -> Self;
     /// Mask of lanes where `self` is NaN.
     fn is_nan(self) -> Self;
-    /// Lanewise bitwise AND (used to combine masks).
-    fn and_mask(self, o: Self) -> Self;
     /// Per lane: if `mask`'s sign bit is set, take `a`, else `b`.
     fn blend(mask: Self, a: Self, b: Self) -> Self;
 
@@ -178,23 +170,8 @@ impl SimdF32 for ScalarVec {
     }
 
     #[inline(always)]
-    fn sqrt(self) -> Self {
-        self.lanewise(self, |a, _| a.sqrt())
-    }
-
-    #[inline(always)]
     fn floor(self) -> Self {
         self.lanewise(self, |a, _| a.floor())
-    }
-
-    #[inline(always)]
-    fn neg(self) -> Self {
-        self.lanewise(self, |a, _| f32::from_bits(a.to_bits() ^ 0x8000_0000))
-    }
-
-    #[inline(always)]
-    fn abs(self) -> Self {
-        self.lanewise(self, |a, _| f32::from_bits(a.to_bits() & 0x7FFF_FFFF))
     }
 
     #[inline(always)]
@@ -215,11 +192,6 @@ impl SimdF32 for ScalarVec {
     #[inline(always)]
     fn is_nan(self) -> Self {
         self.mask_lanewise(self, |a, _| a.is_nan())
-    }
-
-    #[inline(always)]
-    fn and_mask(self, o: Self) -> Self {
-        self.lanewise(o, |a, b| f32::from_bits(a.to_bits() & b.to_bits()))
     }
 
     #[inline(always)]

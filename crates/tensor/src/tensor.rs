@@ -12,7 +12,7 @@ use crate::Shape;
 /// or recycled storage (e.g. drawn from the graph's gradient pool).
 ///
 /// This is the single seam through which every output-producing kernel
-/// — [`Tensor::map_with`], [`Tensor::zip_map_with`], and the
+/// — [`Tensor::copy_with`], [`Tensor::full_with`], and the
 /// [`simd`](crate::simd) entry points — accepts reusable storage. A
 /// recycled buffer of the wrong length is silently discarded and
 /// replaced by a fresh allocation, so callers never have to pre-check.
@@ -23,12 +23,6 @@ impl DestBuf {
     /// A destination that allocates fresh storage.
     pub fn fresh() -> Self {
         DestBuf(None)
-    }
-
-    /// A destination reusing `buf`'s storage (used if its length
-    /// matches the kernel's output).
-    pub fn reuse(buf: Vec<f32>) -> Self {
-        DestBuf(Some(buf))
     }
 
     /// Resolve to a writable buffer of exactly `len` elements.
@@ -121,19 +115,6 @@ impl Tensor {
                 data.push(r * theta.sin() * std);
             }
         }
-        Self { shape, data }
-    }
-
-    /// Creates a tensor with values drawn uniformly from `[lo, hi)`.
-    pub fn rand_uniform<R: Rng + RngExt + ?Sized>(
-        shape: impl Into<Shape>,
-        lo: f32,
-        hi: f32,
-        rng: &mut R,
-    ) -> Self {
-        let shape = shape.into();
-        let n = shape.num_elements();
-        let data = (0..n).map(|_| lo + (hi - lo) * rng.random::<f32>()).collect();
         Self { shape, data }
     }
 
@@ -247,29 +228,6 @@ impl Tensor {
         Self { shape: self.shape.clone(), data }
     }
 
-    /// [`Tensor::map`] writing into a [`DestBuf`] destination (the
-    /// graph backward's gradient pool feeds recycled buffers through
-    /// here). Chunking is identical to `map`, so the result is
-    /// bit-identical to it at any thread count.
-    pub fn map_with(&self, dest: DestBuf, f: impl Fn(f32) -> f32 + Sync) -> Self {
-        let n = self.data.len();
-        let mut data = dest.take(n);
-        if !crate::par::parallelize(n) {
-            for (o, &x) in data.iter_mut().zip(&self.data) {
-                *o = f(x);
-            }
-            return Self { shape: self.shape.clone(), data };
-        }
-        let src = &self.data;
-        sdc_runtime::par_chunks_mut(&mut data, crate::par::ELEM_CHUNK, |ci, piece| {
-            let base = ci * crate::par::ELEM_CHUNK;
-            for (j, o) in piece.iter_mut().enumerate() {
-                *o = f(src[base + j]);
-            }
-        });
-        Self { shape: self.shape.clone(), data }
-    }
-
     /// A copy of `self` whose storage comes from a [`DestBuf`]
     /// destination.
     pub fn copy_with(&self, dest: DestBuf) -> Self {
@@ -285,44 +243,6 @@ impl Tensor {
         let mut data = dest.take(shape.num_elements());
         data.iter_mut().for_each(|x| *x = value);
         Self { shape, data }
-    }
-
-    /// [`Tensor::zip_map`] writing into a [`DestBuf`] destination.
-    /// Chunking is identical to `zip_map`, so the result is
-    /// bit-identical to it at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-    pub fn zip_map_with(
-        &self,
-        other: &Tensor,
-        dest: DestBuf,
-        f: impl Fn(f32, f32) -> f32 + Sync,
-    ) -> Result<Self> {
-        if self.shape != other.shape {
-            return Err(TensorError::ShapeMismatch {
-                op: "zip_map",
-                lhs: self.shape.clone(),
-                rhs: other.shape.clone(),
-            });
-        }
-        let n = self.data.len();
-        let mut data = dest.take(n);
-        if !crate::par::parallelize(n) {
-            for ((o, &a), &b) in data.iter_mut().zip(&self.data).zip(&other.data) {
-                *o = f(a, b);
-            }
-            return Ok(Self { shape: self.shape.clone(), data });
-        }
-        let (lhs, rhs) = (&self.data, &other.data);
-        sdc_runtime::par_chunks_mut(&mut data, crate::par::ELEM_CHUNK, |ci, piece| {
-            let base = ci * crate::par::ELEM_CHUNK;
-            for (j, o) in piece.iter_mut().enumerate() {
-                *o = f(lhs[base + j], rhs[base + j]);
-            }
-        });
-        Ok(Self { shape: self.shape.clone(), data })
     }
 
     /// Elementwise combination of two same-shaped tensors.

@@ -3,14 +3,16 @@
 //! ([`Graph::backward_serial`]) on every node's gradient, at thread
 //! counts 1/2/7, over tape shapes chosen to stress the scheduler —
 //! diamond tapes (shared subexpressions feeding consumers at different
-//! wavefront levels), wide fan-out onto one gradient slot, conv/bn
-//! pipelines, `take_grad` mid-use, and re-swept tapes (the
-//! double-backward stale-gradient regression). Re-sweeps of the
-//! blocked-GEMM tower pair and of a conv whose fused column panels
-//! straddle the `KC`/`NR` panel edges — panels the conv node holds from
-//! its forward for every backward — ride the same harness. The conv
-//! kernel's own input and weight gradients are also checked against the
-//! column-matrix references `col2im(g · W)` and `gᵀ · cols`.
+//! wavefront levels), wide fan-out onto one gradient slot, a conv/bn
+//! pipeline with a contrastive head that records every op kind,
+//! `take_grad` mid-use, random DAGs over the rank-2 ops, and re-swept
+//! tapes (the double-backward stale-gradient regression). Every tape is
+//! swept twice, so re-sweeps of the blocked-GEMM tower pair and of a
+//! conv whose fused column panels straddle the `KC`/`NR` panel edges —
+//! panels the conv node holds from its forward for every backward —
+//! ride the same harness. The conv kernel's own input and weight
+//! gradients are also checked against the column-matrix references
+//! `col2im(g · W)` and `gᵀ · cols`.
 //!
 //! CI runs this suite under `SDC_THREADS=7` like the gemm suite; the
 //! explicit `Runtime::install` scopes below make the thread counts
@@ -59,7 +61,8 @@ fn assert_same_grads(got: &Graph, want: &Graph, ids: &[VarId], ctx: &str) {
 
 /// Builds the graph twice, runs the serial reference on one copy and
 /// the level scheduler on the other at every thread count, and compares
-/// all gradients bitwise.
+/// all gradients bitwise — then sweeps the same scheduled tape a second
+/// time (recycled gradient storage, cleared slots) and compares again.
 fn check_scheduler_vs_serial(build: impl Fn(&mut Graph) -> (VarId, Vec<VarId>), ctx: &str) {
     let mut reference = Graph::new();
     let (loss, ids) = build(&mut reference);
@@ -69,8 +72,11 @@ fn check_scheduler_vs_serial(build: impl Fn(&mut Graph) -> (VarId, Vec<VarId>), 
         let (loss_again, ids_again) = build(&mut g);
         assert_eq!(loss_again, loss, "{ctx}: builder is not deterministic");
         assert_eq!(ids_again, ids, "{ctx}: builder is not deterministic");
-        Runtime::new(threads).install(|| g.backward(loss).unwrap());
-        assert_same_grads(&g, &reference, &ids, &format!("{ctx} threads={threads}"));
+        for sweep in 1..=2 {
+            Runtime::new(threads).install(|| g.backward(loss).unwrap());
+            let what = format!("{ctx} threads={threads} sweep={sweep}");
+            assert_same_grads(&g, &reference, &ids, &what);
+        }
     }
 }
 
@@ -111,15 +117,16 @@ fn tower_pair(g: &mut Graph) -> (VarId, Vec<VarId>) {
 fn diamond(g: &mut Graph) -> (VarId, Vec<VarId>) {
     let x = g.leaf(rand_t([4, 4], 7));
     let y = g.leaf(rand_t([4, 4], 8));
-    let z = g.mul(x, y).unwrap();
+    let z = g.matmul(x, y).unwrap();
     let a = g.add(z, x).unwrap();
-    let b = g.mul(z, y).unwrap();
-    let c = g.sub(a, b).unwrap();
-    let d = g.tanh(c);
-    let e = g.mul(d, a).unwrap(); // `a` re-consumed two levels later
+    let b = g.matmul_nt(z, y).unwrap();
+    let nb = g.scale(b, -0.5);
+    let c = g.add(a, nb).unwrap();
+    let d = g.relu(c);
+    let e = g.matmul(d, a).unwrap(); // `a` re-consumed three levels later
     let f = g.add(e, x).unwrap(); // `x` consumed at three distinct levels
     let loss = g.mean_all(f);
-    (loss, vec![x, y, z, a, b, c, d, e, f, loss])
+    (loss, vec![x, y, z, a, b, nb, c, d, e, f, loss])
 }
 
 /// One leaf fanned out to many consumers — some in the same level,
@@ -136,65 +143,55 @@ fn wide_fanout(g: &mut Graph) -> (VarId, Vec<VarId>) {
         // across levels; same-level consumers also exist (each `add`).
         let mut t = g.scale(x, 0.1 + k as f32 * 0.3);
         ids.push(t);
-        for _ in 0..k % 3 {
-            t = g.sigmoid(t);
+        for depth in 0..k % 3 {
+            t = if depth == 0 { g.l2_normalize_rows(t).unwrap() } else { g.relu(t) };
             ids.push(t);
         }
         acc = g.add(acc, t).unwrap();
         ids.push(acc);
     }
-    let loss = g.sum_all(acc);
+    let loss = g.mean_all(acc);
     ids.push(loss);
     (loss, ids)
 }
 
-/// A conv → batch-norm → pool pipeline plus the long tail of ops the
-/// other builders skip (dropout, masked_fill, clamp, div, concat0,
-/// transpose, reshape, exp/ln/sqrt, row/col reductions).
+/// A conv → strided conv → batch-norm → relu → pool pipeline feeding a
+/// contrastive head (bias, ℓ2-normalize, concat, similarity matrix,
+/// diagonal mask, log-softmax, NLL) and a linear read-out: one tape
+/// recording every op kind `Graph` has.
 fn conv_and_misc_ops(g: &mut Graph) -> (VarId, Vec<VarId>) {
     let mut ids = Vec::new();
-    let x = g.leaf(rand_t([2 * 3 * 8 * 8], 31).reshape([2, 3, 8, 8]).unwrap());
-    let w = g.leaf(rand_t([4 * 3 * 3 * 3], 32).reshape([4, 3, 3, 3]).unwrap());
+    let x = g.leaf(rand_t([2, 3, 8, 8], 31));
+    let w = g.leaf(rand_t([4, 3, 3, 3], 32));
     let cb = g.leaf(rand_t([4], 33));
-    let gamma = g.leaf(rand_t([4], 34));
-    let beta = g.leaf(rand_t([4], 35));
-    ids.extend([x, w, cb, gamma, beta]);
+    let w2 = g.leaf(rand_t([4, 4, 3, 3], 34));
+    let gamma = g.leaf(rand_t([4], 35));
+    let beta = g.leaf(rand_t([4], 36));
+    ids.extend([x, w, cb, w2, gamma, beta]);
     let c = g.conv2d(x, w, Some(cb), 1, 1).unwrap();
-    let (bn, _) = g.batch_norm2d(c, gamma, beta, 1e-5, None).unwrap();
+    let c2 = g.conv2d(c, w2, None, 2, 1).unwrap();
+    let (bn, _) = g.batch_norm2d(c2, gamma, beta, 1e-5, None).unwrap();
     let r = g.relu(bn);
-    let mp = g.max_pool2d(r, 2, 2).unwrap();
-    let ap = g.avg_pool2d(mp, 2, 2).unwrap();
-    let gp = g.global_avg_pool(ap).unwrap();
-    ids.extend([c, bn, r, mp, ap, gp]);
+    let gp = g.global_avg_pool(r).unwrap(); // (2, 4)
+    ids.extend([c, c2, bn, r, gp]);
 
-    let e = g.exp(gp);
-    let l = g.ln(e, 1e-6);
-    let s = g.sqrt(e);
-    let dv = g.div(l, s).unwrap();
-    let cl = g.clamp(dv, -2.0, 2.0).unwrap();
-    ids.extend([e, l, s, dv, cl]);
+    let hb = g.leaf(rand_t([4], 37));
+    let h = g.add_bias(gp, hb).unwrap();
+    let z = g.l2_normalize_rows(h).unwrap();
+    let cat = g.concat0(z, gp).unwrap(); // (4, 4)
+    let sim = g.matmul_nt(cat, cat).unwrap();
+    let scaled = g.scale(sim, 2.0);
+    let diag: Vec<bool> = (0..16).map(|i| i / 4 == i % 4).collect();
+    let masked = g.masked_fill(scaled, diag, -1e9).unwrap();
+    let lp = g.log_softmax(masked).unwrap();
+    let nll = g.nll_loss(lp, vec![2, 3, 0, 1]).unwrap();
+    ids.extend([hb, h, z, cat, sim, scaled, masked, lp, nll]);
 
-    let cat = g.concat0(cl, gp).unwrap(); // (4, 4)
-    let t = g.transpose(cat).unwrap();
-    let re = g.reshape(t, [2, 8]).unwrap();
-    let mask: Vec<bool> = (0..16).map(|i| i % 3 == 0).collect();
-    let mf = g.masked_fill(re, mask, 0.25).unwrap();
-    let keep: Vec<bool> = (0..16).map(|i| i % 4 != 1).collect();
-    let dr = g.dropout(mf, keep, 0.75).unwrap();
-    ids.extend([cat, t, re, mf, dr]);
-
-    let sr = g.sum_rows(dr).unwrap();
-    let mr = g.mean_rows(dr).unwrap();
-    let sc = g.sum_cols(dr).unwrap();
-    let sr2 = g.reshape(sr, [1, 2]).unwrap();
-    let mr2 = g.reshape(mr, [1, 2]).unwrap();
-    let joined = g.add(sr2, mr2).unwrap();
-    let js = g.sum_all(joined);
-    let cs = g.sum_all(sc);
-    let tot = g.add(js, cs).unwrap();
-    let scaled = g.add_scalar(tot, 0.125);
-    let loss = g.mean_all(scaled);
-    ids.extend([sr, mr, sc, sr2, mr2, joined, js, cs, tot, scaled, loss]);
+    let wl = g.leaf(rand_t([4, 4], 38));
+    let read = g.matmul(cat, wl).unwrap();
+    let mean = g.mean_all(read);
+    let loss = g.add(nll, mean).unwrap();
+    ids.extend([wl, read, mean, loss]);
     (loss, ids)
 }
 
@@ -311,25 +308,11 @@ fn conv_panel_straddle(g: &mut Graph) -> (VarId, Vec<VarId>) {
     (loss, vec![x, w, b, c, r, loss])
 }
 
+/// Both sweeps reuse the column panels the conv node holds from its
+/// forward, and must equal the serial reference bitwise.
 #[test]
 fn conv_shapes_straddling_panel_boundaries_match_serial_bitwise() {
     check_scheduler_vs_serial(conv_panel_straddle, "conv_panel_straddle");
-
-    // Re-swept: every backward reuses the column panels the conv node
-    // holds from its forward, and must equal the serial reference
-    // bitwise.
-    let mut reference = Graph::new();
-    let (loss, ids) = conv_panel_straddle(&mut reference);
-    Runtime::new(1).install(|| reference.backward_serial(loss).unwrap());
-    for threads in THREADS {
-        let mut g = Graph::new();
-        let (loss_again, _) = conv_panel_straddle(&mut g);
-        Runtime::new(threads).install(|| {
-            g.backward(loss_again).unwrap();
-            g.backward(loss_again).unwrap();
-        });
-        assert_same_grads(&g, &reference, &ids, &format!("conv resweep threads={threads}"));
-    }
 }
 
 /// The conv input gradient against its column-matrix reference,
@@ -415,43 +398,51 @@ impl XorShift {
     }
 }
 
-/// Builds a random DAG of rank-2 `(6, 6)` ops with heavy node reuse —
-/// every op picks its inputs uniformly from all earlier nodes, so
-/// shared subexpressions and multi-level fan-in arise constantly.
+/// Builds a random DAG over every rank-2 op that maps `(6, 6)` to
+/// `(6, 6)`, with heavy node reuse — every op picks its inputs
+/// uniformly from all earlier `(6, 6)` nodes, so shared subexpressions
+/// and multi-level fan-in arise constantly. `add_bias` draws on one
+/// shared `(6)` bias leaf, so that leaf's slot folds contributions from
+/// across the tape.
 fn random_dag(seed: u64, ops: usize) -> impl Fn(&mut Graph) -> (VarId, Vec<VarId>) {
     move |g: &mut Graph| {
         let mut rng = XorShift(seed);
-        let mut ids = vec![
+        let bias = g.leaf(rand_t([6], seed + 3));
+        let mut nodes = vec![
             g.leaf(rand_t([6, 6], seed)),
             g.leaf(rand_t([6, 6], seed + 1)),
             g.leaf(rand_t([6, 6], seed + 2)),
         ];
         for _ in 0..ops {
-            let a = ids[rng.below(ids.len())];
-            let b = ids[rng.below(ids.len())];
+            let a = nodes[rng.below(nodes.len())];
+            let b = nodes[rng.below(nodes.len())];
             let id = match rng.below(9) {
                 0 => g.add(a, b).unwrap(),
-                1 => g.sub(a, b).unwrap(),
-                2 => g.mul(a, b).unwrap(),
+                1 => g.scale(a, 0.5),
+                2 => g.add_bias(a, bias).unwrap(),
                 3 => g.matmul(a, b).unwrap(),
                 4 => g.matmul_nt(a, b).unwrap(),
                 5 => g.relu(a),
-                6 => g.tanh(a),
-                7 => g.sigmoid(a),
-                _ => g.scale(a, 0.5),
+                6 => {
+                    let mask = (0..36).map(|_| rng.below(4) == 0).collect();
+                    g.masked_fill(a, mask, -1.0).unwrap()
+                }
+                7 => g.l2_normalize_rows(a).unwrap(),
+                _ => g.log_softmax(a).unwrap(),
             };
-            ids.push(id);
+            nodes.push(id);
         }
         // Fold a few random picks into the loss so late nodes (and, by
         // reuse, much of the tape) are reachable; the rest remain
         // unreachable on purpose — both sweeps must leave them alone.
-        let mut acc = *ids.last().unwrap();
+        let mut acc = *nodes.last().unwrap();
         for _ in 0..3 {
-            acc = g.add(acc, ids[rng.below(ids.len())]).unwrap();
-            ids.push(acc);
+            acc = g.add(acc, nodes[rng.below(nodes.len())]).unwrap();
+            nodes.push(acc);
         }
         let loss = g.mean_all(acc);
-        ids.push(loss);
+        let mut ids = nodes;
+        ids.extend([bias, loss]);
         (loss, ids)
     }
 }

@@ -18,13 +18,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn add_sub_mul_grads(a in small_vec(6), b in small_vec(6)) {
+    fn add_scale_grads(a in small_vec(6), b in small_vec(6)) {
         let ta = Tensor::from_vec([2, 3], a).unwrap();
         let tb = Tensor::from_vec([2, 3], b).unwrap();
         let reports = check_gradients(&[ta, tb], EPS, |g, ids| {
             let s = g.add(ids[0], ids[1])?;
-            let d = g.sub(s, ids[1])?;
-            let m = g.mul(d, ids[0])?;
+            let d = g.scale(s, -1.5);
+            let m = g.add(d, ids[0])?;
             Ok(g.mean_all(m))
         }).unwrap();
         for r in reports {
@@ -87,17 +87,11 @@ proptest! {
 
     #[test]
     fn pool_grads(x in small_vec(2 * 4 * 4)) {
-        // Break ties: max pooling is non-differentiable where two window
-        // entries are equal (proptest shrinks straight to that case).
-        let jittered: Vec<f32> = x.iter().enumerate().map(|(i, v)| v + i as f32 * 0.037).collect();
-        let tx = Tensor::from_vec([1, 2, 4, 4], jittered).unwrap();
-        let reports = check_gradients(&[tx], 1e-3, |g, ids| {
-            let y = g.max_pool2d(ids[0], 2, 2)?;
-            let z = g.global_avg_pool(y)?;
+        let tx = Tensor::from_vec([1, 2, 4, 4], x).unwrap();
+        let reports = check_gradients(&[tx], EPS, |g, ids| {
+            let z = g.global_avg_pool(ids[0])?;
             Ok(g.mean_all(z))
         }).unwrap();
-        // Max pooling is piecewise linear; ties are measure-zero for
-        // random inputs, so central differences agree.
         for r in reports {
             prop_assert!(r.within(TOL), "{r:?}");
         }
@@ -144,11 +138,11 @@ proptest! {
     fn l2_normalize_grads(x in small_vec(3 * 4)) {
         // Keep rows away from zero where the op is non-differentiable.
         let tx = Tensor::from_vec([3, 4], x.iter().map(|v| v + 3.0).collect()).unwrap();
-        let weights = Tensor::from_vec([3, 4], (0..12).map(|i| (i as f32) * 0.1 - 0.5).collect()).unwrap();
+        let weights = Tensor::from_vec([2, 4], (0..8).map(|i| (i as f32) * 0.1 - 0.5).collect()).unwrap();
         let reports = check_gradients(&[tx], EPS, move |g, ids| {
             let y = g.l2_normalize_rows(ids[0])?;
             let w = g.leaf(weights.clone());
-            let m = g.mul(y, w)?;
+            let m = g.matmul_nt(y, w)?;
             Ok(g.mean_all(m))
         }).unwrap();
         for r in reports {
@@ -187,21 +181,6 @@ proptest! {
         }).unwrap();
         for r in reports {
             prop_assert!(r.within(5e-2), "{r:?}");
-        }
-    }
-
-    #[test]
-    fn reshape_transpose_grads(x in small_vec(6)) {
-        let tx = Tensor::from_vec([2, 3], x).unwrap();
-        let reports = check_gradients(&[tx], EPS, |g, ids| {
-            let t = g.transpose(ids[0])?;
-            let r = g.reshape(t, [6])?;
-            let r2 = g.reshape(r, [3, 2])?;
-            let s = g.scale(r2, 0.5);
-            Ok(g.sum_all(s))
-        }).unwrap();
-        for r in reports {
-            prop_assert!(r.within(TOL), "{r:?}");
         }
     }
 

@@ -84,25 +84,3 @@ fn checkpoint_roundtrips_a_trained_model() {
     let b = restored.project(&probe_batch).unwrap();
     assert_eq!(a, b, "restored model must match the trained one exactly");
 }
-
-#[test]
-fn ema_tracker_follows_pipeline_training() {
-    use sdc::nn::EmaTracker;
-    let config = pipeline_config();
-    let model = ContrastiveModel::new(&config.trainer.model);
-    let mut ema = EmaTracker::new(&model.store, 0.9);
-
-    let mut stream = TemporalStream::new(SynthDataset::new(world()), 8, 6);
-    let outcome =
-        run_pipeline(&config, Box::new(ContrastScoringPolicy::new()), &mut stream).unwrap();
-    ema.update(&outcome.model.store).unwrap();
-
-    // Shadow moved toward, but is not equal to, the live weights.
-    let live = &outcome.model.store.params()[0].value;
-    let shadow = &ema.shadow().params()[0].value;
-    let init = &model.store.params()[0].value;
-    let d_init: f32 = shadow.data().iter().zip(init.data()).map(|(a, b)| (a - b).abs()).sum();
-    let d_live: f32 = shadow.data().iter().zip(live.data()).map(|(a, b)| (a - b).abs()).sum();
-    assert!(d_init > 0.0, "shadow should have moved from init");
-    assert!(d_live > 0.0, "shadow should lag the live weights");
-}
