@@ -14,7 +14,6 @@
 //! `SDC_BENCH_SMOKE=1` shrinks the run for CI.
 
 use std::io::Write;
-use std::time::Duration;
 
 use sdc_core::model::ModelConfig;
 use sdc_core::ContrastiveModel;
@@ -43,10 +42,7 @@ fn payload(i: u64) -> Vec<Sample> {
 /// Runs one open-loop mode and returns the whole-run latency summary.
 fn measure(process: ArrivalProcess) -> LatencySummary {
     let (rounds, requests_per_round) = if sdc_bench::smoke_mode() { (2, 12) } else { (3, 64) };
-    let service = ScoringService::start(
-        latency_model(),
-        ServeConfig { flush_deadline: Duration::from_millis(5), ..ServeConfig::default() },
-    );
+    let service = ScoringService::start(latency_model(), ServeConfig::default());
     let config = LoadgenConfig {
         seed: 42,
         rounds,

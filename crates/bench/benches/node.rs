@@ -26,17 +26,13 @@ const BUFFER: usize = 16;
 /// Frames per scoring round trip: one request, one reply.
 const FRAMES_PER_ROUNDTRIP: f64 = 2.0;
 
-fn serve_config() -> ServeConfig {
-    ServeConfig { flush_deadline: std::time::Duration::from_secs(5), ..ServeConfig::default() }
-}
-
 /// A trained node whose snapshot carries realistic model + shard
 /// payloads (one filled round per stream).
 fn build_node(streams: usize) -> MultiStreamTrainer {
     let mut driver = MultiStreamTrainer::new(
         bench_trainer_config(BUFFER),
         ContrastScoringPolicy::new(),
-        serve_config(),
+        ServeConfig::default(),
     );
     let segments: Vec<(StreamId, Vec<_>)> = (0..streams)
         .map(|i| {
@@ -51,8 +47,10 @@ fn build_node(streams: usize) -> MultiStreamTrainer {
 
 /// Remote score round trips through a loopback server, per batch size.
 fn bench_frames(c: &mut Criterion) {
-    let replicas =
-        Arc::new(ReplicaSet::start(bench_model(), ServeConfig { replicas: 2, ..serve_config() }));
+    let replicas = Arc::new(ReplicaSet::start(
+        bench_model(),
+        ServeConfig { replicas: 2, ..ServeConfig::default() },
+    ));
     let server = NodeServer::start(replicas).expect("start server");
     let client = NodeClient::connect(server.addr()).expect("connect");
     let mut group = c.benchmark_group("node_frames");
@@ -72,7 +70,7 @@ fn bench_ship(c: &mut Criterion) -> usize {
     let node = build_node(4);
     let bytes = node.snapshot().expect("snapshot").into_bytes();
 
-    let standby_set = Arc::new(ReplicaSet::start(bench_model(), serve_config()));
+    let standby_set = Arc::new(ReplicaSet::start(bench_model(), ServeConfig::default()));
     let standby = NodeServer::start(standby_set).expect("start standby");
     let client = NodeClient::connect(standby.addr()).expect("connect standby");
 

@@ -22,17 +22,13 @@ use std::io::Write;
 const STREAM_COUNTS: [usize; 2] = [1, 4];
 const BUFFER: usize = 16;
 
-fn serve_config() -> ServeConfig {
-    ServeConfig { flush_deadline: std::time::Duration::from_secs(5), ..ServeConfig::default() }
-}
-
 /// A node with every stream's shard filled (one training round), so
 /// snapshots carry realistic buffer payloads alongside the model.
 fn build_node(streams: usize) -> MultiStreamTrainer {
     let mut driver = MultiStreamTrainer::new(
         bench_trainer_config(BUFFER),
         ContrastScoringPolicy::new(),
-        serve_config(),
+        ServeConfig::default(),
     );
     let segments: Vec<(StreamId, Vec<_>)> = (0..streams)
         .map(|i| {
@@ -76,7 +72,7 @@ fn bench_restore(c: &mut Criterion, nodes: &[(usize, MultiStreamTrainer)]) {
                     MultiStreamTrainer::restore(
                         bench_trainer_config(BUFFER),
                         ContrastScoringPolicy::new(),
-                        serve_config(),
+                        ServeConfig::default(),
                         snapshot,
                     )
                     .expect("restore"),

@@ -14,7 +14,7 @@
 //! `SDC_BENCH_SMOKE=1` shrinks the run for CI.
 
 use std::io::Write;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use sdc_core::model::ModelConfig;
 use sdc_core::ContrastiveModel;
@@ -43,10 +43,7 @@ fn payload(i: u64) -> Vec<Sample> {
 fn measure_roundtrip(trace_on: bool, iters: u64) -> u64 {
     sdc_obs::set_trace_enabled(trace_on);
     sdc_obs::trace_collector().clear();
-    let service = ScoringService::start(
-        trace_model(),
-        ServeConfig { flush_deadline: Duration::from_millis(5), ..ServeConfig::default() },
-    );
+    let service = ScoringService::start(trace_model(), ServeConfig::default());
     let client = service.client(0);
     for i in 0..5 {
         client.submit(payload(i)).expect("warmup submit").wait().expect("warmup reply");

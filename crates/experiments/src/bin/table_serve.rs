@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         });
         let elapsed = started.elapsed().as_secs_f64();
-        let stats = service.stats();
+        let stats = service.stats_snapshot();
         let rps = (streams * requests_per_stream) as f64 / elapsed;
         let baseline_rps = *baseline.get_or_insert(rps);
         rows.push(vec![

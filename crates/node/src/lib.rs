@@ -33,9 +33,9 @@
 //! [`NodeClient`]'s request span, the server's handler span, and the
 //! replica batcher's phase spans across the TCP boundary — export it
 //! with `sdc_obs::chrome_trace_json`. [`NodeClient::stats`] scrapes
-//! the server's live metrics snapshot and per-stream latency
-//! breakdown over the wire (a `Stats` request) without quiescing
-//! anything. The node's own metrics live under the `node.*`
+//! the server's live metrics snapshot and each replica's counters and
+//! per-stream latency breakdown over the wire (a `Stats` request)
+//! without quiescing anything. The node's own metrics live under the `node.*`
 //! namespaces documented in `sdc_obs`.
 //!
 //! ## Determinism contract

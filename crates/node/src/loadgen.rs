@@ -11,13 +11,12 @@
 //! ## Determinism
 //!
 //! The arrival *schedule* is a pure function of (process, seed). The
-//! service-side shed *decisions* are a function of arrival order alone
-//! whenever the batcher's drain points are pinned (a stalled round —
-//! see `tests/remote_shed.rs` — or a quiesced service): requests flow
-//! FIFO down one connection, the handler submits them in arrival
-//! order, and the backlog bound trips at a fixed request index. Same
-//! seed ⇒ same schedule ⇒ same shed fingerprint, in process or across
-//! the wire ([`RemoteLoadReport::shed_fingerprint`]).
+//! service-side shed *decisions* also depend on how fast the batcher
+//! drains, except where the admission bound decides alone: with
+//! `max_pending: 0` every droppable request is shed, and with ample
+//! capacity none is (see `tests/remote_shed.rs`). There, same seed ⇒
+//! same shed fingerprint, in process or across the wire
+//! ([`RemoteLoadReport::shed_fingerprint`]).
 
 use std::time::{Duration, Instant};
 
@@ -113,10 +112,6 @@ impl RemoteLoadReport {
 /// schedule, then awaits every typed reply.
 ///
 /// `make_samples` produces the payload for the `i`-th request.
-/// `after_submit` runs once all requests are on the wire, before any
-/// reply is awaited — failure-injection tests use it to release
-/// whatever was pinning the batcher, and the loopback smoke passes a
-/// no-op.
 ///
 /// # Errors
 ///
@@ -126,7 +121,6 @@ pub fn run_remote_open_loop(
     client: &NodeClient,
     config: &RemoteLoadConfig,
     mut make_samples: impl FnMut(u64) -> Vec<Sample>,
-    after_submit: impl FnOnce(),
 ) -> Result<RemoteLoadReport, NodeError> {
     let schedule = config.process.schedule(config.seed, config.requests);
     let streams = config.streams.max(1);
@@ -139,7 +133,6 @@ pub fn run_remote_open_loop(
         }
         tickets.push(client.try_submit((i % streams) as u64, make_samples(i as u64))?);
     }
-    after_submit();
     let mut outcomes = Vec::with_capacity(tickets.len());
     for ticket in tickets {
         outcomes.push(match ticket.wait_outcome()? {

@@ -37,8 +37,9 @@
 //! trace across the TCP boundary. A [`Request::Stats`] frame is
 //! answered inline with the live process-global
 //! [`MetricsSnapshot`](sdc_obs::MetricsSnapshot) plus every replica's
-//! per-stream latency breakdown as one JSON object — a scrape
-//! endpoint that never quiesces the batchers.
+//! [`ServeStats`](sdc_serve::ServeStats) — request, batch and shed
+//! counters and the per-stream latency breakdown — as one JSON object:
+//! a scrape endpoint that never quiesces the batchers.
 //!
 //! [`ScoreTicket`]: sdc_serve::ScoreTicket
 
@@ -369,8 +370,8 @@ fn handle_request(
 }
 
 /// Builds the scrape payload: the live process-global metrics snapshot
-/// plus each replica's per-stream latency breakdown, as one JSON
-/// object — read lock-free from the running batchers.
+/// plus each replica's stats, as one JSON object — read lock-free from
+/// the running batchers.
 fn stats_json(shared: &Shared) -> String {
     let metrics = sdc_obs::global().snapshot().to_json();
     let mut out = String::with_capacity(metrics.len() + 128);
@@ -381,7 +382,7 @@ fn stats_json(shared: &Shared) -> String {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&shared.replicas.replica(i).stats_snapshot().per_stream_json());
+        out.push_str(&shared.replicas.replica(i).stats_snapshot().to_json());
     }
     out.push_str("]}");
     out

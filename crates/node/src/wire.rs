@@ -84,8 +84,8 @@ pub enum Request {
     Score {
         /// Client-assigned sequence number, echoed in the reply.
         seq: u64,
-        /// The submitting stream (drives replica sharding and round
-        /// flushes server-side).
+        /// The submitting stream (drives replica sharding and the
+        /// per-stream latency rows server-side).
         stream: StreamId,
         /// Whether admission control may shed this request (the remote
         /// `try_submit` path).

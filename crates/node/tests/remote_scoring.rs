@@ -9,7 +9,6 @@
 //! [`ScoringClient`]: sdc_serve::ScoringClient
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use sdc_core::model::ModelConfig;
 use sdc_core::score::contrast_scores_shared;
@@ -33,14 +32,7 @@ fn tiny_model() -> ContrastiveModel {
 }
 
 fn serve_config(threads: usize) -> ServeConfig {
-    ServeConfig {
-        threads: Some(threads),
-        replicas: 2,
-        // Generous deadline: flushes in this test come from batch size
-        // and round completion, not timing.
-        flush_deadline: Duration::from_secs(5),
-        ..ServeConfig::default()
-    }
+    ServeConfig { threads: Some(threads), replicas: 2, ..ServeConfig::default() }
 }
 
 /// Per-stream pools of varying size, so coalesced batches mix streams

@@ -3,23 +3,22 @@
 //! The open-loop harness ([`run_remote_open_loop`]) drives droppable
 //! requests through a real TCP connection; the sheds it records are
 //! decided by the server's batcher (the pending-samples backlog
-//! bound), not precomputed client-side. With the batcher pinned — a
-//! silent registered stream blocks round flushes, `max_batch` and the
-//! flush deadline are out of reach — the admission decision is a pure
-//! function of FIFO arrival order, so the shed pattern is exact and
-//! the fingerprint reproduces run over run: same seed ⇒ same shed
+//! bound), not precomputed client-side. With `max_pending: 0` the
+//! bound decides alone — every droppable request is shed however fast
+//! the batcher drains — so the outcome sequence is exact and the
+//! fingerprint reproduces run over run: same seed ⇒ same shed
 //! fingerprint, across the wire.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use sdc_core::model::ModelConfig;
+use sdc_core::score::contrast_scores_shared;
 use sdc_core::ContrastiveModel;
 use sdc_data::Sample;
 use sdc_nn::models::EncoderConfig;
 use sdc_node::{
     run_remote_open_loop, NodeClient, NodeServer, RemoteDecision, RemoteLoadConfig,
-    RemoteLoadReport,
+    RemoteLoadReport, RemoteOutcome,
 };
 use sdc_obs::ArrivalProcess;
 use sdc_serve::{ReplicaSet, ServeConfig, ShedCause};
@@ -27,10 +26,6 @@ use sdc_tensor::Tensor;
 
 const REQUESTS: usize = 16;
 const STREAMS: usize = 4;
-const MAX_PENDING: usize = 4;
-/// One sample per request ⇒ exactly `MAX_PENDING` requests are admitted
-/// before the backlog bound trips; everything after is shed.
-const EXPECTED_SHED: usize = REQUESTS - MAX_PENDING;
 
 fn tiny_model() -> ContrastiveModel {
     ContrastiveModel::new(&ModelConfig {
@@ -55,69 +50,68 @@ fn load_config(seed: u64) -> RemoteLoadConfig {
     }
 }
 
-/// One pinned-batcher run: all shed decisions happen while the batcher
-/// cannot drain, then the pin is released (race-free — only after the
-/// service has demonstrably processed every droppable request) so the
-/// admitted tickets resolve.
-fn pinned_run(seed: u64) -> RemoteLoadReport {
+/// A one-replica node admitting at most `max_pending` droppable
+/// samples, and a client connected to it.
+fn start_node(max_pending: usize) -> (NodeServer, NodeClient) {
     let set = Arc::new(ReplicaSet::start(
         tiny_model(),
-        ServeConfig {
-            replicas: 1,
-            max_batch: 1000,
-            flush_deadline: Duration::from_secs(600),
-            max_pending: MAX_PENDING,
-            ..ServeConfig::default()
-        },
+        ServeConfig { replicas: 1, max_pending, ..ServeConfig::default() },
     ));
-    // The pin: a registered stream that never submits, so no round ever
-    // completes while it lives. The empty score is a FIFO barrier
-    // proving its registration reached the batcher before any remote
-    // request can.
-    let silent = set.client(1000);
-    silent.score(Vec::new()).expect("barrier score");
-
-    let server = NodeServer::start(Arc::clone(&set)).expect("start server");
+    let server = NodeServer::start(set).expect("start server");
     let client = NodeClient::connect(server.addr()).expect("connect");
-    let unpin_set = Arc::clone(&set);
-    run_remote_open_loop(&client, &load_config(seed), one_sample, move || {
-        // All requests are on the wire but not necessarily through the
-        // server yet; the Deregister released by dropping `silent` must
-        // not overtake them, or it would flush the round early and
-        // admit more. Wait until the batcher has demonstrably decided
-        // every droppable request, then release.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while unpin_set.stats_snapshot()[0].shed_backlog < EXPECTED_SHED as u64 {
-            assert!(Instant::now() < deadline, "batcher never processed the droppable requests");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        drop(silent);
-    })
-    .expect("open-loop run")
+    (server, client)
+}
+
+/// One open-loop run against a node that admits no droppable work,
+/// plus the node's stats scrape taken after every reply came back.
+fn shedding_run(seed: u64) -> (RemoteLoadReport, String) {
+    let (_server, client) = start_node(0);
+    let report =
+        run_remote_open_loop(&client, &load_config(seed), one_sample).expect("open-loop run");
+    (report, client.stats().expect("stats scrape"))
 }
 
 #[test]
 fn backlog_sheds_follow_the_exact_admission_pattern() {
-    let report = pinned_run(5);
-    let expected: Vec<RemoteDecision> = (0..REQUESTS)
+    let (report, scrape) = shedding_run(5);
+    assert_eq!(report.outcomes, vec![RemoteDecision::Shed(ShedCause::Backlog); REQUESTS]);
+    assert_eq!(report.shed_queue_full(), 0, "nothing here may fill the request queue");
+    // A remote operator sees the replica's sheds in the scrape.
+    assert!(scrape.contains(&format!("\"shed_backlog\": {REQUESTS},")), "{scrape}");
+    assert!(scrape.contains("\"batches\": 0,"), "{scrape}");
+}
+
+#[test]
+fn guaranteed_requests_interleaved_with_sheds_are_scored() {
+    let (_server, client) = start_node(0);
+    let model = tiny_model();
+    let tickets: Vec<_> = (0..8u64)
         .map(|i| {
-            if i < MAX_PENDING {
-                RemoteDecision::Scored
+            let stream = i % STREAMS as u64;
+            let guaranteed = i % 2 == 0;
+            let ticket = if guaranteed {
+                client.submit(stream, one_sample(i))
             } else {
-                RemoteDecision::Shed(ShedCause::Backlog)
-            }
+                client.try_submit(stream, one_sample(i))
+            };
+            (i, guaranteed, ticket.expect("submit"))
         })
         .collect();
-    assert_eq!(report.outcomes, expected, "admission pattern drifted");
-    assert_eq!(report.scored(), MAX_PENDING as u64);
-    assert_eq!(report.shed_backlog(), EXPECTED_SHED as u64);
-    assert_eq!(report.shed_queue_full(), 0, "nothing here may fill the request queue");
+    for (i, guaranteed, ticket) in tickets {
+        match (guaranteed, ticket.wait_outcome().expect("reply")) {
+            (true, RemoteOutcome::Scored(scores)) => {
+                assert_eq!(scores, contrast_scores_shared(&model, &one_sample(i)).unwrap());
+            }
+            (false, RemoteOutcome::Shed(ShedCause::Backlog)) => {}
+            (_, outcome) => panic!("request {i} (guaranteed: {guaranteed}): {outcome:?}"),
+        }
+    }
 }
 
 #[test]
 fn same_seed_gives_the_same_shed_fingerprint_across_the_wire() {
-    let first = pinned_run(42);
-    let second = pinned_run(42);
+    let first = shedding_run(42).0;
+    let second = shedding_run(42).0;
     assert_eq!(
         first.shed_fingerprint(),
         second.shed_fingerprint(),
@@ -128,23 +122,17 @@ fn same_seed_gives_the_same_shed_fingerprint_across_the_wire() {
     // And the fingerprint is a faithful fold of the outcomes, not a
     // constant: flipping one decision changes it.
     let mut tampered = first.clone();
-    tampered.outcomes[0] = RemoteDecision::Shed(ShedCause::QueueFull);
+    tampered.outcomes[0] = RemoteDecision::Scored;
     assert_ne!(first.shed_fingerprint(), tampered.shed_fingerprint());
 }
 
 #[test]
 fn uncontended_open_loop_sheds_nothing() {
-    // Without the pin and with ample capacity the same harness scores
-    // everything — the sheds in the pinned runs really are the
-    // service's doing, not an artifact of the harness or the wire.
-    let set = Arc::new(ReplicaSet::start(
-        tiny_model(),
-        ServeConfig { replicas: 1, ..ServeConfig::default() },
-    ));
-    let server = NodeServer::start(set).expect("start server");
-    let client = NodeClient::connect(server.addr()).expect("connect");
-    let report =
-        run_remote_open_loop(&client, &load_config(7), one_sample, || {}).expect("open-loop run");
+    // With ample capacity the same harness scores everything — the
+    // sheds above really are the service's doing, not an artifact of
+    // the harness or the wire.
+    let (_server, client) = start_node(ServeConfig::default().max_pending);
+    let report = run_remote_open_loop(&client, &load_config(7), one_sample).expect("open-loop run");
     assert_eq!(report.scored(), REQUESTS as u64, "{:?}", report.outcomes);
     assert_eq!(report.shed_backlog() + report.shed_queue_full(), 0);
 }

@@ -1,9 +1,9 @@
 //! # sdc-obs
 //!
 //! The observability layer of the *Selective Data Contrast* stack: a
-//! dependency-free metrics registry ([`Counter`], [`Gauge`],
-//! [`LatencyHistogram`]), a zero-cost-when-disabled scope timer
-//! ([`ScopeTimer`] / [`scope!`]), a `MetricsSnapshot → JSON` exporter,
+//! dependency-free metrics registry ([`Counter`], [`LatencyHistogram`]),
+//! a zero-cost-when-disabled scope timer ([`ScopeTimer`] /
+//! [`scope!`]), a `MetricsSnapshot → JSON` exporter,
 //! a request-scoped span tracer with a Chrome-trace exporter
 //! ([`Span`], [`TraceCollector`], [`chrome_trace_json`] — gated by
 //! `SDC_TRACE` / [`set_trace_enabled`]), and the deterministic
@@ -89,7 +89,7 @@ mod trace;
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionDecision};
 pub use arrivals::{ArrivalProcess, SplitMix64};
 pub use hist::{HistogramSnapshot, LatencyHistogram, LatencySummary};
-pub use registry::{global, Counter, Gauge, GaugeReading, MetricsSnapshot, Registry};
+pub use registry::{global, Counter, MetricsSnapshot, Registry};
 pub use scope::ScopeTimer;
 pub use trace::{
     chrome_trace_json, new_span_id, new_trace_id, now_nanos, record_span, set_trace_enabled,

@@ -33,64 +33,6 @@ impl Counter {
     }
 }
 
-/// An instantaneous level (e.g. pool occupancy) with a high-watermark.
-/// Recording is gated on [`crate::enabled`].
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Gauge {
-    /// Increments the level, updating the watermark.
-    #[inline]
-    pub fn inc(&self) {
-        if crate::enabled() {
-            let now = self.value.fetch_add(1, Ordering::Relaxed) + 1;
-            self.max.fetch_max(now, Ordering::Relaxed);
-        }
-    }
-
-    /// Decrements the level (saturating at 0 if a matching `inc` was
-    /// skipped while recording was disabled).
-    #[inline]
-    pub fn dec(&self) {
-        if crate::enabled() {
-            let _ = self
-                .value
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_sub(1)));
-        }
-    }
-
-    /// Sets the level, updating the watermark.
-    pub fn set(&self, v: u64) {
-        if crate::enabled() {
-            self.value.store(v, Ordering::Relaxed);
-            self.max.fetch_max(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Current level.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// Highest level ever recorded.
-    pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
-    }
-}
-
-/// Current value + watermark of a [`Gauge`], as captured in a
-/// [`MetricsSnapshot`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GaugeReading {
-    /// Level at snapshot time.
-    pub value: u64,
-    /// High-watermark since process start.
-    pub max: u64,
-}
-
 /// A registry interning metrics by name.
 ///
 /// Handles are `&'static`: the first lookup of a name leaks one
@@ -100,7 +42,6 @@ pub struct GaugeReading {
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, &'static Counter>>,
-    gauges: Mutex<BTreeMap<String, &'static Gauge>>,
     histograms: Mutex<BTreeMap<String, &'static LatencyHistogram>>,
 }
 
@@ -114,11 +55,6 @@ impl Registry {
     /// The counter named `name`, creating it on first use.
     pub fn counter(&self, name: &str) -> &'static Counter {
         intern(&self.counters, name, Counter::default)
-    }
-
-    /// The gauge named `name`, creating it on first use.
-    pub fn gauge(&self, name: &str) -> &'static Gauge {
-        intern(&self.gauges, name, Gauge::default)
     }
 
     /// The histogram named `name`, creating it on first use.
@@ -135,13 +71,6 @@ impl Registry {
             .iter()
             .map(|(k, c)| (k.clone(), c.get()))
             .collect();
-        let gauges = self
-            .gauges
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(k, g)| (k.clone(), GaugeReading { value: g.get(), max: g.max() }))
-            .collect();
         let histograms = self
             .histograms
             .lock()
@@ -149,7 +78,7 @@ impl Registry {
             .iter()
             .map(|(k, h)| (k.clone(), h.summary()))
             .collect();
-        MetricsSnapshot { counters, gauges, histograms }
+        MetricsSnapshot { counters, histograms }
     }
 }
 
@@ -178,8 +107,6 @@ pub fn global() -> &'static Registry {
 pub struct MetricsSnapshot {
     /// Counter readings by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge readings by name.
-    pub gauges: BTreeMap<String, GaugeReading>,
     /// Histogram summaries by name.
     pub histograms: BTreeMap<String, LatencySummary>,
 }
@@ -192,10 +119,6 @@ impl MetricsSnapshot {
         let mut out = String::from("{\n  \"counters\": {");
         push_entries(&mut out, self.counters.iter(), |out, v| {
             out.push_str(&v.to_string());
-        });
-        out.push_str("},\n  \"gauges\": {");
-        push_entries(&mut out, self.gauges.iter(), |out, g| {
-            out.push_str(&format!("{{\"value\": {}, \"max\": {}}}", g.value, g.max));
         });
         out.push_str("},\n  \"histograms\": {");
         push_entries(&mut out, self.histograms.iter(), |out, h| {
@@ -258,18 +181,12 @@ mod tests {
     }
 
     #[test]
-    fn counter_and_gauge_record() {
+    fn counter_records() {
         crate::set_enabled(true);
         let r = Registry::new();
         r.counter("events").add(3);
         r.counter("events").inc();
         assert_eq!(r.counter("events").get(), 4);
-        let g = r.gauge("level");
-        g.inc();
-        g.inc();
-        g.dec();
-        assert_eq!(g.get(), 1);
-        assert_eq!(g.max(), 2);
     }
 
     #[test]
@@ -277,11 +194,9 @@ mod tests {
         crate::set_enabled(true);
         let r = Registry::new();
         r.counter("c.one").add(7);
-        r.gauge("g.one").set(2);
         r.histogram("h.one").record(1000);
         let json = r.snapshot().to_json();
         assert!(json.contains("\"c.one\": 7"), "{json}");
-        assert!(json.contains("\"g.one\": {\"value\": 2, \"max\": 2}"), "{json}");
         assert!(json.contains("\"h.one\": {\"count\": 1"), "{json}");
         // Deterministic: identical snapshot => identical JSON.
         assert_eq!(json, r.snapshot().to_json());

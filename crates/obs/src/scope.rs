@@ -64,15 +64,6 @@ macro_rules! counter {
     }};
 }
 
-/// The global gauge `$name`, interned once per call site.
-#[macro_export]
-macro_rules! gauge {
-    ($name:expr) => {{
-        static SITE: ::std::sync::OnceLock<&'static $crate::Gauge> = ::std::sync::OnceLock::new();
-        *SITE.get_or_init(|| $crate::global().gauge($name))
-    }};
-}
-
 /// The global histogram `$name`, interned once per call site.
 #[macro_export]
 macro_rules! histogram {

@@ -6,7 +6,6 @@
 //! consumes), plus explicit disconnect reporting.
 
 use std::sync::mpsc;
-use std::time::Duration;
 
 /// Sending half of a bounded channel. Cloning creates another producer
 /// feeding the same queue (e.g. many serving clients, one batcher).
@@ -38,26 +37,6 @@ impl std::fmt::Display for Disconnected {
 }
 
 impl std::error::Error for Disconnected {}
-
-/// Why a [`Receiver::recv_timeout`] returned without a value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvTimeoutError {
-    /// No value arrived within the timeout; senders may still exist.
-    Timeout,
-    /// Every sender is gone and the channel is drained.
-    Disconnected,
-}
-
-impl std::fmt::Display for RecvTimeoutError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RecvTimeoutError::Timeout => write!(f, "channel recv timed out"),
-            RecvTimeoutError::Disconnected => write!(f, "channel disconnected"),
-        }
-    }
-}
-
-impl std::error::Error for RecvTimeoutError {}
 
 /// Why a [`Sender::try_send`] did not enqueue its value. Carries the
 /// value back so callers can retry or shed it explicitly.
@@ -124,30 +103,11 @@ impl<T> Receiver<T> {
     /// # Errors
     ///
     /// Returns [`Disconnected`] whether the channel is merely empty or
-    /// the sender is gone; callers that must distinguish the two should
-    /// use [`Receiver::recv_timeout`]. (The stack's only non-blocking
-    /// consumer — the serve-layer batcher — drains opportunistically and
-    /// treats both the same.)
+    /// the sender is gone. The stack's only non-blocking consumer, the
+    /// serve-layer batcher, treats both the same: it scores what is
+    /// pending, then blocks on [`Receiver::recv`].
     pub fn try_recv(&self) -> Result<T, Disconnected> {
         self.inner.try_recv().map_err(|_| Disconnected)
-    }
-
-    /// Receives the next value, blocking for at most `timeout`.
-    ///
-    /// This is what gives the serve layer its flush deadline: the
-    /// batcher waits on the request queue only until the oldest pending
-    /// request's deadline, then flushes a partial batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RecvTimeoutError::Timeout`] if nothing arrived in time,
-    /// or [`RecvTimeoutError::Disconnected`] if the sender is gone and
-    /// the channel is drained.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        self.inner.recv_timeout(timeout).map_err(|e| match e {
-            mpsc::RecvTimeoutError::Timeout => RecvTimeoutError::Timeout,
-            mpsc::RecvTimeoutError::Disconnected => RecvTimeoutError::Disconnected,
-        })
     }
 
     /// A blocking iterator over incoming values: each `next` waits like
@@ -203,16 +163,6 @@ mod tests {
         tx.send(5).unwrap();
         assert_eq!(rx.try_recv(), Ok(5));
         assert_eq!(rx.try_recv(), Err(Disconnected));
-    }
-
-    #[test]
-    fn recv_timeout_times_out_then_delivers() {
-        let (tx, rx) = bounded(1);
-        assert_eq!(rx.recv_timeout(Duration::from_millis(5)), Err(RecvTimeoutError::Timeout));
-        tx.send(9).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(100)), Ok(9));
-        drop(tx);
-        assert_eq!(rx.recv_timeout(Duration::from_millis(5)), Err(RecvTimeoutError::Disconnected));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! * [`persist`] — crash-safe checkpoint/restore: the checksummed
 //!   snapshot container and the `Persist` state-capture trait.
 //! * [`obs`] — the observability layer: the process-global metrics
-//!   registry (counters, gauges, log-bucketed latency histograms with
+//!   registry (counters and log-bucketed latency histograms with
 //!   p50/p90/p99/p999), scope timers, seeded arrival processes, and
 //!   the virtual-backlog admission controller. Strictly observe-only;
 //!   disable recording with `SDC_OBS=0`.

@@ -11,10 +11,9 @@
 //!
 //! * [`ScoringService`] / [`ScoringClient`] — an async-free,
 //!   thread-based request coalescer: many concurrent streams submit
-//!   scoring requests over bounded channels; a batcher thread merges
-//!   them into large batches (flush on [`ServeConfig::max_batch`],
-//!   a completed request round, or a liveness deadline), scores each
-//!   batch through one shared model via
+//!   scoring requests over bounded channels; a batcher thread scores
+//!   what is pending whenever it is free, in batches of at most
+//!   [`ServeConfig::max_batch`] samples, through one shared model via
 //!   [`contrast_scores_shared`](sdc_core::contrast_scores_shared), and
 //!   routes score slices back to per-request reply channels.
 //! * [`ReplicaSet`] — N scoring replicas (independent batcher threads,
@@ -36,8 +35,7 @@
 //!
 //! The service is instrumented with `sdc-obs`: every answered request
 //! records its enqueue → reply latency into a per-service histogram
-//! ([`ServeStats::latency`]), deadline flushes record their wall-clock
-//! overshoot ([`ServeStats::deadline_lag`]), and
+//! ([`ServeStats::latency`]), and
 //! [`ScoringService::stats_snapshot`] reads it all live without
 //! quiescing the batcher. Overload is bounded, never buffered:
 //! droppable requests ([`ScoringClient::try_submit`]) are shed with a
@@ -49,11 +47,10 @@
 //! Batch *results* are bit-identical to direct scoring regardless of
 //! coalescing: every eval-mode op is row-independent and chunking is
 //! size-derived, so a sample's score does not depend on which batch it
-//! rode in or on `SDC_THREADS`. Batch *composition* is reproducible
-//! for a fixed stream set because flushes are derived from request
-//! counts (size and round conditions), with the wall-clock deadline
-//! acting only as a liveness fallback for stalled streams. A
-//! single-stream [`MultiStreamTrainer`] reproduces the direct
+//! rode in or on `SDC_THREADS`. Batch *composition* is not part of the
+//! contract: the batcher scores what is pending when it is free, so
+//! which requests share a batch follows arrival timing and differs run
+//! to run. A single-stream [`MultiStreamTrainer`] reproduces the direct
 //! [`StreamTrainer::step`](sdc_core::StreamTrainer::step) path
 //! bit-for-bit (`tests/equivalence.rs`).
 
@@ -73,8 +70,8 @@ pub use loadgen::{
 };
 pub use replica::{replica_for, ReplicaSet};
 pub use service::{
-    ScoreOutcome, ScoreTicket, ScoringClient, ScoringService, ServeComposition, ServeConfig,
-    ServeStats, ShedCause, StreamLatency, SubmitOutcome,
+    ScoreOutcome, ScoreTicket, ScoringClient, ScoringService, ServeConfig, ServeStats, ShedCause,
+    StreamLatency, SubmitOutcome,
 };
 pub use shard::{ShardedBuffer, StreamShard};
 pub use snapshot::NodeSnapshot;

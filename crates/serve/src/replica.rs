@@ -16,8 +16,7 @@
 //! clock. Two consequences the scale-out tier leans on:
 //!
 //! * **Stable across restarts.** A restarted (or failed-over) node with
-//!   the same replica count routes every stream to the same replica, so
-//!   batch composition per replica is reproducible run to run.
+//!   the same replica count routes every stream to the same replica.
 //! * **Deterministic re-sharding.** Changing the replica count is a
 //!   pure re-evaluation: the new assignment depends only on `(id, n)`,
 //!   never on the order streams arrive or which replica they sat on
@@ -97,17 +96,15 @@ impl ReplicaSet {
         &self.replicas[index]
     }
 
-    /// Creates (and registers) a scoring client for `stream` on its
-    /// assigned replica. Round flushes on that replica wait only for
-    /// the streams sharded to it.
+    /// Creates a scoring client for `stream` on its assigned replica.
     pub fn client(&self, stream: StreamId) -> ScoringClient {
         sdc_obs::counter!("node.replica.clients").inc();
         self.replica_of(stream).client(stream)
     }
 
-    /// Publishes a fresh model snapshot to **every** replica; batches
-    /// cut after this call score with the new parameters on all of
-    /// them.
+    /// Publishes a fresh model snapshot to **every** replica; requests
+    /// submitted after this call score with the new parameters on all
+    /// of them.
     pub fn swap_model(&self, model: ContrastiveModel) {
         let (last, rest) = self.replicas.split_last().expect("a started set is never empty");
         for replica in rest {
@@ -117,7 +114,8 @@ impl ReplicaSet {
     }
 
     /// Quiesces every replica: blocks until each batcher has processed
-    /// everything submitted before this call. Checkpointing calls this
+    /// everything submitted before this call and answered every earlier
+    /// request. Checkpointing calls this
     /// so no replica holds an in-flight batch while state is read.
     ///
     /// # Errors

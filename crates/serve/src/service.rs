@@ -4,57 +4,52 @@
 //! [`ContrastiveModel`] snapshot. Any number of [`ScoringClient`]s —
 //! typically one per stream, running on their own threads — submit
 //! scoring requests into a bounded request queue; the batcher coalesces
-//! them into large batches, runs each batch through
+//! them into batches, runs each batch through
 //! [`contrast_scores_shared`] (which fans out over the `sdc-runtime`
 //! worker pool), and routes the per-request score slices back through
 //! per-request reply channels.
 //!
 //! ## Flush policy
 //!
-//! A coalesced batch is cut when the first of three conditions holds:
+//! The batcher scores what is pending whenever it is free. It blocks on
+//! the request queue only while nothing is pending, and cuts a batch
+//! when
 //!
-//! 1. **Size** — pending requests hold at least
-//!    [`ServeConfig::max_batch`] samples (a *split flush* scores the
-//!    oldest requests up to the cap and leaves the rest pending);
-//! 2. **Round** — every live (registered, not yet dropped) stream has
-//!    at least one request pending, so waiting longer cannot grow the
-//!    batch (the common steady-state path);
-//! 3. **Deadline** — the oldest pending request has waited
-//!    [`ServeConfig::flush_deadline`], the wall-clock liveness fallback
-//!    for slow or stalled streams.
+//! 1. **Size** — an admitted request brings the pending requests to at
+//!    least [`ServeConfig::max_batch`] samples, or
+//! 2. **Idle** — the request queue is empty.
 //!
-//! Conditions 1 and 2 depend only on request counts and the registered
-//! stream set — never on wall-clock time — so with a fixed stream set
-//! of blocking clients, batch composition is reproducible run to run:
-//! pending requests are ordered by stream id before each cut, and the
-//! deadline only fires when some stream genuinely stalls.
+//! A cut takes pending requests in arrival order: whole requests up to
+//! `max_batch` samples, at least one. Requests that arrive while a
+//! batch scores form the next one, so batch size follows the load and
+//! no rule reads a clock. Model swaps, [`ScoringService::quiesce`] and
+//! shutdown first score everything pending.
+//!
+//! Scores do not depend on how requests were grouped (see the crate's
+//! determinism contract); batch composition follows arrival timing and
+//! is not reproducible run to run.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use sdc_core::score::contrast_scores_shared;
 use sdc_core::ContrastiveModel;
 use sdc_data::{Sample, StreamId};
 use sdc_obs::{HistogramSnapshot, LatencyHistogram, LatencySummary, SpanId, TraceContext};
-use sdc_runtime::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use sdc_runtime::channel::{bounded, Receiver, Sender, TrySendError};
 use sdc_runtime::Runtime;
 use sdc_tensor::{Result, TensorError};
 
 /// Tuning knobs of a [`ScoringService`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Maximum samples per coalesced scoring batch. Pending requests
-    /// beyond this are cut into follow-up batches (split flush).
+    /// Maximum samples per scoring batch. A batch is what is pending
+    /// when the batcher is free, capped at this; pending requests that
+    /// reach it are cut without waiting for the queue to empty.
     pub max_batch: usize,
-    /// How long the oldest pending request may wait before a partial
-    /// batch is flushed anyway — the liveness fallback when some
-    /// registered stream is slow. Batch composition under a fixed,
-    /// healthy stream set is governed by the round/size conditions, not
-    /// this deadline.
-    pub flush_deadline: Duration,
     /// Capacity of the bounded request queue clients submit into.
     pub queue_depth: usize,
     /// Thread count for a private `sdc-runtime` pool installed on the
@@ -83,23 +78,8 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self {
-            max_batch: 64,
-            flush_deadline: Duration::from_millis(20),
-            queue_depth: 64,
-            threads: None,
-            max_pending: 256,
-            replicas: 1,
-        }
+        Self { max_batch: 64, queue_depth: 64, threads: None, max_pending: 256, replicas: 1 }
     }
-}
-
-/// Why a batch was cut. Recorded per flush in [`ServeStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FlushReason {
-    Size,
-    Round,
-    Deadline,
 }
 
 /// Counters published by the batcher thread (all monotone), plus the
@@ -111,16 +91,11 @@ struct StatsInner {
     samples: AtomicU64,
     batches: AtomicU64,
     size_flushes: AtomicU64,
-    round_flushes: AtomicU64,
-    deadline_flushes: AtomicU64,
     dropped_replies: AtomicU64,
     shed_backlog: AtomicU64,
     shed_queue_full: AtomicU64,
     /// Enqueue → reply wall-clock per answered scoring request.
     latency: LatencyHistogram,
-    /// How late past `flush_deadline` each deadline flush actually
-    /// fired (the liveness overshoot under load).
-    deadline_lag: LatencyHistogram,
     /// Per-stream enqueue → reply histograms, grown on a stream's first
     /// answered request. Every observation recorded here is *also*
     /// recorded in the aggregate `latency` histogram, so the per-stream
@@ -128,6 +103,30 @@ struct StatsInner {
     /// batcher inserts (and it caches handles), so this lock is
     /// snapshot-contended only.
     per_stream: Mutex<BTreeMap<StreamId, Arc<LatencyHistogram>>>,
+}
+
+impl StatsInner {
+    fn snapshot(&self) -> ServeStats {
+        ServeStats {
+            requests: self.requests.load(Ordering::SeqCst),
+            samples: self.samples.load(Ordering::SeqCst),
+            batches: self.batches.load(Ordering::SeqCst),
+            size_flushes: self.size_flushes.load(Ordering::SeqCst),
+            round_flushes: 0,
+            deadline_flushes: 0,
+            dropped_replies: self.dropped_replies.load(Ordering::SeqCst),
+            shed_backlog: self.shed_backlog.load(Ordering::SeqCst),
+            shed_queue_full: self.shed_queue_full.load(Ordering::SeqCst),
+            latency: self.latency.summary(),
+            per_stream: self
+                .per_stream
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .iter()
+                .map(|(&stream, h)| StreamLatency { stream, latency: h.summary() })
+                .collect(),
+        }
+    }
 }
 
 /// Why a droppable request was shed instead of scored.
@@ -184,9 +183,11 @@ pub struct ServeStats {
     pub batches: u64,
     /// Batches cut because pending samples reached `max_batch`.
     pub size_flushes: u64,
-    /// Batches cut because every live stream had a request pending.
+    /// Always 0: the batcher has no round rule. It stays until the
+    /// benchmark drops `serve.flush.round_share`.
     pub round_flushes: u64,
-    /// Batches cut by the wall-clock liveness deadline.
+    /// Always 0: the batcher has no deadline rule. It stays until the
+    /// benchmark drops `serve.flush.deadline_share`.
     pub deadline_flushes: u64,
     /// Replies that could not be delivered because the requesting
     /// stream dropped its ticket mid-flight.
@@ -198,38 +199,12 @@ pub struct ServeStats {
     /// Enqueue → reply latency of answered scoring requests
     /// (nanoseconds; empty while `sdc-obs` recording is disabled).
     pub latency: LatencySummary,
-    /// Wall-clock overshoot of each deadline flush past
-    /// [`ServeConfig::flush_deadline`] (nanoseconds).
-    pub deadline_lag: LatencySummary,
     /// Per-stream slices of `latency`, ordered by stream id. Every
     /// latency observation lands in exactly one row *and* in the
     /// aggregate, so after a [`ScoringService::quiesce`] the row
     /// counts/sums add up to the aggregate's exactly (a live snapshot
     /// may catch a reply between the two reads).
     pub per_stream: Vec<StreamLatency>,
-}
-
-/// The count-derived subset of [`ServeStats`]: every field that is a
-/// pure function of the request/flush sequence, excluding wall-clock
-/// measurements. This is the projection that is reproducible run to
-/// run for a fixed stream set of blocking clients (the latency fields
-/// are wall-clock and never are).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServeComposition {
-    /// See [`ServeStats::requests`].
-    pub requests: u64,
-    /// See [`ServeStats::samples`].
-    pub samples: u64,
-    /// See [`ServeStats::batches`].
-    pub batches: u64,
-    /// See [`ServeStats::size_flushes`].
-    pub size_flushes: u64,
-    /// See [`ServeStats::round_flushes`].
-    pub round_flushes: u64,
-    /// See [`ServeStats::deadline_flushes`].
-    pub deadline_flushes: u64,
-    /// See [`ServeStats::dropped_replies`].
-    pub dropped_replies: u64,
 }
 
 impl ServeStats {
@@ -243,11 +218,22 @@ impl ServeStats {
         }
     }
 
-    /// The per-stream breakdown as a deterministic JSON object
-    /// (stream-id keys in ascending order) — the shape the node's
-    /// `Stats` scrape reply and the harness tables embed.
-    pub fn per_stream_json(&self) -> String {
-        let mut out = String::from("{");
+    /// The counters and the per-stream breakdown (stream-id keys in
+    /// ascending order) as one deterministic JSON object — the shape
+    /// the node's `Stats` scrape reply embeds per replica.
+    pub fn to_json(&self) -> String {
+        let mut out = format!(
+            "{{\"requests\": {}, \"samples\": {}, \"batches\": {}, \"size_flushes\": {}, \
+             \"dropped_replies\": {}, \"shed_backlog\": {}, \"shed_queue_full\": {}, \
+             \"per_stream\": {{",
+            self.requests,
+            self.samples,
+            self.batches,
+            self.size_flushes,
+            self.dropped_replies,
+            self.shed_backlog,
+            self.shed_queue_full
+        );
         for (i, row) in self.per_stream.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
@@ -259,22 +245,8 @@ impl ServeStats {
                 row.stream, h.count, h.sum, h.min, h.max, h.p50, h.p90, h.p99, h.p999
             ));
         }
-        out.push('}');
+        out.push_str("}}");
         out
-    }
-
-    /// The reproducible, count-derived projection of these stats (what
-    /// the equivalence suites compare across runs).
-    pub fn composition(&self) -> ServeComposition {
-        ServeComposition {
-            requests: self.requests,
-            samples: self.samples,
-            batches: self.batches,
-            size_flushes: self.size_flushes,
-            round_flushes: self.round_flushes,
-            deadline_flushes: self.deadline_flushes,
-            dropped_replies: self.dropped_replies,
-        }
     }
 }
 
@@ -301,13 +273,8 @@ struct RequestTrace {
 #[derive(Debug)]
 struct ScoreRequest {
     stream: StreamId,
-    /// Arrival sequence number; keeps the per-stream order stable when
-    /// requests are sorted by stream id before a cut.
-    seq: u64,
-    /// Submission time; the flush deadline is anchored to the oldest
-    /// *remaining* pending request, so it must be carried per request
-    /// (a cached "oldest" timestamp would go stale after a split
-    /// flush serves the request it belonged to).
+    /// Submission time, the start of the request's enqueue → reply
+    /// latency.
     arrived: Instant,
     samples: Vec<Sample>,
     /// Whether admission control may shed this request
@@ -325,15 +292,15 @@ struct ScoreRequest {
 #[derive(Debug)]
 enum Request {
     Score(ScoreRequest),
-    Register(StreamId),
-    Deregister(StreamId),
-    /// Install a fresh model snapshot for all subsequent batches
-    /// (training drivers publish one after each update round).
+    /// Score everything pending with the current model, then install a
+    /// fresh snapshot for all later batches (training drivers publish
+    /// one after each update round).
     SwapModel(Box<ContrastiveModel>),
-    /// Barrier: reply once every message queued before this one has
-    /// been processed (checkpointing quiesces the batcher with it).
+    /// Barrier: score everything pending, then reply — every request
+    /// queued before this one has its reply by then (checkpointing
+    /// quiesces the batcher with it).
     Sync(Sender<()>),
-    /// Flush whatever is pending and exit (sent by the service handle's
+    /// Score whatever is pending and exit (sent by the service handle's
     /// `Drop`; clients keep `Sender` clones, so queue disconnection
     /// alone cannot signal termination).
     Shutdown,
@@ -346,12 +313,8 @@ fn service_gone() -> TensorError {
     }
 }
 
-/// A handle for one stream to score through a [`ScoringService`].
-///
-/// Each client registers its [`StreamId`] on creation; dropping the
-/// client deregisters it, shrinking the set of streams a round flush
-/// waits for. Ids should be unique per live client — two clients
-/// sharing an id would deregister each other.
+/// A handle for one stream to score through a [`ScoringService`]. Its
+/// [`StreamId`] labels the stream's row in [`ServeStats::per_stream`].
 #[derive(Debug)]
 pub struct ScoringClient {
     stream: StreamId,
@@ -499,7 +462,6 @@ impl ScoringClient {
         let (rtx, rrx) = bounded(1);
         let request = ScoreRequest {
             stream: self.stream,
-            seq: 0, // assigned by the batcher on receipt
             arrived: Instant::now(),
             samples,
             droppable,
@@ -509,24 +471,15 @@ impl ScoringClient {
         (request, ScoreTicket { rx: rrx })
     }
 
-    /// Scores `samples` through the service, blocking until the
-    /// coalesced batch containing them has run.
-    ///
-    /// With at most one in-flight request per client (which this
-    /// blocking call guarantees), batch composition follows the
-    /// deterministic round/size flush conditions.
+    /// Scores `samples` through the service, blocking until the batch
+    /// containing them has run. An idle batcher scores the request as
+    /// soon as it arrives; a busy one adds it to the next batch.
     ///
     /// # Errors
     ///
     /// Propagates scoring errors and service termination.
     pub fn score(&self, samples: Vec<Sample>) -> Result<Vec<f32>> {
         self.submit(samples)?.wait()
-    }
-}
-
-impl Drop for ScoringClient {
-    fn drop(&mut self) {
-        let _ = self.tx.send(Request::Deregister(self.stream));
     }
 }
 
@@ -587,28 +540,27 @@ impl ScoringService {
         Self { tx: Some(tx), worker: Some(worker), stats }
     }
 
-    /// Creates (and registers) a client for `stream`. Round flushes
-    /// wait for every registered stream, so create one client per
-    /// actively submitting stream and drop it when the stream ends.
+    /// Creates a client that submits for `stream`. Creating or dropping
+    /// a client sends the batcher nothing.
     pub fn client(&self, stream: StreamId) -> ScoringClient {
         let tx = self.tx.as_ref().expect("sender lives until drop").clone();
-        let _ = tx.send(Request::Register(stream));
         ScoringClient { stream, tx, stats: Arc::clone(&self.stats) }
     }
 
-    /// Publishes a fresh model snapshot; batches cut after this call
-    /// score with the new parameters.
+    /// Publishes a fresh model snapshot. Requests submitted before this
+    /// call score with the old parameters, requests submitted after it
+    /// with the new ones.
     pub fn swap_model(&self, model: ContrastiveModel) {
         let tx = self.tx.as_ref().expect("sender lives until drop");
         let _ = tx.send(Request::SwapModel(Box::new(model)));
     }
 
     /// Quiesces the batcher: blocks until every message submitted
-    /// before this call — model swaps, registrations, score requests —
-    /// has been processed. Checkpointing calls this at a round
-    /// boundary so the captured model/shard state is the state the
-    /// batcher will score the *next* round with, with nothing
-    /// in flight.
+    /// before this call — model swaps, score requests — has been
+    /// processed and every earlier request has its reply. Checkpointing
+    /// calls this at a round boundary so the captured model/shard state
+    /// is the state the batcher will score the *next* round with, with
+    /// nothing in flight.
     ///
     /// # Errors
     ///
@@ -626,33 +578,7 @@ impl ScoringService {
     /// or perturbs in-flight batching. This is how per-round tables
     /// and dashboards read a running service.
     pub fn stats_snapshot(&self) -> ServeStats {
-        ServeStats {
-            requests: self.stats.requests.load(Ordering::SeqCst),
-            samples: self.stats.samples.load(Ordering::SeqCst),
-            batches: self.stats.batches.load(Ordering::SeqCst),
-            size_flushes: self.stats.size_flushes.load(Ordering::SeqCst),
-            round_flushes: self.stats.round_flushes.load(Ordering::SeqCst),
-            deadline_flushes: self.stats.deadline_flushes.load(Ordering::SeqCst),
-            dropped_replies: self.stats.dropped_replies.load(Ordering::SeqCst),
-            shed_backlog: self.stats.shed_backlog.load(Ordering::SeqCst),
-            shed_queue_full: self.stats.shed_queue_full.load(Ordering::SeqCst),
-            latency: self.stats.latency.summary(),
-            deadline_lag: self.stats.deadline_lag.summary(),
-            per_stream: self
-                .stats
-                .per_stream
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .iter()
-                .map(|(&stream, h)| StreamLatency { stream, latency: h.summary() })
-                .collect(),
-        }
-    }
-
-    /// A snapshot of the service's counters (alias of
-    /// [`ScoringService::stats_snapshot`], kept for existing callers).
-    pub fn stats(&self) -> ServeStats {
-        self.stats_snapshot()
+        self.stats.snapshot()
     }
 
     /// A full (bucket-level) snapshot of the request-latency histogram.
@@ -663,18 +589,19 @@ impl ScoringService {
         self.stats.latency.snapshot()
     }
 
-    /// A full (bucket-level) snapshot of the deadline-overshoot
-    /// histogram (see [`ServeStats::deadline_lag`]).
+    /// An empty histogram snapshot: the batcher has no flush deadline
+    /// to overshoot. It stays until the benchmark drops
+    /// `serve.deadline_lag_ms_p50`.
     pub fn deadline_lag_histogram(&self) -> HistogramSnapshot {
-        self.stats.deadline_lag.snapshot()
+        LatencyHistogram::new().snapshot()
     }
 }
 
 impl Drop for ScoringService {
     fn drop(&mut self) {
         // An explicit message (not queue disconnection — clients hold
-        // `Sender` clones) tells the batcher to flush and exit; then
-        // reap the thread.
+        // `Sender` clones) tells the batcher to score what is pending
+        // and exit; then reap the thread.
         if let Some(tx) = self.tx.take() {
             let _ = tx.send(Request::Shutdown);
         }
@@ -689,9 +616,8 @@ struct Batcher {
     model: ContrastiveModel,
     config: ServeConfig,
     stats: Arc<StatsInner>,
-    live: BTreeSet<StreamId>,
+    /// Admitted requests not yet scored, in arrival order.
     pending: Vec<ScoreRequest>,
-    next_seq: u64,
     /// Batcher-local cache of the shared per-stream histogram handles
     /// (only the batcher inserts into `StatsInner::per_stream`, so
     /// after a stream's first reply every later record is lock-free).
@@ -700,145 +626,91 @@ struct Batcher {
 
 impl Batcher {
     fn new(model: ContrastiveModel, config: ServeConfig, stats: Arc<StatsInner>) -> Self {
-        Self {
-            model,
-            config,
-            stats,
-            live: BTreeSet::new(),
-            pending: Vec::new(),
-            next_seq: 0,
-            stream_hists: BTreeMap::new(),
+        Self { model, config, stats, pending: Vec::new(), stream_hists: BTreeMap::new() }
+    }
+
+    /// Blocks on the queue only while nothing is pending; otherwise
+    /// takes whatever is already queued, and scores a batch when the
+    /// queue is empty.
+    fn run(mut self, rx: Receiver<Request>) {
+        loop {
+            let message = if self.pending.is_empty() { rx.recv() } else { rx.try_recv() };
+            match message {
+                Ok(message) => {
+                    if !self.handle(message) {
+                        return;
+                    }
+                }
+                // Every sender is gone and nothing is left to answer.
+                Err(_) if self.pending.is_empty() => return,
+                // The queue is empty: score what is pending.
+                Err(_) => self.flush_one(),
+            }
         }
     }
 
-    fn run(mut self, rx: Receiver<Request>) {
-        loop {
-            let message = if self.pending.is_empty() {
-                match rx.recv() {
-                    Ok(m) => Some(m),
-                    Err(_) => break,
+    /// Processes one queued message. Returns `false` once a `Shutdown`
+    /// has scored everything pending.
+    fn handle(&mut self, message: Request) -> bool {
+        match message {
+            Request::Score(mut request) => {
+                if let Some(t) = &mut request.trace {
+                    t.dequeued_nanos = sdc_obs::now_nanos();
                 }
-            } else {
-                let deadline = self.oldest_arrival().expect("pending implies an arrival")
-                    + self.config.flush_deadline;
-                match deadline.checked_duration_since(Instant::now()) {
-                    None => None, // deadline already passed
-                    Some(remaining) => match rx.recv_timeout(remaining) {
-                        Ok(m) => Some(m),
-                        Err(RecvTimeoutError::Timeout) => None,
-                        Err(RecvTimeoutError::Disconnected) => {
-                            // Final flush: answer what is queued, then exit.
-                            self.flush_all(FlushReason::Deadline);
-                            return;
-                        }
-                    },
-                }
-            };
-            match message {
-                Some(Request::Score(mut request)) => {
-                    if let Some(t) = &mut request.trace {
-                        t.dequeued_nanos = sdc_obs::now_nanos();
-                    }
-                    if request.samples.is_empty() {
-                        // Nothing to batch; answer immediately so empty
-                        // requests cannot stall a round.
-                        self.stats.requests.fetch_add(1, Ordering::SeqCst);
-                        self.reply(&request, Ok(Vec::new()));
-                        continue;
-                    }
+                if request.samples.is_empty() {
+                    // Nothing to batch; answer immediately.
+                    self.stats.requests.fetch_add(1, Ordering::SeqCst);
+                    self.reply(&request, Ok(Vec::new()));
+                } else if request.droppable && self.backlog_exceeded(&request) {
                     // Admission control: a droppable request that would
                     // push pending work past `max_pending` samples is
                     // answered with a typed shed instead of queued —
                     // backlog stays bounded no matter how fast an
                     // open-loop producer submits.
-                    if request.droppable && self.backlog_exceeded(&request) {
-                        self.stats.shed_backlog.fetch_add(1, Ordering::SeqCst);
-                        self.send_reply(&request, Ok(ScoreOutcome::Shed(ShedCause::Backlog)));
-                        continue;
-                    }
-                    request.seq = self.next_seq;
-                    self.next_seq += 1;
+                    self.stats.shed_backlog.fetch_add(1, Ordering::SeqCst);
+                    self.send_reply(&request, Ok(ScoreOutcome::Shed(ShedCause::Backlog)));
+                } else {
                     self.pending.push(request);
-                    self.flush_ready();
-                }
-                Some(Request::Register(id)) => {
-                    self.live.insert(id);
-                }
-                Some(Request::Deregister(id)) => {
-                    self.live.remove(&id);
-                    // A shrunken stream set may complete the round.
-                    self.flush_ready();
-                }
-                Some(Request::SwapModel(model)) => {
-                    self.model = *model;
-                }
-                Some(Request::Sync(reply)) => {
-                    // The queue is FIFO, so everything sent before this
-                    // barrier — swaps, registrations, scores — has been
-                    // processed. The reply is the caller's proof.
-                    let _ = reply.send(());
-                }
-                Some(Request::Shutdown) => break,
-                None => {
-                    // A genuine deadline flush (not a shutdown drain):
-                    // record how far past the configured deadline it
-                    // actually fired — the liveness overshoot.
-                    if sdc_obs::enabled() {
-                        if let Some(oldest) = self.oldest_arrival() {
-                            let target = oldest + self.config.flush_deadline;
-                            let lag = Instant::now().saturating_duration_since(target);
-                            self.stats.deadline_lag.record_duration(lag);
-                        }
+                    while !self.pending.is_empty()
+                        && self.pending_samples() >= self.config.max_batch
+                    {
+                        self.stats.size_flushes.fetch_add(1, Ordering::SeqCst);
+                        self.flush_one();
                     }
-                    self.flush_all(FlushReason::Deadline);
                 }
             }
-        }
-        self.flush_all(FlushReason::Deadline);
-    }
-
-    /// Cuts batches while a count-derived flush condition holds.
-    fn flush_ready(&mut self) {
-        loop {
-            let pending_samples: usize = self.pending.iter().map(|r| r.samples.len()).sum();
-            if pending_samples >= self.config.max_batch && !self.pending.is_empty() {
-                self.flush_one(FlushReason::Size);
-            } else if !self.pending.is_empty() && self.round_complete() {
-                self.flush_one(FlushReason::Round);
-            } else {
-                break;
+            Request::SwapModel(model) => {
+                self.flush_all();
+                self.model = *model;
+            }
+            Request::Sync(reply) => {
+                self.flush_all();
+                let _ = reply.send(());
+            }
+            Request::Shutdown => {
+                self.flush_all();
+                return false;
             }
         }
+        true
     }
 
-    /// Submission time of the oldest still-pending request — the
-    /// deadline anchor. Derived (never cached) so a split flush that
-    /// serves the oldest request cannot leave a stale anchor behind
-    /// and turn count-derived composition wall-clock dependent.
-    fn oldest_arrival(&self) -> Option<Instant> {
-        self.pending.iter().map(|r| r.arrived).min()
+    fn pending_samples(&self) -> usize {
+        self.pending.iter().map(|r| r.samples.len()).sum()
     }
 
-    /// Whether every live stream has at least one pending request
-    /// (vacuously true when no stream is registered — then there is
-    /// nobody to wait for).
-    fn round_complete(&self) -> bool {
-        self.live.iter().all(|id| self.pending.iter().any(|r| r.stream == *id))
-    }
-
-    /// Flushes everything queued, in `max_batch`-sized waves.
-    fn flush_all(&mut self, reason: FlushReason) {
+    /// Scores everything pending, in `max_batch`-sized batches.
+    fn flush_all(&mut self) {
         while !self.pending.is_empty() {
-            self.flush_one(reason);
+            self.flush_one();
         }
     }
 
-    /// Cuts one batch: orders pending requests by (stream id, arrival),
-    /// takes whole requests up to `max_batch` samples (always at least
-    /// one), scores them as a single coalesced batch, and routes each
-    /// request's score slice back.
-    fn flush_one(&mut self, reason: FlushReason) {
-        self.pending.sort_by_key(|r| (r.stream, r.seq));
+    /// Cuts one batch: takes pending requests in arrival order, whole
+    /// requests up to `max_batch` samples (always at least one), scores
+    /// them as a single batch, and routes each request's score slice
+    /// back.
+    fn flush_one(&mut self) {
         let mut take = 0;
         let mut batch_samples = 0;
         for request in &self.pending {
@@ -868,12 +740,6 @@ impl Batcher {
         self.stats.batches.fetch_add(1, Ordering::SeqCst);
         self.stats.requests.fetch_add(wave.len() as u64, Ordering::SeqCst);
         self.stats.samples.fetch_add(batch_samples as u64, Ordering::SeqCst);
-        let reason_counter = match reason {
-            FlushReason::Size => &self.stats.size_flushes,
-            FlushReason::Round => &self.stats.round_flushes,
-            FlushReason::Deadline => &self.stats.deadline_flushes,
-        };
-        reason_counter.fetch_add(1, Ordering::SeqCst);
 
         match scored {
             Ok(scores) => {
@@ -947,8 +813,7 @@ impl Batcher {
     /// Whether admitting `request` would push pending work past the
     /// droppable-request backlog bound.
     fn backlog_exceeded(&self, request: &ScoreRequest) -> bool {
-        let pending_samples: usize = self.pending.iter().map(|r| r.samples.len()).sum();
-        pending_samples + request.samples.len() > self.config.max_pending
+        self.pending_samples() + request.samples.len() > self.config.max_pending
     }
 
     /// Answers one scored (or errored) request, recording its
@@ -1018,7 +883,7 @@ mod tests {
         let served = client.score(pool.clone()).unwrap();
         let direct = contrast_scores_shared(&reference, &pool).unwrap();
         assert_eq!(served, direct);
-        let stats = service.stats();
+        let stats = service.stats_snapshot();
         assert_eq!(stats.requests, 1);
         assert_eq!(stats.samples, 6);
     }
@@ -1028,7 +893,7 @@ mod tests {
         let service = ScoringService::start(tiny_model(1), ServeConfig::default());
         let client = service.client(0);
         assert_eq!(client.score(Vec::new()).unwrap(), Vec::<f32>::new());
-        let stats = service.stats();
+        let stats = service.stats_snapshot();
         assert_eq!(stats.batches, 0, "empty requests must not spend a batch");
         assert_eq!(stats.requests, 1, "answered requests count even when empty");
     }
@@ -1084,54 +949,123 @@ mod tests {
         assert!(client.score(samples(2, 7)).is_err());
     }
 
-    /// Droppable requests past the pending-samples bound get a typed
-    /// `Backlog` shed, deterministically: the batcher is pinned (a
-    /// silent registered stream blocks round flushes, `max_batch` and
-    /// the deadline are out of reach), so admission depends only on
-    /// the FIFO arrival order — 2 admitted, 3 shed, every run.
-    #[test]
-    fn droppable_requests_past_the_backlog_bound_are_shed() {
-        let service = ScoringService::start(
-            tiny_model(1),
-            ServeConfig {
-                max_batch: 1000,
-                flush_deadline: Duration::from_secs(600),
-                max_pending: 2,
-                ..ServeConfig::default()
-            },
-        );
-        let silent = service.client(0);
-        let client = service.client(1);
+    /// A batcher driven through [`Batcher::handle`] on the test thread.
+    fn batcher(config: ServeConfig) -> Batcher {
+        Batcher::new(tiny_model(1), config, Arc::new(StatsInner::default()))
+    }
 
-        let mut tickets = Vec::new();
-        for i in 0..5u64 {
-            match client.try_submit(samples(1, 10 + i)).unwrap() {
-                SubmitOutcome::Enqueued(t) => tickets.push(t),
-                SubmitOutcome::Shed(cause) => panic!("queue cannot fill here: {cause:?}"),
+    /// Hands `batcher` a score request and returns its ticket.
+    fn submit_to(
+        batcher: &mut Batcher,
+        stream: StreamId,
+        samples: Vec<Sample>,
+        droppable: bool,
+    ) -> ScoreTicket {
+        let (reply, rx) = bounded(1);
+        let request = ScoreRequest {
+            stream,
+            arrived: Instant::now(),
+            samples,
+            droppable,
+            trace: None,
+            reply,
+        };
+        assert!(batcher.handle(Request::Score(request)));
+        ScoreTicket { rx }
+    }
+
+    /// The ticket's reply, if the batcher has sent it.
+    fn answered(ticket: &ScoreTicket) -> Option<ScoreOutcome> {
+        ticket.rx.try_recv().ok().map(|reply| reply.unwrap())
+    }
+
+    /// Droppable requests past the pending-samples bound get a typed
+    /// `Backlog` shed: exactly the first `max_pending` one-sample
+    /// requests are admitted.
+    #[test]
+    fn droppable_requests_past_max_pending_are_shed() {
+        let mut b = batcher(ServeConfig { max_pending: 2, ..ServeConfig::default() });
+        let tickets: Vec<_> =
+            (0..5u64).map(|i| submit_to(&mut b, 1, samples(1, 10 + i), true)).collect();
+        b.flush_one();
+        for (i, ticket) in tickets.iter().enumerate() {
+            match answered(ticket) {
+                Some(ScoreOutcome::Scored(scores)) if i < 2 => assert_eq!(scores.len(), 1),
+                Some(ScoreOutcome::Shed(ShedCause::Backlog)) if i >= 2 => {}
+                other => panic!("request {i}: {other:?}"),
             }
         }
-        // Sheds reply immediately; admitted requests stay pending until
-        // the silent stream goes away and the round completes.
-        let (admitted, shed): (Vec<_>, Vec<_>) =
-            tickets.into_iter().enumerate().partition(|(i, _)| *i < 2);
-        for (_, ticket) in shed {
-            assert_eq!(
-                ticket.wait_outcome().unwrap(),
-                ScoreOutcome::Shed(ShedCause::Backlog),
-                "requests 2..5 must be shed by the backlog bound"
-            );
-        }
-        drop(silent);
-        for (_, ticket) in admitted {
-            match ticket.wait_outcome().unwrap() {
-                ScoreOutcome::Scored(scores) => assert_eq!(scores.len(), 1),
-                ScoreOutcome::Shed(cause) => panic!("admitted request shed: {cause:?}"),
-            }
-        }
-        let stats = service.stats_snapshot();
+        let stats = b.stats.snapshot();
         assert_eq!(stats.shed_backlog, 3, "{stats:?}");
         assert_eq!(stats.requests, 2, "sheds are not answered requests: {stats:?}");
-        assert_eq!(stats.samples, 2, "{stats:?}");
+        assert_eq!(stats.batches, 1, "{stats:?}");
+    }
+
+    /// A cut takes pending requests in arrival order, whole requests up
+    /// to `max_batch` samples — never sorted by stream id.
+    #[test]
+    fn cuts_take_requests_in_arrival_order() {
+        let mut b = batcher(ServeConfig { max_batch: 2, ..ServeConfig::default() });
+        let tickets: Vec<_> =
+            [5u64, 1, 3].iter().map(|&s| submit_to(&mut b, s, samples(1, s), false)).collect();
+        // Stream 1's request brought pending to `max_batch`: streams 5
+        // and 1 rode the first batch, stream 3 waits.
+        assert!(answered(&tickets[0]).is_some());
+        assert!(answered(&tickets[1]).is_some());
+        assert!(answered(&tickets[2]).is_none());
+        // Two more samples overshoot the cap. The cut takes stream 3's
+        // earlier request alone, then stream 2's fills the next batch;
+        // a cut by stream id would take stream 2's first and leave 3.
+        let last = submit_to(&mut b, 2, samples(2, 9), false);
+        assert!(answered(&tickets[2]).is_some());
+        assert!(answered(&last).is_some());
+        let stats = b.stats.snapshot();
+        assert_eq!((stats.batches, stats.size_flushes), (3, 3), "{stats:?}");
+    }
+
+    /// A model swap first scores what is pending: each request scores
+    /// with the model it was queued under.
+    #[test]
+    fn requests_score_with_the_model_they_were_queued_under() {
+        let mut b = batcher(ServeConfig::default());
+        let pool = samples(3, 40);
+        let replacement = tiny_model(99);
+        let old = contrast_scores_shared(&tiny_model(1), &pool).unwrap();
+        let new = contrast_scores_shared(&replacement, &pool).unwrap();
+        assert_ne!(old, new, "different weights must score differently");
+        let before = submit_to(&mut b, 0, pool.clone(), false);
+        assert!(b.handle(Request::SwapModel(Box::new(replacement))));
+        let after = submit_to(&mut b, 0, pool, false);
+        b.flush_one();
+        assert_eq!(answered(&before), Some(ScoreOutcome::Scored(old)));
+        assert_eq!(answered(&after), Some(ScoreOutcome::Scored(new)));
+    }
+
+    /// A reply whose ticket was dropped is counted, and the request still
+    /// counts as answered.
+    #[test]
+    fn replies_to_dropped_tickets_are_counted() {
+        let mut b = batcher(ServeConfig::default());
+        drop(submit_to(&mut b, 0, samples(2, 60), false));
+        let kept = submit_to(&mut b, 1, samples(3, 61), false);
+        b.flush_one();
+        assert!(answered(&kept).is_some());
+        let stats = b.stats.snapshot();
+        assert_eq!((stats.requests, stats.dropped_replies), (2, 1), "{stats:?}");
+    }
+
+    /// A `Sync` barrier is answered only once every earlier request has
+    /// its reply.
+    #[test]
+    fn sync_is_answered_after_every_earlier_request() {
+        let mut b = batcher(ServeConfig::default());
+        let tickets: Vec<_> =
+            (0..3u64).map(|s| submit_to(&mut b, s, samples(2, 50 + s), false)).collect();
+        assert!(tickets.iter().all(|t| answered(t).is_none()), "below max_batch: all pending");
+        let (done, synced) = bounded(1);
+        assert!(b.handle(Request::Sync(done)));
+        assert_eq!(synced.try_recv(), Ok(()));
+        assert!(tickets.iter().all(|t| answered(t).is_some()));
     }
 
     /// Every answered request contributes one enqueue → reply latency
@@ -1151,7 +1085,6 @@ mod tests {
         assert_eq!(stats.latency.count, 3, "{stats:?}");
         assert!(stats.latency.p50 >= stats.latency.min, "{stats:?}");
         assert!(stats.latency.max >= stats.latency.p999, "{stats:?}");
-        assert_eq!(stats.composition(), stats.composition());
     }
 
     /// The per-stream breakdown covers every answered request exactly
@@ -1187,8 +1120,9 @@ mod tests {
             assert_eq!(row.latency.count, 2, "{row:?}");
             assert!(row.latency.p50 <= stats.latency.max, "{row:?}");
         }
-        let json = stats.per_stream_json();
-        assert!(json.contains("\"3\": {\"count\": 2"), "{json}");
+        let json = stats.to_json();
+        assert!(json.contains("\"requests\": 6,"), "{json}");
+        assert!(json.contains("\"per_stream\": {\"3\": {\"count\": 2"), "{json}");
     }
 
     /// A traced request leaves one `serve.request` span with all four

@@ -17,8 +17,8 @@
 //! [`MultiStreamTrainer::snapshot`](crate::MultiStreamTrainer::snapshot)
 //! captures at a **round boundary**: it first quiesces the batcher
 //! (a barrier message through the request queue) so the published
-//! model swap and every registration has been applied and no scoring
-//! work is in flight, then serializes driver-owned state. Requests
+//! model swap has been applied and no scoring work is in flight, then
+//! serializes driver-owned state. Requests
 //! whose [`ScoreTicket`](crate::ScoreTicket)s were dropped mid-flight
 //! are *not* carried into the snapshot — the requester already
 //! abandoned the reply. Service counters
@@ -246,8 +246,7 @@ mod tests {
         let c0 = service.client(0);
         let c1 = service.client(1);
 
-        // Fill stream 0's shard through the service (c1 stalls the
-        // round, so this resolves via the liveness deadline).
+        // Fill stream 0's shard through the service.
         shards.shard_mut(0).replace_with(samples(4, 1), |s| c0.score(s)).unwrap();
 
         // Stream 1 submits and abandons its ticket mid-flight.

@@ -1,9 +1,6 @@
-//! Coalescing edge cases: deadline flush for a slow stream, split
-//! flush when pending samples exceed `max_batch`, a stream dropping
-//! mid-flight, and reproducible batch composition for a fixed stream
-//! set.
-
-use std::time::Duration;
+//! Coalescing edge cases: more concurrent samples than `max_batch`, a
+//! ticket dropped mid-flight, and bit-reproducible scores for a fixed
+//! stream set whatever the batch composition.
 
 use sdc_core::model::{ContrastiveModel, ModelConfig};
 use sdc_core::score::contrast_scores_shared;
@@ -29,36 +26,14 @@ fn samples(n: usize, start_id: u64, seed: u64) -> Vec<Sample> {
 }
 
 #[test]
-fn slow_stream_triggers_deadline_flush() {
-    let model = tiny_model(1);
-    let reference = model.clone();
-    let service = ScoringService::start(
-        model,
-        ServeConfig { flush_deadline: Duration::from_millis(25), ..ServeConfig::default() },
-    );
-    let fast = service.client(0);
-    // Stream 1 registers but never submits: the round condition can
-    // never complete, so stream 0's request must ride a deadline flush.
-    let _slow = service.client(1);
-    let pool = samples(3, 0, 2);
-    let scores = fast.score(pool.clone()).unwrap();
-    assert_eq!(scores, contrast_scores_shared(&reference, &pool).unwrap());
-    let stats = service.stats();
-    assert_eq!(stats.deadline_flushes, 1, "{stats:?}");
-    assert_eq!(stats.round_flushes, 0, "{stats:?}");
-}
-
-#[test]
 fn more_streams_than_max_batch_split_flush() {
     let model = tiny_model(3);
     let reference = model.clone();
-    // Six single-sample streams against a two-sample batch cap: every
-    // wave must be cut by size, never by one giant batch.
+    // Six single-sample streams against a two-sample batch cap: no
+    // batch may exceed the cap, however many requests are pending.
     let service =
         ScoringService::start(model, ServeConfig { max_batch: 2, ..ServeConfig::default() });
     let streams = 6u64;
-    // Register every stream before any submits, so the round condition
-    // is stable from the first request on.
     let clients: Vec<_> = (0..streams).map(|id| service.client(id as StreamId)).collect();
     let replies = std::thread::scope(|scope| {
         let workers: Vec<_> = clients
@@ -77,14 +52,13 @@ fn more_streams_than_max_batch_split_flush() {
     for (pool, scores) in &replies {
         assert_eq!(scores, &contrast_scores_shared(&reference, pool).unwrap());
     }
-    let stats = service.stats();
+    let stats = service.stats_snapshot();
     assert_eq!(stats.requests, streams);
     assert_eq!(stats.samples, streams);
     assert!(
         stats.batches >= streams.div_ceil(2),
         "6 one-sample requests under max_batch=2 need ≥3 batches: {stats:?}"
     );
-    assert!(stats.size_flushes >= 1, "{stats:?}");
 }
 
 #[test]
@@ -94,52 +68,24 @@ fn dropped_ticket_mid_flight_does_not_stall_the_round() {
     let service = ScoringService::start(model, ServeConfig::default());
     let dropper = service.client(0);
     let survivor = service.client(1);
-    // Stream 0 submits, then abandons its reply before the batch runs
-    // (its request still completes the round — only the reply is
-    // undeliverable).
+    // Stream 0 submits, then abandons its reply: its request is still
+    // scored, and the survivor's request is not held up by it.
     let ticket = dropper.submit(samples(2, 0, 6)).unwrap();
     drop(ticket);
     let pool = samples(3, 50, 7);
     let scores = survivor.score(pool.clone()).unwrap();
     assert_eq!(scores, contrast_scores_shared(&reference, &pool).unwrap());
-    let stats = service.stats();
-    assert_eq!(stats.dropped_replies, 1, "{stats:?}");
+    // Whether the reply found its ticket gone depends on when the
+    // batcher scored it; the service unit tests pin that count.
+    let stats = service.stats_snapshot();
     assert_eq!(stats.requests, 2, "the abandoned request was still scored: {stats:?}");
 }
 
 #[test]
-fn deregistered_stream_shrinks_the_round() {
-    let model = tiny_model(8);
-    let service = ScoringService::start(
-        model,
-        // A deadline long enough that hitting it would fail the test's
-        // time budget assertion below via the stats instead.
-        ServeConfig { flush_deadline: Duration::from_secs(5), ..ServeConfig::default() },
-    );
-    let a = service.client(0);
-    let b = service.client(1);
-    drop(b); // stream 1 ends before ever submitting
-    let scores = a.score(samples(2, 0, 9)).unwrap();
-    assert_eq!(scores.len(), 2);
-    let stats = service.stats();
-    assert_eq!(stats.round_flushes, 1, "round must shrink to the surviving stream: {stats:?}");
-    assert_eq!(stats.deadline_flushes, 0, "{stats:?}");
-}
-
-#[test]
-fn fixed_stream_set_produces_reproducible_batch_composition() {
+fn fixed_stream_set_scores_are_bit_reproducible() {
     let run = || {
-        // A deadline far above any healthy round time: composition must
-        // come from the round condition alone, even on a loaded host.
-        let service = ScoringService::start(
-            tiny_model(11),
-            ServeConfig { flush_deadline: Duration::from_secs(5), ..ServeConfig::default() },
-        );
-        let streams = 3u64;
-        let rounds = 5u64;
-        // All streams register before any submits; otherwise an early
-        // round could complete against a partially grown stream set.
-        let clients: Vec<_> = (0..streams).map(|id| service.client(id as StreamId)).collect();
+        let service = ScoringService::start(tiny_model(11), ServeConfig::default());
+        let clients: Vec<_> = (0..3).map(|id| service.client(id as StreamId)).collect();
         let all_scores = std::thread::scope(|scope| {
             let workers: Vec<_> = clients
                 .iter()
@@ -148,10 +94,7 @@ fn fixed_stream_set_produces_reproducible_batch_composition() {
                     let id = id as u64;
                     scope.spawn(move || {
                         let mut mine = Vec::new();
-                        for round in 0..rounds {
-                            // Blocking clients: at most one in-flight
-                            // request per stream, so every batch is one
-                            // full round.
+                        for round in 0..5u64 {
                             let pool = samples(4, id * 1000 + round * 10, id * 7 + round);
                             mine.extend(client.score(pool).unwrap());
                         }
@@ -161,23 +104,14 @@ fn fixed_stream_set_produces_reproducible_batch_composition() {
                 .collect();
             workers.into_iter().flat_map(|w| w.join().unwrap()).collect::<Vec<f32>>()
         });
-        (service.stats(), all_scores)
+        (service.stats_snapshot(), all_scores)
     };
+    // Which requests share a batch follows arrival timing; the scores
+    // must not.
     let (stats_a, scores_a) = run();
-    let (stats_b, scores_b) = run();
-    // Compare the count-derived projection: the latency summaries are
-    // wall-clock measurements and legitimately differ run to run.
-    assert_eq!(
-        stats_a.composition(),
-        stats_b.composition(),
-        "batch composition must be reproducible"
-    );
-    assert_eq!(stats_a.batches, 5, "one coalesced batch per round: {stats_a:?}");
-    assert_eq!(stats_a.round_flushes, 5, "{stats_a:?}");
-    assert_eq!(stats_a.deadline_flushes, 0, "healthy streams never hit the deadline: {stats_a:?}");
+    let (_, scores_b) = run();
     assert_eq!(stats_a.requests, 15);
     assert_eq!(stats_a.samples, 60);
-    assert!((stats_a.mean_batch_samples() - 12.0).abs() < 1e-9);
     let bits = |v: &[f32]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&scores_a), bits(&scores_b), "scores must be bit-reproducible");
 }

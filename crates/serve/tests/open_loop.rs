@@ -40,11 +40,7 @@ fn harness_config() -> LoadgenConfig {
 fn one_run() -> LoadReport {
     let service = ScoringService::start(
         tiny_model(7),
-        ServeConfig {
-            flush_deadline: std::time::Duration::from_millis(5),
-            threads: Some(2),
-            ..ServeConfig::default()
-        },
+        ServeConfig { threads: Some(2), ..ServeConfig::default() },
     );
     run_open_loop(&service, &harness_config(), sample).unwrap()
 }

@@ -36,10 +36,6 @@ fn config() -> TrainerConfig {
     }
 }
 
-fn serve_config() -> ServeConfig {
-    ServeConfig { flush_deadline: std::time::Duration::from_secs(5), ..ServeConfig::default() }
-}
-
 fn streams() -> Vec<TemporalStream> {
     (0..STREAMS as u64)
         .map(|i| {
@@ -77,7 +73,7 @@ fn run_rounds(
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Reference: 6 rounds, never interrupted. ----
     let mut reference =
-        MultiStreamTrainer::new(config(), ContrastScoringPolicy::new(), serve_config());
+        MultiStreamTrainer::new(config(), ContrastScoringPolicy::new(), ServeConfig::default());
     let mut ref_sources = streams();
     let mut ref_losses = Vec::new();
     run_rounds(&mut reference, &mut ref_sources, ROUNDS_BEFORE + ROUNDS_AFTER, &mut ref_losses)?;
@@ -87,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut losses = Vec::new();
     let cursor_bytes: Vec<Vec<u8>> = {
         let mut node =
-            MultiStreamTrainer::new(config(), ContrastScoringPolicy::new(), serve_config());
+            MultiStreamTrainer::new(config(), ContrastScoringPolicy::new(), ServeConfig::default());
         let mut sources = streams();
         run_rounds(&mut node, &mut sources, ROUNDS_BEFORE, &mut losses)?;
 
@@ -111,7 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut node = MultiStreamTrainer::restore(
         config(),
         ContrastScoringPolicy::new(),
-        serve_config(),
+        ServeConfig::default(),
         &snapshot,
     )?;
     let mut sources = streams();

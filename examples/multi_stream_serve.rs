@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     });
     let elapsed = started.elapsed();
-    let stats = service.stats();
+    let stats = service.stats_snapshot();
     let total_requests = streams * REQUESTS_PER_STREAM;
     println!("scoring {streams} streams x {REQUESTS_PER_STREAM} requests x {SEGMENT} samples:");
     println!(
@@ -71,12 +71,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         elapsed,
     );
     println!(
-        "  {} batches (mean {:.1} samples/batch; {} round / {} size / {} deadline flushes)",
+        "  {} batches (mean {:.1} samples/batch; {} cut at max_batch)",
         stats.batches,
         stats.mean_batch_samples(),
-        stats.round_flushes,
         stats.size_flushes,
-        stats.deadline_flushes,
     );
     println!(
         "  request latency: p50 {:.1}us p90 {:.1}us p99 {:.1}us p999 {:.1}us (n={})",

@@ -83,12 +83,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Part 2: same seed ⇒ same shed fingerprint over the wire. ----
     let load = RemoteLoadConfig { seed: 42, streams, ..RemoteLoadConfig::default() };
     let run = |seed_tag: &str| {
-        let report = run_remote_open_loop(
-            &client,
-            &load,
-            |i| stream(1000 + i).next_segment(2).expect("synthesis"),
-            || {},
-        )
+        let report = run_remote_open_loop(&client, &load, |i| {
+            stream(1000 + i).next_segment(2).expect("synthesis")
+        })
         .expect("open-loop run");
         println!(
             "open-loop {seed_tag}: {} scored, {} shed, fingerprint {:#018x}",

@@ -41,13 +41,7 @@ fn payload(i: u64) -> Vec<Sample> {
 }
 
 fn one_run(config: &LoadgenConfig) -> Result<LoadReport, Box<dyn std::error::Error>> {
-    let service = ScoringService::start(
-        model(),
-        ServeConfig {
-            flush_deadline: std::time::Duration::from_millis(5),
-            ..ServeConfig::default()
-        },
-    );
+    let service = ScoringService::start(model(), ServeConfig::default());
     Ok(run_open_loop(&service, config, payload)?)
 }
 
@@ -144,12 +138,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         let service = ScoringService::start(
             model(),
-            ServeConfig {
-                queue_depth: 8,
-                max_pending: 64,
-                flush_deadline: std::time::Duration::from_millis(5),
-                ..ServeConfig::default()
-            },
+            ServeConfig { queue_depth: 8, max_pending: 64, ..ServeConfig::default() },
         );
         reports.push(run_open_loop_admission(&service, &config, payload)?);
     }

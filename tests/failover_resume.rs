@@ -45,13 +45,7 @@ fn config() -> TrainerConfig {
 }
 
 fn serve_config(threads: usize) -> ServeConfig {
-    ServeConfig {
-        threads: Some(threads),
-        // Long deadline: flushes must stay count-derived on loaded CI
-        // hosts for run-to-run reproducibility.
-        flush_deadline: std::time::Duration::from_secs(5),
-        ..ServeConfig::default()
-    }
+    ServeConfig { threads: Some(threads), ..ServeConfig::default() }
 }
 
 fn stream(seed: u64) -> TemporalStream {
