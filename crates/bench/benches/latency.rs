@@ -2,7 +2,7 @@
 //!
 //! Unlike the other bench binaries this one does not measure an
 //! operation's ns/iter with Criterion: it runs the seeded open-loop
-//! load harness ([`sdc_serve::run_open_loop`]) against a
+//! load driver ([`sdc_serve::run_open_loop`]) against a
 //! [`ScoringService`] for a Poisson and a bursty arrival schedule and
 //! reports the resulting enqueue → reply latency **percentiles** —
 //! p50/p90/p99/p999 in nanoseconds, emitted in the common
@@ -19,8 +19,8 @@ use sdc_core::model::ModelConfig;
 use sdc_core::ContrastiveModel;
 use sdc_data::Sample;
 use sdc_nn::models::EncoderConfig;
-use sdc_obs::{AdmissionConfig, ArrivalProcess, LatencySummary};
-use sdc_serve::{run_open_loop, LoadgenConfig, ScoringService, ServeConfig};
+use sdc_obs::{ArrivalProcess, LatencySummary};
+use sdc_serve::{run_open_loop, LoadConfig, ScoringService, ServeConfig};
 use sdc_tensor::Tensor;
 
 /// A deliberately small model so the measured number is dominated by
@@ -39,22 +39,14 @@ fn payload(i: u64) -> Vec<Sample> {
     (0..2).map(|j| Sample::new(Tensor::randn([3, 8, 8], 1.0, &mut rng), 0, i * 2 + j)).collect()
 }
 
-/// Runs one open-loop mode and returns the whole-run latency summary.
-fn measure(process: ArrivalProcess) -> LatencySummary {
-    let (rounds, requests_per_round) = if sdc_bench::smoke_mode() { (2, 12) } else { (3, 64) };
+/// Runs one open-loop mode and returns the whole-run latency summary
+/// and the number of requests the service shed.
+fn measure(process: ArrivalProcess) -> (LatencySummary, usize) {
+    let requests = if sdc_bench::smoke_mode() { 24 } else { 192 };
     let service = ScoringService::start(latency_model(), ServeConfig::default());
-    let config = LoadgenConfig {
-        seed: 42,
-        rounds,
-        requests_per_round,
-        streams: 4,
-        process,
-        // Generous backlog bound: this bench measures latency, so the
-        // schedule should reach the service rather than be shed.
-        admission: AdmissionConfig { cost_nanos: 100_000, max_backlog_nanos: 50_000_000 },
-    };
+    let config = LoadConfig { seed: 42, requests, streams: 4, process };
     let report = run_open_loop(&service, &config, payload).expect("open-loop run");
-    report.service.latency
+    (service.stats_snapshot().latency, requests - report.scored() as usize)
 }
 
 fn main() {
@@ -77,9 +69,9 @@ fn main() {
 
     let mut entries: Vec<(String, u64)> = Vec::new();
     for (name, process) in modes {
-        let summary = measure(process);
+        let (summary, shed) = measure(process);
         println!(
-            "{name}: n={} p50={}ns p90={}ns p99={}ns p999={}ns",
+            "{name}: n={} shed={shed} p50={}ns p90={}ns p99={}ns p999={}ns",
             summary.count, summary.p50, summary.p90, summary.p99, summary.p999
         );
         for (q, value) in [

@@ -46,11 +46,11 @@ fn measure_roundtrip(trace_on: bool, iters: u64) -> u64 {
     let service = ScoringService::start(trace_model(), ServeConfig::default());
     let client = service.client(0);
     for i in 0..5 {
-        client.submit(payload(i)).expect("warmup submit").wait().expect("warmup reply");
+        client.score(payload(i)).expect("warmup reply");
     }
     let start = Instant::now();
     for i in 0..iters {
-        client.submit(payload(100 + i)).expect("submit").wait().expect("reply");
+        client.score(payload(100 + i)).expect("reply");
     }
     start.elapsed().as_nanos() as u64 / iters
 }

@@ -3,7 +3,7 @@
 //! [`NodeClient`] speaks the pipelined wire protocol: every request
 //! carries a client-assigned `seq`, a background reader thread matches
 //! replies back to their [`RemoteTicket`]s, so many requests can be in
-//! flight on one connection (the open-loop harness depends on it).
+//! flight on one connection (the open-loop driver depends on it).
 //!
 //! [`SnapshotShipper`] implements the delta side of hot standby: it
 //! remembers the last container it shipped and sends each subsequent
@@ -30,24 +30,16 @@ use std::thread::JoinHandle;
 use sdc_data::{Sample, StreamId};
 use sdc_persist::Snapshot;
 use sdc_runtime::channel::{bounded, Receiver, Sender};
-use sdc_serve::{NodeSnapshot, ShedCause};
+use sdc_serve::{NodeSnapshot, ScoreTarget};
 
 use crate::error::NodeError;
 use crate::wire::{
     decode_reply, encode_request, read_frame, write_frame_ext, Reply, Request, Ship,
 };
+use crate::RemoteOutcome;
 
-/// The remote counterpart of
-/// [`ScoreOutcome`](sdc_serve::ScoreOutcome): scores, or the typed
-/// cause admission control shed the request with.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RemoteOutcome {
-    /// One score per submitted sample, bit-identical to in-process
-    /// scoring against the same published model.
-    Scored(Vec<f32>),
-    /// The request was shed (droppable submissions only).
-    Shed(ShedCause),
-}
+/// Reply senders by request `seq`; `None` once the reader has exited.
+type Waiters = Option<BTreeMap<u64, Sender<Reply>>>;
 
 /// An in-flight remote request. Dropping the ticket abandons the reply
 /// (the reader thread discards it on arrival) and closes the request's
@@ -104,7 +96,7 @@ pub struct NodeClient {
     socket: TcpStream,
     writer: Mutex<TcpStream>,
     next_seq: AtomicU64,
-    pending: Arc<Mutex<BTreeMap<u64, Sender<Reply>>>>,
+    pending: Arc<Mutex<Waiters>>,
     reader: Option<JoinHandle<()>>,
 }
 
@@ -128,8 +120,7 @@ impl NodeClient {
         let mut read_half = socket
             .try_clone()
             .map_err(|source| NodeError::Io { context: "clone socket", source })?;
-        let pending: Arc<Mutex<BTreeMap<u64, Sender<Reply>>>> =
-            Arc::new(Mutex::new(BTreeMap::new()));
+        let pending: Arc<Mutex<Waiters>> = Arc::new(Mutex::new(Some(BTreeMap::new())));
         let reader = {
             let pending = Arc::clone(&pending);
             std::thread::spawn(move || {
@@ -138,14 +129,19 @@ impl NodeClient {
                 // below either way.
                 while let Ok(Some(payload)) = read_frame(&mut read_half) {
                     let Ok(reply) = decode_reply(&payload) else { break };
-                    let waiter = pending.lock().expect("pending lock").remove(&reply.seq());
+                    let waiter = pending
+                        .lock()
+                        .expect("pending lock")
+                        .as_mut()
+                        .and_then(|w| w.remove(&reply.seq()));
                     if let Some(tx) = waiter {
                         let _ = tx.send(reply);
                     }
                 }
                 // Dropping the senders wakes every remaining waiter
-                // with a disconnect instead of a hang.
-                pending.lock().expect("pending lock").clear();
+                // with a disconnect instead of a hang; later submits
+                // see `None` and fail instead of waiting forever.
+                *pending.lock().expect("pending lock") = None;
             })
         };
         Ok(Self {
@@ -175,14 +171,19 @@ impl NodeClient {
         // frame-level errors that precede any request parse.
         let seq = self.next_seq.fetch_add(1, Ordering::SeqCst) + 1;
         let (tx, rx) = bounded(1);
-        self.pending.lock().expect("pending lock").insert(seq, tx);
+        match self.pending.lock().expect("pending lock").as_mut() {
+            Some(waiters) => waiters.insert(seq, tx),
+            None => return Err(NodeError::Disconnected),
+        };
         let payload = encode_request(&build(seq));
         let result = {
             let mut w = self.writer.lock().expect("writer lock");
             write_frame_ext(&mut *w, &payload, span.context())
         };
         if let Err(e) = result {
-            self.pending.lock().expect("pending lock").remove(&seq);
+            if let Some(waiters) = self.pending.lock().expect("pending lock").as_mut() {
+                waiters.remove(&seq);
+            }
             return Err(e);
         }
         Ok(RemoteTicket { rx, _span: Some(span) })
@@ -270,6 +271,23 @@ impl Drop for NodeClient {
         if let Some(reader) = self.reader.take() {
             let _ = reader.join();
         }
+    }
+}
+
+impl ScoreTarget for NodeClient {
+    type Ticket = RemoteTicket;
+    type Error = NodeError;
+
+    fn submit_droppable(
+        &self,
+        stream: StreamId,
+        samples: Vec<Sample>,
+    ) -> Result<RemoteTicket, NodeError> {
+        self.try_submit(stream, samples)
+    }
+
+    fn outcome(ticket: RemoteTicket) -> Result<RemoteOutcome, NodeError> {
+        ticket.wait_outcome()
     }
 }
 

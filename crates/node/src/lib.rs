@@ -51,13 +51,16 @@
 
 mod client;
 mod error;
-pub mod loadgen;
 mod server;
 pub mod wire;
 
-pub use client::{NodeClient, RemoteOutcome, RemoteTicket, ShipReport, SnapshotShipper};
+pub use client::{NodeClient, RemoteTicket, ShipReport, SnapshotShipper};
 pub use error::NodeError;
-pub use loadgen::{run_remote_open_loop, RemoteDecision, RemoteLoadConfig, RemoteLoadReport};
+/// A remote request's outcome: the serve layer's [`ScoreOutcome`]
+/// under the name `perfbench` imports.
+///
+/// [`ScoreOutcome`]: sdc_serve::ScoreOutcome
+pub use sdc_serve::ScoreOutcome as RemoteOutcome;
 pub use server::{NodeServer, StandbyState};
 
 #[cfg(test)]

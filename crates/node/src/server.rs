@@ -9,8 +9,9 @@
 //!
 //! One accept thread; per connection, a **handler** thread and a
 //! **reply pump** thread. The handler reads frames and never blocks on
-//! scoring — it either resolves a request immediately (sheds, ships,
-//! errors) or enqueues the service's [`ScoreTicket`] onto the pump's
+//! scoring — it either resolves a request immediately (ships, stats
+//! scrapes, errors) or enqueues the service's [`ScoreTicket`] (a
+//! queue-full shed's ticket already holds its reply) onto the pump's
 //! bounded channel. The pump awaits tickets strictly in arrival order
 //! and writes reply frames, so replies for a connection go out in FIFO
 //! request order even though the protocol is pipelined (the `seq` echo
@@ -51,11 +52,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sdc_data::StreamId;
 use sdc_obs::TraceContext;
 use sdc_persist::{apply_delta, Snapshot};
 use sdc_runtime::channel::{bounded, Sender};
-use sdc_serve::{NodeSnapshot, ReplicaSet, ScoreOutcome, ScoringClient, SubmitOutcome};
+use sdc_serve::{NodeSnapshot, ReplicaSet, ScoreOutcome, SubmitOpts};
 
 use crate::error::NodeError;
 use crate::wire::{
@@ -115,9 +115,10 @@ impl Shared {
 /// What the reply pump processes, strictly in arrival order.
 #[derive(Debug)]
 enum Pending {
-    /// A scoring request in flight at the service; the pump awaits it.
+    /// A scoring request at the service (possibly already shed); the
+    /// pump awaits it.
     Ticket { seq: u64, ticket: sdc_serve::ScoreTicket },
-    /// An already-resolved reply (sheds, ships, typed errors).
+    /// An already-resolved reply (ships, stats, typed errors).
     Ready(Reply),
 }
 
@@ -262,7 +263,6 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         }
     });
 
-    let mut clients: BTreeMap<StreamId, ScoringClient> = BTreeMap::new();
     let outcome: Result<(), NodeError> = loop {
         match read_frame_ext(&mut reader) {
             Ok(None) => break Ok(()),
@@ -270,7 +270,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
                 sdc_obs::counter!("node.frame.rx").inc();
                 match decode_request(&payload) {
                     Ok(request) => {
-                        if handle_request(shared, &mut clients, &tx, request, trace).is_err() {
+                        if handle_request(shared, &tx, request, trace).is_err() {
                             break Ok(()); // pump gone; nothing left to answer through
                         }
                     }
@@ -320,7 +320,6 @@ fn linger(reader: &mut TcpStream) {
 /// connection is being torn down.
 fn handle_request(
     shared: &Shared,
-    clients: &mut BTreeMap<StreamId, ScoringClient>,
     tx: &Sender<Pending>,
     request: Request,
     trace: Option<TraceContext>,
@@ -337,20 +336,10 @@ fn handle_request(
                 Some(ctx) => sdc_obs::Span::child("node.server.request", ctx),
                 None => sdc_obs::Span::root("node.server.request"),
             };
-            let client = clients.entry(stream).or_insert_with(|| shared.replicas.client(stream));
-            if droppable {
-                match client.try_submit_traced(samples, span.context()) {
-                    Ok(SubmitOutcome::Enqueued(ticket)) => send(Pending::Ticket { seq, ticket }),
-                    Ok(SubmitOutcome::Shed(cause)) => {
-                        send(Pending::Ready(Reply::Shed { seq, cause }))
-                    }
-                    Err(e) => send(Pending::Ready(Reply::Error { seq, message: e.to_string() })),
-                }
-            } else {
-                match client.submit_traced(samples, span.context()) {
-                    Ok(ticket) => send(Pending::Ticket { seq, ticket }),
-                    Err(e) => send(Pending::Ready(Reply::Error { seq, message: e.to_string() })),
-                }
+            let client = shared.replicas.replica_of(stream).client(stream);
+            match client.submit(samples, SubmitOpts { droppable, trace: span.context() }) {
+                Ok(ticket) => send(Pending::Ticket { seq, ticket }),
+                Err(e) => send(Pending::Ready(Reply::Error { seq, message: e.to_string() })),
             }
         }
         Request::Ship { seq, ship } => {

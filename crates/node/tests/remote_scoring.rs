@@ -16,7 +16,7 @@ use sdc_core::ContrastiveModel;
 use sdc_data::Sample;
 use sdc_nn::models::EncoderConfig;
 use sdc_node::{NodeClient, NodeServer, RemoteOutcome};
-use sdc_serve::{ReplicaSet, ServeConfig};
+use sdc_serve::{ReplicaSet, ServeConfig, SubmitOpts};
 use sdc_tensor::Tensor;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
@@ -68,7 +68,9 @@ fn in_process_and_remote(threads: usize, pools: &[Vec<Sample>]) -> (Vec<Vec<u32>
         let tickets: Vec<_> = clients
             .iter()
             .zip(pools)
-            .map(|(client, pool)| client.submit(pool.clone()).expect("in-process submit"))
+            .map(|(client, pool)| {
+                client.submit(pool.clone(), SubmitOpts::default()).expect("in-process submit")
+            })
             .collect();
         tickets.into_iter().map(|t| score_bits(&t.wait().expect("in-process scores"))).collect()
     };

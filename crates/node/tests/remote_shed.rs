@@ -1,13 +1,14 @@
 //! Service-side admission control, observed across the wire.
 //!
-//! The open-loop harness ([`run_remote_open_loop`]) drives droppable
-//! requests through a real TCP connection; the sheds it records are
-//! decided by the server's batcher (the pending-samples backlog
-//! bound), not precomputed client-side. With `max_pending: 0` the
-//! bound decides alone — every droppable request is shed however fast
-//! the batcher drains — so the outcome sequence is exact and the
-//! fingerprint reproduces run over run: same seed ⇒ same shed
-//! fingerprint, across the wire.
+//! The open-loop driver ([`run_open_loop`]) submits droppable requests
+//! through a real TCP connection; the sheds it records are decided by
+//! the server's batcher (the pending-samples backlog bound), not
+//! precomputed client-side. With `max_pending: 0` the bound decides
+//! alone — every droppable request is shed however fast the batcher
+//! drains — so the outcome sequence is exact and the fingerprint
+//! reproduces run over run: same seed ⇒ same fingerprint, across the
+//! wire. The same driver against an in-process service gives the same
+//! outcomes.
 
 use std::sync::Arc;
 
@@ -16,12 +17,9 @@ use sdc_core::score::contrast_scores_shared;
 use sdc_core::ContrastiveModel;
 use sdc_data::Sample;
 use sdc_nn::models::EncoderConfig;
-use sdc_node::{
-    run_remote_open_loop, NodeClient, NodeServer, RemoteDecision, RemoteLoadConfig,
-    RemoteLoadReport, RemoteOutcome,
-};
+use sdc_node::{NodeClient, NodeServer, RemoteOutcome};
 use sdc_obs::ArrivalProcess;
-use sdc_serve::{ReplicaSet, ServeConfig, ShedCause};
+use sdc_serve::{run_open_loop, LoadConfig, LoadReport, ReplicaSet, ServeConfig, ShedCause};
 use sdc_tensor::Tensor;
 
 const REQUESTS: usize = 16;
@@ -41,8 +39,8 @@ fn one_sample(seed: u64) -> Vec<Sample> {
     vec![Sample::new(Tensor::randn([3, 8, 8], 1.0, &mut rng), 0, seed)]
 }
 
-fn load_config(seed: u64) -> RemoteLoadConfig {
-    RemoteLoadConfig {
+fn load_config(seed: u64) -> LoadConfig {
+    LoadConfig {
         seed,
         requests: REQUESTS,
         streams: STREAMS,
@@ -50,32 +48,33 @@ fn load_config(seed: u64) -> RemoteLoadConfig {
     }
 }
 
-/// A one-replica node admitting at most `max_pending` droppable
-/// samples, and a client connected to it.
-fn start_node(max_pending: usize) -> (NodeServer, NodeClient) {
-    let set = Arc::new(ReplicaSet::start(
+/// A one-replica set admitting at most `max_pending` droppable samples.
+fn replica_set(max_pending: usize) -> Arc<ReplicaSet> {
+    Arc::new(ReplicaSet::start(
         tiny_model(),
         ServeConfig { replicas: 1, max_pending, ..ServeConfig::default() },
-    ));
-    let server = NodeServer::start(set).expect("start server");
+    ))
+}
+
+/// A node over such a set, and a client connected to it.
+fn start_node(max_pending: usize) -> (NodeServer, NodeClient) {
+    let server = NodeServer::start(replica_set(max_pending)).expect("start server");
     let client = NodeClient::connect(server.addr()).expect("connect");
     (server, client)
 }
 
 /// One open-loop run against a node that admits no droppable work,
 /// plus the node's stats scrape taken after every reply came back.
-fn shedding_run(seed: u64) -> (RemoteLoadReport, String) {
+fn shedding_run(seed: u64) -> (LoadReport, String) {
     let (_server, client) = start_node(0);
-    let report =
-        run_remote_open_loop(&client, &load_config(seed), one_sample).expect("open-loop run");
+    let report = run_open_loop(&client, &load_config(seed), one_sample).expect("open-loop run");
     (report, client.stats().expect("stats scrape"))
 }
 
 #[test]
 fn backlog_sheds_follow_the_exact_admission_pattern() {
     let (report, scrape) = shedding_run(5);
-    assert_eq!(report.outcomes, vec![RemoteDecision::Shed(ShedCause::Backlog); REQUESTS]);
-    assert_eq!(report.shed_queue_full(), 0, "nothing here may fill the request queue");
+    assert_eq!(report.outcomes, vec![RemoteOutcome::Shed(ShedCause::Backlog); REQUESTS]);
     // A remote operator sees the replica's sheds in the scrape.
     assert!(scrape.contains(&format!("\"shed_backlog\": {REQUESTS},")), "{scrape}");
     assert!(scrape.contains("\"batches\": 0,"), "{scrape}");
@@ -109,30 +108,49 @@ fn guaranteed_requests_interleaved_with_sheds_are_scored() {
 }
 
 #[test]
-fn same_seed_gives_the_same_shed_fingerprint_across_the_wire() {
+fn same_seed_gives_the_same_fingerprint_across_the_wire() {
     let first = shedding_run(42).0;
     let second = shedding_run(42).0;
     assert_eq!(
-        first.shed_fingerprint(),
-        second.shed_fingerprint(),
-        "same seed produced different shed fingerprints: {:?} vs {:?}",
+        first.fingerprint(),
+        second.fingerprint(),
+        "same seed produced different fingerprints: {:?} vs {:?}",
         first.outcomes,
         second.outcomes
     );
     // And the fingerprint is a faithful fold of the outcomes, not a
-    // constant: flipping one decision changes it.
+    // constant: flipping one outcome changes it.
     let mut tampered = first.clone();
-    tampered.outcomes[0] = RemoteDecision::Scored;
-    assert_ne!(first.shed_fingerprint(), tampered.shed_fingerprint());
+    tampered.outcomes[0] = RemoteOutcome::Scored(Vec::new());
+    assert_ne!(first.fingerprint(), tampered.fingerprint());
 }
 
+/// Outcomes with scores as bit patterns, so equality is bitwise.
+fn outcome_bits(report: &LoadReport) -> Vec<Result<Vec<u32>, ShedCause>> {
+    report
+        .outcomes
+        .iter()
+        .map(|o| match o {
+            RemoteOutcome::Scored(scores) => Ok(scores.iter().map(|v| v.to_bits()).collect()),
+            RemoteOutcome::Shed(cause) => Err(*cause),
+        })
+        .collect()
+}
+
+/// With ample capacity the driver scores everything, bit-equal in
+/// process and across the wire — the sheds above really are the
+/// service's doing, not an artifact of the driver or the wire. With
+/// `max_pending: 0` both sides shed everything.
 #[test]
-fn uncontended_open_loop_sheds_nothing() {
-    // With ample capacity the same harness scores everything — the
-    // sheds above really are the service's doing, not an artifact of
-    // the harness or the wire.
-    let (_server, client) = start_node(ServeConfig::default().max_pending);
-    let report = run_remote_open_loop(&client, &load_config(7), one_sample).expect("open-loop run");
-    assert_eq!(report.scored(), REQUESTS as u64, "{:?}", report.outcomes);
-    assert_eq!(report.shed_backlog() + report.shed_queue_full(), 0);
+fn one_driver_gives_equal_outcomes_in_process_and_across_the_wire() {
+    for max_pending in [ServeConfig::default().max_pending, 0] {
+        let in_process = replica_set(max_pending);
+        let local = run_open_loop(in_process.replica(0), &load_config(11), one_sample)
+            .expect("in-process run");
+        let (_server, client) = start_node(max_pending);
+        let remote = run_open_loop(&client, &load_config(11), one_sample).expect("remote run");
+        assert_eq!(outcome_bits(&local), outcome_bits(&remote), "max_pending {max_pending}");
+        let expected = if max_pending == 0 { 0 } else { REQUESTS as u64 };
+        assert_eq!(local.scored(), expected, "max_pending {max_pending}: {:?}", local.outcomes);
+    }
 }

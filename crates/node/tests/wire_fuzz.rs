@@ -7,10 +7,12 @@
 //! healthy client opened *before* the attack keeps scoring
 //! bit-identically afterwards. The hostile-length attack additionally
 //! relies on the reader's before-allocation bound: a 4 GiB declared
-//! length must be refused from the 12-byte header alone.
+//! length must be refused from the 12-byte header alone. One test turns
+//! the roles around: a raw peer that closes its sending side must make
+//! a [`NodeClient`]'s later requests fail, not wait forever.
 
 use std::io::Write;
-use std::net::{Shutdown, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -23,7 +25,7 @@ use sdc_node::wire::{
     decode_reply, encode_request, read_frame, write_frame, write_frame_ext, Reply, Request,
     FLAG_TRACE, FRAME_MAGIC, MAX_FRAME,
 };
-use sdc_node::{NodeClient, NodeServer};
+use sdc_node::{NodeClient, NodeError, NodeServer};
 use sdc_obs::{SpanId, TraceContext, TraceId};
 use sdc_serve::{ReplicaSet, ServeConfig};
 use sdc_tensor::Tensor;
@@ -392,4 +394,31 @@ fn attacks_do_not_disturb_a_concurrent_healthy_stream_of_requests() {
         }
         fixture.assert_still_serving(200 + round as u64);
     }
+}
+
+/// A peer that closes its sending side but keeps reading (as a server
+/// lingering after a framing violation does): the client's reader sees
+/// the end of stream, so a later request must resolve as `Disconnected`
+/// instead of waiting for a reply nothing will send.
+#[test]
+fn requests_after_the_peer_closed_its_side_fail_instead_of_waiting() {
+    let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind peer");
+    let addr = listener.local_addr().expect("peer addr");
+    let peer = std::thread::spawn(move || {
+        let (mut socket, _) = listener.accept().expect("accept");
+        socket.shutdown(Shutdown::Write).expect("close the peer's sending side");
+        let _ = std::io::copy(&mut socket, &mut std::io::sink());
+    });
+    let client = NodeClient::connect(addr).expect("connect");
+    // Give the client's reader time to see the end of stream; the
+    // request must fail whether it is submitted before or after that.
+    std::thread::sleep(Duration::from_millis(200));
+    let (tx, rx) = std::sync::mpsc::channel();
+    let submitter = std::thread::spawn(move || {
+        let _ = tx.send(client.submit(0, samples(1, 1)).and_then(|t| t.wait_outcome()));
+    });
+    let outcome = rx.recv_timeout(Duration::from_secs(2)).expect("request unresolved after 2 s");
+    assert!(matches!(outcome, Err(NodeError::Disconnected)), "{outcome:?}");
+    submitter.join().expect("submitting thread");
+    peer.join().expect("peer thread");
 }

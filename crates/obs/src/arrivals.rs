@@ -4,9 +4,7 @@
 //! times regardless of how fast the system answers — the discipline
 //! under which tail latency is honest (a closed-loop driver slows down
 //! with the system and hides queueing delay). The schedule is a pure
-//! function of `(process, seed)`, so a run is exactly reproducible:
-//! same seed ⇒ same arrival instants ⇒ (through the deterministic
-//! [`crate::AdmissionController`]) same shed decisions.
+//! function of `(process, seed)`: same seed ⇒ same arrival instants.
 
 /// `splitmix64` — a tiny, high-quality, dependency-free PRNG. Used so
 /// `sdc-obs` stays free of the workspace's `rand` shim and schedules

@@ -6,9 +6,8 @@
 //! [`scope!`]), a `MetricsSnapshot → JSON` exporter,
 //! a request-scoped span tracer with a Chrome-trace exporter
 //! ([`Span`], [`TraceCollector`], [`chrome_trace_json`] — gated by
-//! `SDC_TRACE` / [`set_trace_enabled`]), and the deterministic
-//! primitives behind the open-loop load harness ([`ArrivalProcess`],
-//! [`AdmissionController`]).
+//! `SDC_TRACE` / [`set_trace_enabled`]), and the seeded arrival
+//! schedules behind the open-loop load driver ([`ArrivalProcess`]).
 //!
 //! ## Strictly observe-only
 //!
@@ -45,16 +44,19 @@
 //! Metric names are dot-separated, prefixed by the emitting subsystem.
 //! Families currently emitted across the workspace:
 //!
-//! * `serve.*` — the batched scoring service (request/batch/shed
-//!   counters, enqueue→reply latency).
 //! * `node.*` — the networked serving node (`sdc-node`):
 //!   `node.accept`, `node.frame.rx` / `node.frame.tx` /
-//!   `node.frame.rejected` for the TCP front-end, and
-//!   `node.ship.full` / `node.ship.delta` /
+//!   `node.frame.rejected` for the TCP front-end,
+//!   `node.replica.clients` for scoring clients created through a
+//!   `ReplicaSet`, and `node.ship.full` / `node.ship.delta` /
 //!   `node.ship.sections_reused` for hot-standby snapshot shipping.
 //! * `node.stats.*` — the network metrics scrape endpoint:
 //!   `node.stats.requests` counts `Stats` requests answered over the
 //!   wire, `node.stats.bytes` the JSON bytes served.
+//! * `persist.*` — checkpointing: scope timers `persist.capture` and
+//!   `persist.restore` around a node snapshot's state capture and
+//!   restore, `persist.write` around a snapshot file's atomic write
+//!   and `persist.parse` around parsing and verifying a container.
 //! * `obs.trace.*` — the span collector itself ([`trace_collector`]):
 //!   `obs.trace.spans` counts spans pushed into the ring,
 //!   `obs.trace.overwritten` spans lost to ring wrap-around. (The
@@ -76,17 +78,19 @@
 //!   concurrently on pool threads, so its sum can exceed wall time), and
 //!   `tensor.backward.{sweep,level}` around the level-scheduled backward
 //!   sweep.
+//!
+//! The scoring service keeps its request, batch and shed counters and
+//! its latency histograms per instance, in `sdc_serve::ServeStats`,
+//! not in this registry.
 
 #![deny(missing_docs)]
 
-mod admission;
 mod arrivals;
 mod hist;
 mod registry;
 mod scope;
 mod trace;
 
-pub use admission::{AdmissionConfig, AdmissionController, AdmissionDecision};
 pub use arrivals::{ArrivalProcess, SplitMix64};
 pub use hist::{HistogramSnapshot, LatencyHistogram, LatencySummary};
 pub use registry::{global, Counter, MetricsSnapshot, Registry};

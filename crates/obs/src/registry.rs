@@ -113,8 +113,8 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// Serializes the snapshot as a deterministic (name-sorted) JSON
-    /// object — the export format behind `BENCH_latency.json` and the
-    /// load-harness reports. No external serializer is involved.
+    /// object — the `"metrics"` half of a serving node's `Stats`
+    /// scrape. No external serializer is involved.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"counters\": {");
         push_entries(&mut out, self.counters.iter(), |out, v| {

@@ -16,7 +16,7 @@
 //!   deterministic data-parallel kernels, prefetch channels).
 //! * [`serve`] — the batched scoring service layer (request
 //!   coalescing, scoring replicas, per-stream buffer shards, the
-//!   multi-stream trainer).
+//!   multi-stream trainer, the open-loop load driver).
 //! * [`node`] — the networked serving node: the CRC-framed TCP
 //!   front-end over the replica set, remote clients, and hot-standby
 //!   snapshot shipping.
@@ -24,9 +24,9 @@
 //!   snapshot container and the `Persist` state-capture trait.
 //! * [`obs`] — the observability layer: the process-global metrics
 //!   registry (counters and log-bucketed latency histograms with
-//!   p50/p90/p99/p999), scope timers, seeded arrival processes, and
-//!   the virtual-backlog admission controller. Strictly observe-only;
-//!   disable recording with `SDC_OBS=0`.
+//!   p50/p90/p99/p999), scope timers, span tracing, and the seeded
+//!   arrival processes the load driver schedules from. Strictly
+//!   observe-only; disable recording with `SDC_OBS=0`.
 //!
 //! ```
 //! use sdc::core::{ContrastScoringPolicy, StreamTrainer, TrainerConfig};

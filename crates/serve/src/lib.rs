@@ -16,8 +16,8 @@
 //!   [`ServeConfig::max_batch`] samples, through one shared model via
 //!   [`contrast_scores_shared`](sdc_core::contrast_scores_shared), and
 //!   routes score slices back to per-request reply channels.
-//! * [`ReplicaSet`] — N scoring replicas (independent batcher threads,
-//!   each holding its own model snapshot) behind the pure
+//! * [`ReplicaSet`] — N scoring replicas (independent batcher threads
+//!   sharing one published model snapshot) behind the pure
 //!   [`replica_for`] shard rule, so scoring throughput scales past one
 //!   core's forward pass ([`ServeConfig::replicas`]).
 //! * [`ShardedBuffer`] — per-stream replay-buffer + policy shards, so
@@ -26,10 +26,11 @@
 //!   model against many streams: concurrent shard replacement through
 //!   the service, serial per-shard updates, then a model snapshot
 //!   published back to the service.
-//! * [`loadgen`] — a seeded **open-loop load harness**: deterministic
-//!   Poisson or bursty arrival schedules drive droppable requests at
-//!   the service through its admission control, reporting per-round
-//!   latency percentiles and shed counts ([`run_open_loop`]).
+//! * [`loadgen`] — the seeded **open-loop load driver**
+//!   ([`run_open_loop`]): Poisson, bursty or self-similar arrival
+//!   schedules drive droppable requests at any [`ScoreTarget`] (a
+//!   service in process, or a remote node), and the target's own
+//!   admission control decides every shed.
 //!
 //! ## Observability & admission control
 //!
@@ -38,7 +39,7 @@
 //! ([`ServeStats::latency`]), and
 //! [`ScoringService::stats_snapshot`] reads it all live without
 //! quiescing the batcher. Overload is bounded, never buffered:
-//! droppable requests ([`ScoringClient::try_submit`]) are shed with a
+//! droppable requests ([`SubmitOpts::droppable`]) are shed with a
 //! typed [`ShedCause`] when the request queue is full or the batcher's
 //! pending-samples bound ([`ServeConfig::max_pending`]) is reached.
 //!
@@ -64,14 +65,11 @@ mod shard;
 mod snapshot;
 
 pub use driver::{MultiStreamTrainer, RoundReport};
-pub use loadgen::{
-    run_open_loop, run_open_loop_admission, shed_rate_table, AdmissionLoadReport, AdmissionRound,
-    LoadReport, LoadgenConfig, RoundLatency,
-};
+pub use loadgen::{run_open_loop, shed_rate_table, LoadConfig, LoadReport, ScoreTarget};
 pub use replica::{replica_for, ReplicaSet};
 pub use service::{
     ScoreOutcome, ScoreTicket, ScoringClient, ScoringService, ServeConfig, ServeStats, ShedCause,
-    StreamLatency, SubmitOutcome,
+    StreamLatency, SubmitOpts,
 };
 pub use shard::{ShardedBuffer, StreamShard};
 pub use snapshot::NodeSnapshot;

@@ -1,258 +1,132 @@
-//! Open-loop load harness for a [`ScoringService`].
+//! The open-loop load driver.
 //!
 //! A **closed-loop** driver (submit, wait, submit …) self-throttles:
 //! when the service slows down, the driver slows down with it, and the
 //! measured latency flatters the system (coordinated omission). This
-//! harness is **open-loop**: arrival times are drawn up front from a
+//! driver is **open-loop**: arrival times are drawn up front from a
 //! seeded [`ArrivalProcess`] and requests are issued *on schedule*
 //! whether or not earlier ones have been answered, so queueing delay
-//! under overload shows up in the percentiles instead of vanishing
-//! into the generator.
+//! under overload shows up in the latencies instead of vanishing into
+//! the generator.
+//!
+//! Every request is **droppable**, so the target's own admission
+//! control decides every shed: a full request queue
+//! ([`ShedCause::QueueFull`]) or the batcher's pending-samples bound
+//! ([`ShedCause::Backlog`]). The same driver runs in process against a
+//! [`ScoringService`] and across the wire against a `NodeClient`
+//! (sdc-node implements [`ScoreTarget`] for it).
 //!
 //! ## Determinism
 //!
-//! Everything random is derived from [`LoadgenConfig::seed`]:
-//!
-//! * the arrival **schedule** is `process.schedule(seed, n)` — a pure
-//!   function of (process, seed, n);
-//! * the shed **decisions** are computed up front by the virtual-time
-//!   [`AdmissionController`] over that schedule
-//!   ([`AdmissionController::decide_all`]) — a pure function of
-//!   (schedule, admission config), deliberately *not* of wall-clock
-//!   execution.
-//!
-//! Same seed ⇒ same arrival schedule *and* same shed decisions, every
-//! run, every machine ([`LoadReport::decision_fingerprint`] makes the
-//! comparison one integer). Admitted requests are submitted as
-//! **guaranteed** requests ([`ScoringClient::submit`]) so the service
-//! cannot add wall-clock-dependent sheds of its own; only the reported
-//! *latencies* are wall-clock (that is the quantity under
-//! measurement).
-//!
-//! The second mode, [`run_open_loop_admission`], flips the decider:
-//! every arrival is a droppable [`ScoringClient::try_submit`] and the
-//! **service's own admission control** (queue depth + backlog bound)
-//! does the shedding — the mode that charts real shed rate against
-//! offered load ([`shed_rate_table`]). Its shed counts react to
-//! genuine wall-clock queue pressure, so they are intentionally not
-//! seed-reproducible; the schedule still is.
-//!
-//! [`ScoringClient::submit`]: crate::ScoringClient::submit
-//! [`ScoringClient::try_submit`]: crate::ScoringClient::try_submit
+//! The arrival **schedule** is `process.schedule(seed, requests)`, a
+//! pure function of the seed. Sheds follow wall-clock queue pressure,
+//! except where the admission bound decides alone: with
+//! `max_pending: 0` every request is shed, and with ample capacity none
+//! is. There the outcome sequence, and so [`LoadReport::fingerprint`],
+//! reproduces run to run. Scores are bit-identical to direct scoring
+//! however the requests were batched.
 
 use std::time::{Duration, Instant};
 
-use sdc_data::Sample;
-use sdc_obs::{
-    AdmissionConfig, AdmissionController, AdmissionDecision, ArrivalProcess, LatencySummary,
-};
-use sdc_tensor::Result;
+use sdc_data::{Sample, StreamId};
+use sdc_obs::ArrivalProcess;
+use sdc_tensor::{Result, TensorError};
 
-use crate::service::{
-    ScoreOutcome, ScoreTicket, ScoringService, ServeStats, ShedCause, SubmitOutcome,
-};
+use crate::service::{ScoreOutcome, ScoreTicket, ScoringService, ShedCause, SubmitOpts};
 
-/// Tuning knobs of one open-loop run.
-#[derive(Debug, Clone)]
-pub struct LoadgenConfig {
-    /// Seed for the arrival schedule (and therefore, via the virtual
-    /// admission controller, the shed decisions).
-    pub seed: u64,
-    /// Number of reporting rounds.
-    pub rounds: usize,
-    /// Arrivals per round.
-    pub requests_per_round: usize,
-    /// Number of round-robin client streams issuing the requests
-    /// (stream ids `0..streams`).
-    pub streams: usize,
-    /// The inter-arrival process (Poisson or bursty).
-    pub process: ArrivalProcess,
-    /// Virtual-backlog admission bound applied to the schedule.
-    pub admission: AdmissionConfig,
+/// Something [`run_open_loop`] can submit droppable scoring requests to.
+pub trait ScoreTarget {
+    /// An in-flight request.
+    type Ticket;
+    /// What submitting or awaiting a request can fail with.
+    type Error;
+
+    /// Submits `samples` for `stream` as a droppable request without
+    /// waiting for the reply.
+    ///
+    /// # Errors
+    ///
+    /// Reports the target being unreachable.
+    fn submit_droppable(
+        &self,
+        stream: StreamId,
+        samples: Vec<Sample>,
+    ) -> std::result::Result<Self::Ticket, Self::Error>;
+
+    /// Blocks until the request is answered: its scores, or the cause
+    /// it was shed with.
+    ///
+    /// # Errors
+    ///
+    /// Reports scoring failures and the target terminating first.
+    fn outcome(ticket: Self::Ticket) -> std::result::Result<ScoreOutcome, Self::Error>;
 }
 
-impl Default for LoadgenConfig {
-    fn default() -> Self {
-        Self {
-            seed: 0,
-            rounds: 4,
-            requests_per_round: 32,
-            streams: 4,
-            process: ArrivalProcess::Poisson { mean_gap_nanos: 200_000 },
-            admission: AdmissionConfig { cost_nanos: 150_000, max_backlog_nanos: 2_000_000 },
-        }
+impl ScoreTarget for ScoringService {
+    type Ticket = ScoreTicket;
+    type Error = TensorError;
+
+    fn submit_droppable(&self, stream: StreamId, samples: Vec<Sample>) -> Result<ScoreTicket> {
+        self.client(stream).submit(samples, SubmitOpts { droppable: true, trace: None })
+    }
+
+    fn outcome(ticket: ScoreTicket) -> Result<ScoreOutcome> {
+        ticket.wait_outcome()
     }
 }
 
-/// Per-round outcome of an open-loop run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoundLatency {
-    /// Arrivals scheduled in this round.
-    pub issued: u64,
-    /// Arrivals admitted (and scored).
-    pub admitted: u64,
-    /// Arrivals shed by the admission controller.
-    pub shed: u64,
-    /// Enqueue → reply latency percentiles over exactly this round's
-    /// admitted requests (a [`sdc_obs::HistogramSnapshot::delta`] of
-    /// the service histogram bracketing the round). All zeros while
-    /// `sdc-obs` recording is disabled.
-    pub latency: LatencySummary,
+/// One open-loop run: how many requests, from how many streams, on
+/// which seeded schedule.
+#[derive(Debug, Clone)]
+pub struct LoadConfig {
+    /// Seed of the arrival schedule.
+    pub seed: u64,
+    /// Requests to submit.
+    pub requests: usize,
+    /// Request `i` comes from stream `i % streams`.
+    pub streams: usize,
+    /// The inter-arrival process (Poisson, bursty or self-similar).
+    pub process: ArrivalProcess,
+}
+
+impl Default for LoadConfig {
+    fn default() -> Self {
+        Self {
+            seed: 0,
+            requests: 32,
+            streams: 4,
+            process: ArrivalProcess::Poisson { mean_gap_nanos: 100_000 },
+        }
+    }
 }
 
 /// Everything one open-loop run produced.
 #[derive(Debug, Clone)]
 pub struct LoadReport {
-    /// Absolute arrival offsets (nanoseconds from run start), one per
-    /// scheduled request.
+    /// Arrival offsets (nanoseconds from run start), one per request.
     pub schedule: Vec<u64>,
-    /// The admission decision for each scheduled arrival, index-aligned
-    /// with `schedule`.
-    pub decisions: Vec<AdmissionDecision>,
-    /// Per-round latency and shed accounting.
-    pub rounds: Vec<RoundLatency>,
-    /// The service's own counters at the end of the run.
-    pub service: ServeStats,
+    /// Each request's outcome, index-aligned with `schedule`. Scored
+    /// outcomes keep their scores.
+    pub outcomes: Vec<ScoreOutcome>,
 }
 
 impl LoadReport {
-    /// Total admitted arrivals across all rounds.
-    pub fn total_admitted(&self) -> u64 {
-        self.rounds.iter().map(|r| r.admitted).sum()
+    /// Requests that came back scored.
+    pub fn scored(&self) -> u64 {
+        self.outcomes.iter().filter(|o| matches!(o, ScoreOutcome::Scored(_))).count() as u64
     }
 
-    /// Total shed arrivals across all rounds.
-    pub fn total_shed(&self) -> u64 {
-        self.rounds.iter().map(|r| r.shed).sum()
+    /// Requests shed with `cause`.
+    pub fn shed(&self, cause: ShedCause) -> u64 {
+        self.outcomes.iter().filter(|&o| *o == ScoreOutcome::Shed(cause)).count() as u64
     }
 
-    /// An FNV-1a fold of the decision sequence. Two runs with the same
-    /// seed and config must report the same fingerprint — the one-line
-    /// reproducibility check the example and CI smoke assert on.
-    pub fn decision_fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for decision in &self.decisions {
-            let byte = match decision {
-                AdmissionDecision::Admit => 1u64,
-                AdmissionDecision::Shed => 2u64,
-            };
-            h ^= byte;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-}
-
-/// Drives `service` with an open-loop arrival schedule, returning the
-/// per-round percentiles and shed accounting.
-///
-/// `make_samples` produces the payload for the `i`-th scheduled
-/// request (admitted requests only — shed arrivals never materialise a
-/// payload). Requests round-robin over `streams` dedicated clients; a
-/// round's tickets are all awaited before its latency delta is read,
-/// so a round's summary covers exactly its own requests.
-///
-/// # Errors
-///
-/// Propagates scoring errors and service termination from any awaited
-/// ticket.
-pub fn run_open_loop(
-    service: &ScoringService,
-    config: &LoadgenConfig,
-    mut make_samples: impl FnMut(u64) -> Vec<Sample>,
-) -> Result<LoadReport> {
-    let total = config.rounds * config.requests_per_round;
-    let schedule = config.process.schedule(config.seed, total);
-    let decisions = AdmissionController::decide_all(&schedule, config.admission);
-
-    let streams = config.streams.max(1);
-    let clients: Vec<_> = (0..streams).map(|s| service.client(s as u64)).collect();
-
-    let start = Instant::now();
-    let mut rounds = Vec::with_capacity(config.rounds);
-    for round in 0..config.rounds {
-        let before = service.latency_histogram();
-        let base = round * config.requests_per_round;
-        let mut tickets: Vec<ScoreTicket> = Vec::with_capacity(config.requests_per_round);
-        let mut admitted = 0u64;
-        let mut shed = 0u64;
-        for i in base..base + config.requests_per_round {
-            let offset = Duration::from_nanos(schedule[i]);
-            if let Some(wait) = (start + offset).checked_duration_since(Instant::now()) {
-                std::thread::sleep(wait);
-            }
-            match decisions[i] {
-                AdmissionDecision::Shed => shed += 1,
-                AdmissionDecision::Admit => {
-                    let client = &clients[i % streams];
-                    tickets.push(client.submit(make_samples(i as u64))?);
-                    admitted += 1;
-                }
-            }
-        }
-        for ticket in tickets {
-            ticket.wait()?;
-        }
-        let after = service.latency_histogram();
-        rounds.push(RoundLatency {
-            issued: config.requests_per_round as u64,
-            admitted,
-            shed,
-            latency: after.delta(&before).summary(),
-        });
-    }
-    drop(clients);
-
-    Ok(LoadReport { schedule, decisions, rounds, service: service.stats_snapshot() })
-}
-
-/// Per-round outcome of a [`run_open_loop_admission`] run, where the
-/// *service* (not a virtual controller) decides what to shed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdmissionRound {
-    /// Arrivals scheduled in this round.
-    pub issued: u64,
-    /// Requests that rode a batch and came back scored.
-    pub scored: u64,
-    /// Requests shed at submit time on a full request queue
-    /// ([`ShedCause::QueueFull`]).
-    pub shed_queue_full: u64,
-    /// Requests admitted to the queue but shed by the batcher's
-    /// pending-samples bound ([`ShedCause::Backlog`]).
-    pub shed_backlog: u64,
-    /// Latency percentiles over exactly this round's scored requests.
-    pub latency: LatencySummary,
-}
-
-/// Everything one service-admission open-loop run produced.
-#[derive(Debug, Clone)]
-pub struct AdmissionLoadReport {
-    /// Absolute arrival offsets (nanoseconds from run start).
-    pub schedule: Vec<u64>,
-    /// Per-round scored/shed accounting.
-    pub rounds: Vec<AdmissionRound>,
-    /// The service's own counters at the end of the run.
-    pub service: ServeStats,
-}
-
-impl AdmissionLoadReport {
-    /// Total scored requests across all rounds.
-    pub fn total_scored(&self) -> u64 {
-        self.rounds.iter().map(|r| r.scored).sum()
-    }
-
-    /// Total shed requests (both causes) across all rounds.
-    pub fn total_shed(&self) -> u64 {
-        self.rounds.iter().map(|r| r.shed_queue_full + r.shed_backlog).sum()
-    }
-
-    /// Fraction of scheduled arrivals the service shed (`0.0..=1.0`).
+    /// Fraction of requests shed, for either cause (`0.0..=1.0`).
     pub fn shed_rate(&self) -> f64 {
-        let issued: u64 = self.rounds.iter().map(|r| r.issued).sum();
-        if issued == 0 {
+        if self.outcomes.is_empty() {
             0.0
         } else {
-            self.total_shed() as f64 / issued as f64
+            (self.outcomes.len() as u64 - self.scored()) as f64 / self.outcomes.len() as f64
         }
     }
 
@@ -265,94 +139,65 @@ impl AdmissionLoadReport {
             _ => 0.0,
         }
     }
+
+    /// An FNV-1a fold of the outcome kinds (scored, queue-full,
+    /// backlog) in request order: two runs compare in one integer.
+    pub fn fingerprint(&self) -> u64 {
+        self.outcomes.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, outcome| {
+            let kind = match outcome {
+                ScoreOutcome::Scored(_) => 1,
+                ScoreOutcome::Shed(ShedCause::QueueFull) => 2,
+                ScoreOutcome::Shed(ShedCause::Backlog) => 3,
+            };
+            (h ^ kind).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
 }
 
-/// Drives `service` with an open-loop schedule through the
-/// **service-side admission path**: every arrival is a droppable
-/// [`try_submit`], so overload surfaces as the service's own typed
-/// sheds (queue-full at submit, backlog bound at the batcher) instead
-/// of a virtual controller's decisions. This is the mode that charts
-/// *real* shed rate against offered load; unlike [`run_open_loop`],
-/// its shed counts are wall-clock-dependent by design (admission
-/// reacts to genuine queue depth), so only the schedule — not the
-/// outcome — is seed-reproducible.
+/// Submits `config.requests` droppable requests to `target` on the
+/// seeded schedule, then awaits every reply.
+///
+/// The driver sleeps to each due time and submits request `i` for
+/// stream `i % streams` with payload `make_samples(i)`, whether or not
+/// earlier requests have been answered.
 ///
 /// # Errors
 ///
-/// Propagates scoring errors and service termination from any awaited
-/// ticket.
-///
-/// [`try_submit`]: crate::ScoringClient::try_submit
-pub fn run_open_loop_admission(
-    service: &ScoringService,
-    config: &LoadgenConfig,
+/// Propagates the target's submit and reply failures; sheds are not
+/// errors, they are outcomes.
+pub fn run_open_loop<T: ScoreTarget>(
+    target: &T,
+    config: &LoadConfig,
     mut make_samples: impl FnMut(u64) -> Vec<Sample>,
-) -> Result<AdmissionLoadReport> {
-    let total = config.rounds * config.requests_per_round;
-    let schedule = config.process.schedule(config.seed, total);
-
-    let streams = config.streams.max(1);
-    let clients: Vec<_> = (0..streams).map(|s| service.client(s as u64)).collect();
-
+) -> std::result::Result<LoadReport, T::Error> {
+    let schedule = config.process.schedule(config.seed, config.requests);
+    let streams = config.streams.max(1) as u64;
     let start = Instant::now();
-    let mut rounds = Vec::with_capacity(config.rounds);
-    for round in 0..config.rounds {
-        let before = service.latency_histogram();
-        let base = round * config.requests_per_round;
-        let mut tickets: Vec<ScoreTicket> = Vec::with_capacity(config.requests_per_round);
-        let mut shed_queue_full = 0u64;
-        for i in base..base + config.requests_per_round {
-            let offset = Duration::from_nanos(schedule[i]);
-            if let Some(wait) = (start + offset).checked_duration_since(Instant::now()) {
-                std::thread::sleep(wait);
-            }
-            let client = &clients[i % streams];
-            match client.try_submit(make_samples(i as u64))? {
-                SubmitOutcome::Enqueued(ticket) => tickets.push(ticket),
-                SubmitOutcome::Shed(_) => shed_queue_full += 1,
-            }
+    let mut tickets = Vec::with_capacity(schedule.len());
+    for (i, &offset) in (0u64..).zip(&schedule) {
+        let due = start + Duration::from_nanos(offset);
+        if let Some(wait) = due.checked_duration_since(Instant::now()) {
+            std::thread::sleep(wait);
         }
-        let mut scored = 0u64;
-        let mut shed_backlog = 0u64;
-        for ticket in tickets {
-            match ticket.wait_outcome()? {
-                ScoreOutcome::Scored(_) => scored += 1,
-                ScoreOutcome::Shed(ShedCause::Backlog) => shed_backlog += 1,
-                ScoreOutcome::Shed(ShedCause::QueueFull) => shed_queue_full += 1,
-            }
-        }
-        let after = service.latency_histogram();
-        rounds.push(AdmissionRound {
-            issued: config.requests_per_round as u64,
-            scored,
-            shed_queue_full,
-            shed_backlog,
-            latency: after.delta(&before).summary(),
-        });
+        tickets.push(target.submit_droppable(i % streams, make_samples(i))?);
     }
-    drop(clients);
-
-    Ok(AdmissionLoadReport { schedule, rounds, service: service.stats_snapshot() })
+    let outcomes = tickets.into_iter().map(T::outcome).collect::<std::result::Result<_, _>>()?;
+    Ok(LoadReport { schedule, outcomes })
 }
 
-/// Formats a shed-rate vs offered-load sweep as a fixed-width table
-/// (one row per report, ascending or not — caller's order is kept).
-/// The example prints this for a [`LoadgenConfig`] sweep over arrival
-/// rates.
-pub fn shed_rate_table(reports: &[AdmissionLoadReport]) -> String {
+/// Formats a shed-rate vs offered-load sweep as a fixed-width table,
+/// one row per report in the caller's order.
+pub fn shed_rate_table(reports: &[LoadReport]) -> String {
     let mut out =
         String::from("offered_rps    issued    scored  shed_qfull  shed_backlog  shed_rate\n");
     for r in reports {
-        let issued: u64 = r.rounds.iter().map(|x| x.issued).sum();
-        let qfull: u64 = r.rounds.iter().map(|x| x.shed_queue_full).sum();
-        let backlog: u64 = r.rounds.iter().map(|x| x.shed_backlog).sum();
         out.push_str(&format!(
             "{:>11.0} {:>9} {:>9} {:>11} {:>13} {:>9.3}\n",
             r.offered_rps(),
-            issued,
-            r.total_scored(),
-            qfull,
-            backlog,
+            r.outcomes.len(),
+            r.scored(),
+            r.shed(ShedCause::QueueFull),
+            r.shed(ShedCause::Backlog),
             r.shed_rate(),
         ));
     }

@@ -3,11 +3,11 @@
 //!
 //! A single [`ScoringService`] is bounded by its one batcher thread —
 //! every coalesced batch runs that thread's forward pass. A
-//! [`ReplicaSet`] starts `n` independent services (each holding its own
-//! model snapshot) and routes every stream to exactly one of them via
-//! [`replica_for`], so scoring throughput scales past one core's
-//! forward pass while each replica keeps the single-service coalescing
-//! and determinism story intact.
+//! [`ReplicaSet`] starts `n` independent services (sharing one
+//! published model snapshot) and routes every stream to exactly one of
+//! them via [`replica_for`], so scoring throughput scales past one
+//! core's forward pass while each replica keeps the single-service
+//! coalescing and determinism story intact.
 //!
 //! ## The sharding rule
 //!
@@ -26,6 +26,8 @@
 //! with the same published model, and batch *results* are bit-identical
 //! regardless of batch composition (the serve-layer contract), so a
 //! stream's scores do not depend on which replica it landed on.
+
+use std::sync::Arc;
 
 use sdc_core::ContrastiveModel;
 use sdc_data::StreamId;
@@ -56,23 +58,22 @@ pub fn replica_for(stream: StreamId, replicas: usize) -> usize {
 
 /// N scoring replicas behind the deterministic [`replica_for`] shard
 /// rule. Each replica is a full [`ScoringService`] — its own batcher
-/// thread, request queue, stats, and model snapshot.
+/// thread, request queue and stats — and all of them score with one
+/// shared model snapshot.
 #[derive(Debug)]
 pub struct ReplicaSet {
     replicas: Vec<ScoringService>,
 }
 
 impl ReplicaSet {
-    /// Starts `config.replicas` services, each seeded with a clone of
-    /// `model` and the same per-service configuration.
-    pub fn start(model: ContrastiveModel, config: ServeConfig) -> Self {
+    /// Starts `config.replicas` services sharing the `model` snapshot,
+    /// each with the same per-service configuration.
+    pub fn start(model: impl Into<Arc<ContrastiveModel>>, config: ServeConfig) -> Self {
+        let model = model.into();
         let n = config.replicas.max(1);
         let config = ServeConfig { replicas: 1, ..config };
-        // The last replica takes the original model: one clone per
-        // extra replica, none for the single-replica case.
-        let mut replicas: Vec<ScoringService> =
-            (1..n).map(|_| ScoringService::start(model.clone(), config.clone())).collect();
-        replicas.push(ScoringService::start(model, config));
+        let replicas =
+            (0..n).map(|_| ScoringService::start(Arc::clone(&model), config.clone())).collect();
         Self { replicas }
     }
 
@@ -105,12 +106,11 @@ impl ReplicaSet {
     /// Publishes a fresh model snapshot to **every** replica; requests
     /// submitted after this call score with the new parameters on all
     /// of them.
-    pub fn swap_model(&self, model: ContrastiveModel) {
-        let (last, rest) = self.replicas.split_last().expect("a started set is never empty");
-        for replica in rest {
-            replica.swap_model(model.clone());
+    pub fn swap_model(&self, model: impl Into<Arc<ContrastiveModel>>) {
+        let model = model.into();
+        for replica in &self.replicas {
+            replica.swap_model(Arc::clone(&model));
         }
-        last.swap_model(model);
     }
 
     /// Quiesces every replica: blocks until each batcher has processed

@@ -58,17 +58,17 @@ pub struct ServeConfig {
     /// invariance.
     pub threads: Option<usize>,
     /// Admission bound for **droppable** requests
-    /// ([`ScoringClient::try_submit`]): when the batcher already holds
+    /// ([`SubmitOpts::droppable`]): when the batcher already holds
     /// at least this many pending samples, an arriving droppable
     /// request is answered with a typed [`ShedCause::Backlog`] reply
     /// instead of joining the queue — pending work is bounded, never
-    /// buffered without limit. Guaranteed requests
-    /// ([`ScoringClient::submit`] / [`ScoringClient::score`]) are
-    /// exempt: they block on the bounded request queue instead.
+    /// buffered without limit. Guaranteed requests (the default, and
+    /// [`ScoringClient::score`]) are exempt: they block on the bounded
+    /// request queue instead.
     pub max_pending: usize,
     /// How many scoring replicas a [`ReplicaSet`](crate::ReplicaSet)
-    /// starts from this configuration — independent batcher threads,
-    /// each with its own model snapshot, with streams deterministically
+    /// starts from this configuration — independent batcher threads
+    /// sharing one model snapshot, with streams deterministically
     /// sharded across them by
     /// [`replica_for`](crate::replica_for)`(stream_id, replicas)`. A
     /// plain [`ScoringService`] ignores this field (it *is* one
@@ -132,8 +132,8 @@ impl StatsInner {
 /// Why a droppable request was shed instead of scored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedCause {
-    /// The bounded request queue was full at submit time
-    /// ([`ScoringClient::try_submit`] refused to block).
+    /// The bounded request queue was full at submit time (a droppable
+    /// [`ScoringClient::submit`] never blocks).
     QueueFull,
     /// The batcher already held [`ServeConfig::max_pending`] samples;
     /// admission control refused to grow the backlog.
@@ -150,14 +150,23 @@ pub enum ScoreOutcome {
     Shed(ShedCause),
 }
 
-/// Result of a non-blocking [`ScoringClient::try_submit`].
-#[derive(Debug)]
-pub enum SubmitOutcome {
-    /// The request joined the queue; await the reply via the ticket.
-    Enqueued(ScoreTicket),
-    /// The request was shed immediately (always
-    /// [`ShedCause::QueueFull`] at this stage).
-    Shed(ShedCause),
+/// How [`ScoringClient::submit`] enqueues one request. The default is
+/// a guaranteed, untraced-upstream request.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SubmitOpts {
+    /// Whether admission control may shed the request. A droppable
+    /// request never blocks: it is shed with [`ShedCause::QueueFull`]
+    /// when the request queue is full, and with [`ShedCause::Backlog`]
+    /// when the batcher already holds [`ServeConfig::max_pending`]
+    /// samples. A guaranteed request blocks on the bounded queue and is
+    /// never shed.
+    pub droppable: bool,
+    /// Upstream trace context: while tracing is enabled, the request
+    /// span (and its batcher phase spans) become children of it — this
+    /// is how a remote `NodeClient` span ends up the ancestor of the
+    /// replica batcher's spans. `None` roots a fresh trace at this
+    /// request.
+    pub trace: Option<TraceContext>,
 }
 
 /// One row of the per-stream latency breakdown in [`ServeStats`].
@@ -278,8 +287,7 @@ struct ScoreRequest {
     arrived: Instant,
     samples: Vec<Sample>,
     /// Whether admission control may shed this request
-    /// ([`ScoringClient::try_submit`] sets it; blocking submits are
-    /// guaranteed and never shed).
+    /// ([`SubmitOpts::droppable`]).
     droppable: bool,
     /// Span bookkeeping, populated only while tracing is enabled at
     /// submit time (strictly observe-only — never read by batching or
@@ -295,7 +303,7 @@ enum Request {
     /// Score everything pending with the current model, then install a
     /// fresh snapshot for all later batches (training drivers publish
     /// one after each update round).
-    SwapModel(Box<ContrastiveModel>),
+    SwapModel(Arc<ContrastiveModel>),
     /// Barrier: score everything pending, then reply — every request
     /// queued before this one has its reply by then (checkpointing
     /// quiesces the batcher with it).
@@ -374,101 +382,45 @@ impl ScoreTicket {
 }
 
 impl ScoringClient {
-    /// This client's stream id.
-    pub fn stream_id(&self) -> StreamId {
-        self.stream
-    }
-
-    /// Submits `samples` for scoring without waiting for the reply.
+    /// Submits `samples` for scoring without waiting for the reply. A
+    /// droppable request that finds the queue full is shed here: the
+    /// returned ticket already holds its [`ShedCause::QueueFull`] reply.
     ///
     /// # Errors
     ///
     /// Reports the service having terminated.
-    pub fn submit(&self, samples: Vec<Sample>) -> Result<ScoreTicket> {
-        self.submit_traced(samples, None)
-    }
-
-    /// [`ScoringClient::submit`] with an explicit upstream trace
-    /// context: while tracing is enabled, the request span (and its
-    /// batcher phase spans) become children of `parent` — this is how
-    /// a remote `NodeClient` span ends up the ancestor of the replica
-    /// batcher's spans. `None` roots a fresh trace at this request.
-    ///
-    /// # Errors
-    ///
-    /// Reports the service having terminated.
-    pub fn submit_traced(
-        &self,
-        samples: Vec<Sample>,
-        parent: Option<TraceContext>,
-    ) -> Result<ScoreTicket> {
-        let (request, ticket) = self.make_request_traced(samples, false, parent);
-        self.tx.send(Request::Score(request)).map_err(|_| service_gone())?;
-        Ok(ticket)
-    }
-
-    /// Submits `samples` as a **droppable** request without ever
-    /// blocking: if the bounded request queue is full the request is
-    /// shed right here with [`ShedCause::QueueFull`], and the batcher
-    /// may later shed it with [`ShedCause::Backlog`] (surfaced through
-    /// [`ScoreTicket::wait_outcome`]) if its pending-samples bound is
-    /// reached. This is the open-loop producer's submit path: overload
-    /// turns into typed sheds, not unbounded buffering.
-    ///
-    /// # Errors
-    ///
-    /// Reports the service having terminated.
-    pub fn try_submit(&self, samples: Vec<Sample>) -> Result<SubmitOutcome> {
-        self.try_submit_traced(samples, None)
-    }
-
-    /// [`ScoringClient::try_submit`] with an explicit upstream trace
-    /// context (see [`ScoringClient::submit_traced`]).
-    ///
-    /// # Errors
-    ///
-    /// Reports the service having terminated.
-    pub fn try_submit_traced(
-        &self,
-        samples: Vec<Sample>,
-        parent: Option<TraceContext>,
-    ) -> Result<SubmitOutcome> {
-        let (request, ticket) = self.make_request_traced(samples, true, parent);
-        match self.tx.try_send(Request::Score(request)) {
-            Ok(()) => Ok(SubmitOutcome::Enqueued(ticket)),
-            Err(TrySendError::Full(_)) => {
-                self.stats.shed_queue_full.fetch_add(1, Ordering::SeqCst);
-                Ok(SubmitOutcome::Shed(ShedCause::QueueFull))
-            }
-            Err(TrySendError::Disconnected(_)) => Err(service_gone()),
-        }
-    }
-
-    fn make_request_traced(
-        &self,
-        samples: Vec<Sample>,
-        droppable: bool,
-        parent: Option<TraceContext>,
-    ) -> (ScoreRequest, ScoreTicket) {
+    pub fn submit(&self, samples: Vec<Sample>, opts: SubmitOpts) -> Result<ScoreTicket> {
         let trace = sdc_obs::trace_enabled().then(|| RequestTrace {
             ctx: TraceContext {
-                trace: parent.map_or_else(sdc_obs::new_trace_id, |c| c.trace),
+                trace: opts.trace.map_or_else(sdc_obs::new_trace_id, |c| c.trace),
                 parent: sdc_obs::new_span_id(),
             },
-            parent: parent.map(|c| c.parent),
+            parent: opts.trace.map(|c| c.parent),
             arrived_nanos: sdc_obs::now_nanos(),
             dequeued_nanos: 0,
         });
-        let (rtx, rrx) = bounded(1);
-        let request = ScoreRequest {
+        let (reply, rx) = bounded(1);
+        let request = Request::Score(ScoreRequest {
             stream: self.stream,
             arrived: Instant::now(),
             samples,
-            droppable,
+            droppable: opts.droppable,
             trace,
-            reply: rtx,
-        };
-        (request, ScoreTicket { rx: rrx })
+            reply,
+        });
+        if !opts.droppable {
+            self.tx.send(request).map_err(|_| service_gone())?;
+            return Ok(ScoreTicket { rx });
+        }
+        match self.tx.try_send(request) {
+            Ok(()) => {}
+            Err(TrySendError::Full(Request::Score(request))) => {
+                self.stats.shed_queue_full.fetch_add(1, Ordering::SeqCst);
+                let _ = request.reply.send(Ok(ScoreOutcome::Shed(ShedCause::QueueFull)));
+            }
+            Err(_) => return Err(service_gone()),
+        }
+        Ok(ScoreTicket { rx })
     }
 
     /// Scores `samples` through the service, blocking until the batch
@@ -479,7 +431,7 @@ impl ScoringClient {
     ///
     /// Propagates scoring errors and service termination.
     pub fn score(&self, samples: Vec<Sample>) -> Result<Vec<f32>> {
-        self.submit(samples)?.wait()
+        self.submit(samples, SubmitOpts::default())?.wait()
     }
 }
 
@@ -523,7 +475,8 @@ pub struct ScoringService {
 impl ScoringService {
     /// Starts the service around a model snapshot. The batcher thread
     /// runs until the handle is dropped.
-    pub fn start(model: ContrastiveModel, config: ServeConfig) -> Self {
+    pub fn start(model: impl Into<Arc<ContrastiveModel>>, config: ServeConfig) -> Self {
+        let model = model.into();
         let (tx, rx) = bounded::<Request>(config.queue_depth.max(1));
         let stats = Arc::new(StatsInner::default());
         let batcher_stats = Arc::clone(&stats);
@@ -550,9 +503,9 @@ impl ScoringService {
     /// Publishes a fresh model snapshot. Requests submitted before this
     /// call score with the old parameters, requests submitted after it
     /// with the new ones.
-    pub fn swap_model(&self, model: ContrastiveModel) {
+    pub fn swap_model(&self, model: impl Into<Arc<ContrastiveModel>>) {
         let tx = self.tx.as_ref().expect("sender lives until drop");
-        let _ = tx.send(Request::SwapModel(Box::new(model)));
+        let _ = tx.send(Request::SwapModel(model.into()));
     }
 
     /// Quiesces the batcher: blocks until every message submitted
@@ -583,8 +536,9 @@ impl ScoringService {
 
     /// A full (bucket-level) snapshot of the request-latency histogram.
     /// Two snapshots bracketing an interval yield that interval's
-    /// percentiles via [`HistogramSnapshot::delta`] — the open-loop
-    /// harness computes its per-round p50/p90/p99/p999 this way.
+    /// percentiles via [`HistogramSnapshot::delta`] —
+    /// `examples/multi_stream_serve.rs` prints per-round percentiles
+    /// this way.
     pub fn latency_histogram(&self) -> HistogramSnapshot {
         self.stats.latency.snapshot()
     }
@@ -613,7 +567,7 @@ impl Drop for ScoringService {
 
 /// The batcher thread's state machine.
 struct Batcher {
-    model: ContrastiveModel,
+    model: Arc<ContrastiveModel>,
     config: ServeConfig,
     stats: Arc<StatsInner>,
     /// Admitted requests not yet scored, in arrival order.
@@ -625,7 +579,7 @@ struct Batcher {
 }
 
 impl Batcher {
-    fn new(model: ContrastiveModel, config: ServeConfig, stats: Arc<StatsInner>) -> Self {
+    fn new(model: Arc<ContrastiveModel>, config: ServeConfig, stats: Arc<StatsInner>) -> Self {
         Self { model, config, stats, pending: Vec::new(), stream_hists: BTreeMap::new() }
     }
 
@@ -681,7 +635,7 @@ impl Batcher {
             }
             Request::SwapModel(model) => {
                 self.flush_all();
-                self.model = *model;
+                self.model = model;
             }
             Request::Sync(reply) => {
                 self.flush_all();
@@ -951,7 +905,7 @@ mod tests {
 
     /// A batcher driven through [`Batcher::handle`] on the test thread.
     fn batcher(config: ServeConfig) -> Batcher {
-        Batcher::new(tiny_model(1), config, Arc::new(StatsInner::default()))
+        Batcher::new(Arc::new(tiny_model(1)), config, Arc::new(StatsInner::default()))
     }
 
     /// Hands `batcher` a score request and returns its ticket.
@@ -1001,6 +955,20 @@ mod tests {
         assert_eq!(stats.batches, 1, "{stats:?}");
     }
 
+    /// A droppable request that finds the queue full is shed at submit
+    /// time, and its ticket holds the `QueueFull` reply.
+    #[test]
+    fn droppable_requests_on_a_full_queue_are_shed_at_submit() {
+        let (tx, _queue) = bounded(1);
+        let client = ScoringClient { stream: 0, tx, stats: Arc::new(StatsInner::default()) };
+        let droppable = SubmitOpts { droppable: true, trace: None };
+        let queued = client.submit(samples(1, 70), droppable).unwrap();
+        let shed = client.submit(samples(1, 71), droppable).unwrap();
+        assert!(answered(&queued).is_none(), "the first request fits the queue");
+        assert_eq!(answered(&shed), Some(ScoreOutcome::Shed(ShedCause::QueueFull)));
+        assert_eq!(client.stats.snapshot().shed_queue_full, 1);
+    }
+
     /// A cut takes pending requests in arrival order, whole requests up
     /// to `max_batch` samples — never sorted by stream id.
     #[test]
@@ -1034,7 +1002,7 @@ mod tests {
         let new = contrast_scores_shared(&replacement, &pool).unwrap();
         assert_ne!(old, new, "different weights must score differently");
         let before = submit_to(&mut b, 0, pool.clone(), false);
-        assert!(b.handle(Request::SwapModel(Box::new(replacement))));
+        assert!(b.handle(Request::SwapModel(Arc::new(replacement))));
         let after = submit_to(&mut b, 0, pool, false);
         b.flush_one();
         assert_eq!(answered(&before), Some(ScoreOutcome::Scored(old)));
@@ -1102,7 +1070,10 @@ mod tests {
             let tickets: Vec<_> = clients
                 .iter()
                 .enumerate()
-                .map(|(i, c)| c.submit(samples(1 + i, 30 + round * 10 + i as u64)).unwrap())
+                .map(|(i, c)| {
+                    c.submit(samples(1 + i, 30 + round * 10 + i as u64), SubmitOpts::default())
+                        .unwrap()
+                })
                 .collect();
             for t in tickets {
                 t.wait().unwrap();
@@ -1134,7 +1105,8 @@ mod tests {
         let client = service.client(77);
         let upstream = sdc_obs::Span::root("test.upstream");
         let ctx = upstream.context().unwrap();
-        client.submit_traced(samples(2, 50), Some(ctx)).unwrap().wait().unwrap();
+        let opts = SubmitOpts { trace: Some(ctx), ..SubmitOpts::default() };
+        client.submit(samples(2, 50), opts).unwrap().wait().unwrap();
         // The reply unblocks before the batcher finishes recording the
         // span tree; the quiesce barrier orders the snapshot after it.
         service.quiesce().unwrap();

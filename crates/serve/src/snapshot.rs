@@ -197,7 +197,7 @@ impl NodeSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::{ScoringService, ServeConfig};
+    use crate::service::{ScoringService, ServeConfig, SubmitOpts};
     use sdc_core::model::ModelConfig;
     use sdc_core::policy::ContrastScoringPolicy;
     use sdc_core::TrainerConfig;
@@ -250,7 +250,7 @@ mod tests {
         shards.shard_mut(0).replace_with(samples(4, 1), |s| c0.score(s)).unwrap();
 
         // Stream 1 submits and abandons its ticket mid-flight.
-        let ticket = c1.submit(samples(2, 2)).unwrap();
+        let ticket = c1.submit(samples(2, 2), SubmitOpts::default()).unwrap();
         drop(ticket);
 
         service.quiesce().unwrap();

@@ -6,7 +6,7 @@ use sdc_core::model::{ContrastiveModel, ModelConfig};
 use sdc_core::score::contrast_scores_shared;
 use sdc_data::{Sample, StreamId};
 use sdc_nn::models::EncoderConfig;
-use sdc_serve::{ScoringService, ServeConfig};
+use sdc_serve::{ScoringService, ServeConfig, SubmitOpts};
 use sdc_tensor::Tensor;
 
 fn tiny_model(seed: u64) -> ContrastiveModel {
@@ -70,7 +70,7 @@ fn dropped_ticket_mid_flight_does_not_stall_the_round() {
     let survivor = service.client(1);
     // Stream 0 submits, then abandons its reply: its request is still
     // scored, and the survivor's request is not held up by it.
-    let ticket = dropper.submit(samples(2, 0, 6)).unwrap();
+    let ticket = dropper.submit(samples(2, 0, 6), SubmitOpts::default()).unwrap();
     drop(ticket);
     let pool = samples(3, 50, 7);
     let scores = survivor.score(pool.clone()).unwrap();

@@ -1,21 +1,26 @@
-//! The open-loop load harness's determinism contract: same seed ⇒
-//! same arrival schedule and same shed decisions, run to run — only
-//! the measured latencies are wall-clock.
+//! The open-loop driver against an in-process service: the schedule is
+//! a pure function of the seed, the service's own admission decides
+//! every shed, and scored requests carry direct-scoring bits.
 
 use sdc_core::model::ModelConfig;
+use sdc_core::score::contrast_scores_shared;
 use sdc_core::ContrastiveModel;
 use sdc_data::Sample;
 use sdc_nn::models::EncoderConfig;
-use sdc_obs::{AdmissionConfig, ArrivalProcess};
-use sdc_serve::{run_open_loop, LoadReport, LoadgenConfig, ScoringService, ServeConfig};
+use sdc_obs::ArrivalProcess;
+use sdc_serve::{
+    run_open_loop, LoadConfig, LoadReport, ScoreOutcome, ScoringService, ServeConfig, ShedCause,
+};
 use sdc_tensor::Tensor;
 
-fn tiny_model(seed: u64) -> ContrastiveModel {
+const REQUESTS: usize = 24;
+
+fn tiny_model() -> ContrastiveModel {
     ContrastiveModel::new(&ModelConfig {
         encoder: EncoderConfig::tiny(),
         projection_hidden: 8,
         projection_dim: 4,
-        seed,
+        seed: 7,
     })
 }
 
@@ -24,61 +29,60 @@ fn sample(i: u64) -> Vec<Sample> {
     vec![Sample::new(Tensor::randn([3, 8, 8], 1.0, &mut rng), 0, i)]
 }
 
-fn harness_config() -> LoadgenConfig {
-    LoadgenConfig {
+fn load_config() -> LoadConfig {
+    LoadConfig {
         seed: 42,
-        rounds: 2,
-        requests_per_round: 12,
+        requests: REQUESTS,
         streams: 3,
-        // A mean gap well under the admission cost forces the virtual
-        // backlog to grow, so the run exercises both outcomes.
         process: ArrivalProcess::Poisson { mean_gap_nanos: 40_000 },
-        admission: AdmissionConfig { cost_nanos: 90_000, max_backlog_nanos: 300_000 },
     }
 }
 
-fn one_run() -> LoadReport {
-    let service = ScoringService::start(
-        tiny_model(7),
-        ServeConfig { threads: Some(2), ..ServeConfig::default() },
-    );
-    run_open_loop(&service, &harness_config(), sample).unwrap()
+/// A service admitting at most `max_pending` droppable samples. With
+/// the default bound, `REQUESTS` one-sample requests fit both the queue
+/// and the bound, so nothing can be shed.
+fn service(max_pending: usize) -> ScoringService {
+    ScoringService::start(
+        tiny_model(),
+        ServeConfig { threads: Some(2), max_pending, ..ServeConfig::default() },
+    )
+}
+
+fn uncontended_run() -> LoadReport {
+    run_open_loop(&service(ServeConfig::default().max_pending), &load_config(), sample).unwrap()
 }
 
 #[test]
-fn same_seed_reproduces_schedule_and_shed_decisions() {
-    let a = one_run();
-    let b = one_run();
-    assert_eq!(a.schedule, b.schedule, "arrival schedule must be a pure function of the seed");
-    assert_eq!(a.decisions, b.decisions, "shed decisions must be a pure function of the seed");
-    assert_eq!(a.decision_fingerprint(), b.decision_fingerprint());
-    for (ra, rb) in a.rounds.iter().zip(&b.rounds) {
-        assert_eq!((ra.issued, ra.admitted, ra.shed), (rb.issued, rb.admitted, rb.shed));
-    }
+fn max_pending_zero_sheds_every_request_as_backlog() {
+    let service = service(0);
+    let report = run_open_loop(&service, &load_config(), sample).unwrap();
+    assert_eq!(report.outcomes, vec![ScoreOutcome::Shed(ShedCause::Backlog); REQUESTS]);
+    let stats = service.stats_snapshot();
+    assert_eq!(stats.shed_backlog, REQUESTS as u64, "{stats:?}");
+    assert_eq!((stats.requests, stats.batches), (0, 0), "{stats:?}");
 }
 
 #[test]
-fn accounting_is_consistent_and_backlog_bites() {
-    let report = one_run();
-    let config = harness_config();
-    let total = (config.rounds * config.requests_per_round) as u64;
-    assert_eq!(report.schedule.len() as u64, total);
-    assert_eq!(report.total_admitted() + report.total_shed(), total);
-    assert!(report.total_admitted() > 0, "some requests must get through: {report:?}");
-    assert!(report.total_shed() > 0, "the overloaded schedule must shed: {report:?}");
-    // Admitted requests are guaranteed submits: the service answers
-    // every one of them and sheds none of its own.
-    assert_eq!(report.service.requests, report.total_admitted(), "{:?}", report.service);
-    assert_eq!(report.service.shed_backlog, 0);
-    assert_eq!(report.service.shed_queue_full, 0);
-    if sdc_obs::enabled() {
-        let recorded: u64 = report.rounds.iter().map(|r| r.latency.count).sum();
-        assert_eq!(recorded, report.total_admitted(), "each round's delta covers its requests");
-        for round in &report.rounds {
-            if round.latency.count > 0 {
-                assert!(round.latency.p50 > 0, "{round:?}");
-                assert!(round.latency.p999 >= round.latency.p50, "{round:?}");
-            }
+fn same_seed_gives_equal_schedules_and_fingerprints() {
+    let a = uncontended_run();
+    let b = uncontended_run();
+    let config = load_config();
+    assert_eq!(a.schedule, config.process.schedule(config.seed, REQUESTS));
+    assert_eq!(a.schedule, b.schedule, "the schedule must be a pure function of the seed");
+    assert_eq!(a.fingerprint(), b.fingerprint(), "{:?} vs {:?}", a.outcomes, b.outcomes);
+}
+
+#[test]
+fn uncontended_run_scores_every_request_bitwise() {
+    let report = uncontended_run();
+    let model = tiny_model();
+    let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(report.scored(), REQUESTS as u64, "{:?}", report.outcomes);
+    for (i, outcome) in (0u64..).zip(&report.outcomes) {
+        let direct = contrast_scores_shared(&model, &sample(i)).unwrap();
+        match outcome {
+            ScoreOutcome::Scored(scores) => assert_eq!(bits(scores), bits(&direct), "request {i}"),
+            ScoreOutcome::Shed(cause) => panic!("request {i} shed ({cause:?})"),
         }
     }
 }

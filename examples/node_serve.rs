@@ -7,8 +7,9 @@
 //! 1. **Bit-identity** — scores fetched through the loopback TCP
 //!    client equal in-process client scores equal direct model
 //!    evaluation, bit for bit.
-//! 2. **Reproducible admission** — two open-loop runs with the same
-//!    seed produce the same shed fingerprint across the wire.
+//! 2. **Reproducible outcomes** — two uncontended open-loop runs with
+//!    the same seed produce the same outcome fingerprint across the
+//!    wire.
 //! 3. **Snapshot shipping** — a trained node's snapshot ships to a
 //!    standby server (full, then delta with unchanged sections as bare
 //!    CRCs) and restores to the same model bits.
@@ -26,8 +27,8 @@ use sdc::data::stream::TemporalStream;
 use sdc::data::synth::{SynthConfig, SynthDataset};
 use sdc::data::StreamId;
 use sdc::nn::models::EncoderConfig;
-use sdc::node::{run_remote_open_loop, NodeClient, NodeServer, RemoteLoadConfig, SnapshotShipper};
-use sdc::serve::{MultiStreamTrainer, ReplicaSet, ServeConfig};
+use sdc::node::{NodeClient, NodeServer, SnapshotShipper};
+use sdc::serve::{run_open_loop, LoadConfig, MultiStreamTrainer, ReplicaSet, ServeConfig};
 
 const SEGMENT: usize = 8;
 
@@ -80,22 +81,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         started.elapsed()
     );
 
-    // ---- Part 2: same seed ⇒ same shed fingerprint over the wire. ----
-    let load = RemoteLoadConfig { seed: 42, streams, ..RemoteLoadConfig::default() };
+    // ---- Part 2: same seed ⇒ same outcome fingerprint over the wire. ----
+    let load = LoadConfig { seed: 42, streams, ..LoadConfig::default() };
     let run = |seed_tag: &str| {
-        let report = run_remote_open_loop(&client, &load, |i| {
-            stream(1000 + i).next_segment(2).expect("synthesis")
-        })
-        .expect("open-loop run");
+        let report =
+            run_open_loop(&client, &load, |i| stream(1000 + i).next_segment(2).expect("synthesis"))
+                .expect("open-loop run");
         println!(
             "open-loop {seed_tag}: {} scored, {} shed, fingerprint {:#018x}",
             report.scored(),
-            report.shed_backlog() + report.shed_queue_full(),
-            report.shed_fingerprint()
+            report.outcomes.len() as u64 - report.scored(),
+            report.fingerprint()
         );
-        report.shed_fingerprint()
+        report.fingerprint()
     };
-    assert_eq!(run("run A"), run("run B"), "same-seed shed fingerprints diverged");
+    assert_eq!(run("run A"), run("run B"), "same-seed fingerprints diverged");
 
     // ---- Part 3: train, ship full + delta to a standby, restore. ----
     let standby_set =

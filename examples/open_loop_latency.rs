@@ -1,28 +1,28 @@
 //! Open-loop latency under Poisson, bursty, and self-similar arrivals.
 //!
-//! Drives a [`ScoringService`] with the seeded open-loop load harness
-//! twice per arrival process and prints the per-round latency
-//! percentiles, admitted/shed counts, and the decision fingerprint.
-//! The harness contract — same seed ⇒ same arrival schedule and same
-//! shed decisions — is checked between the two runs; divergence exits
-//! non-zero (CI runs this as a smoke test).
+//! Drives a [`ScoringService`] with the seeded open-loop driver once
+//! per arrival process and prints the whole-run latency percentiles and
+//! the scored/shed counts. It exits non-zero unless the run's schedule
+//! is `process.schedule(seed, requests)` and every scored request
+//! matches direct scoring bitwise (CI runs this as a smoke test).
 //!
-//! A second mode then drives `try_submit` against **service-side**
-//! admission control across a sweep of offered loads and prints the
-//! shed-rate vs offered-load table — the saturation curve the paper's
-//! overload story is about.
+//! A sweep over offered loads then runs the same driver against a
+//! service with a small queue and backlog bound and prints the
+//! shed-rate vs offered-load table — the saturation curve of the
+//! service's admission control.
 //!
-//! Run: `cargo run --release --example open_loop_latency [-- <requests_per_round>]`
-//! (default 24).
+//! Run: `cargo run --release --example open_loop_latency [-- <requests>]`
+//! (default 72 requests per run).
 
 use sdc::core::model::ModelConfig;
+use sdc::core::score::contrast_scores_shared;
 use sdc::core::ContrastiveModel;
 use sdc::data::Sample;
 use sdc::nn::models::EncoderConfig;
-use sdc::obs::{AdmissionConfig, ArrivalProcess};
+use sdc::obs::ArrivalProcess;
 use sdc::serve::{
-    run_open_loop, run_open_loop_admission, shed_rate_table, LoadReport, LoadgenConfig,
-    ScoringService, ServeConfig,
+    run_open_loop, shed_rate_table, LoadConfig, ScoreOutcome, ScoringService, ServeConfig,
+    ShedCause,
 };
 use sdc::tensor::Tensor;
 
@@ -40,41 +40,12 @@ fn payload(i: u64) -> Vec<Sample> {
     (0..2).map(|j| Sample::new(Tensor::randn([3, 8, 8], 1.0, &mut rng), 0, i * 2 + j)).collect()
 }
 
-fn one_run(config: &LoadgenConfig) -> Result<LoadReport, Box<dyn std::error::Error>> {
-    let service = ScoringService::start(model(), ServeConfig::default());
-    Ok(run_open_loop(&service, config, payload)?)
-}
-
-fn report(name: &str, run: &LoadReport) {
-    println!("{name} arrivals:");
-    println!(
-        "  {:>5} {:>7} {:>9} {:>6} {:>9} {:>9} {:>9} {:>9}",
-        "round", "issued", "admitted", "shed", "p50_us", "p90_us", "p99_us", "p999_us"
-    );
-    let us = |nanos: u64| nanos as f64 / 1_000.0;
-    for (i, round) in run.rounds.iter().enumerate() {
-        println!(
-            "  {i:>5} {:>7} {:>9} {:>6} {:>9.1} {:>9.1} {:>9.1} {:>9.1}",
-            round.issued,
-            round.admitted,
-            round.shed,
-            us(round.latency.p50),
-            us(round.latency.p90),
-            us(round.latency.p99),
-            us(round.latency.p999),
-        );
-    }
-    println!(
-        "  total: {} admitted / {} shed; decision fingerprint {:#018x}",
-        run.total_admitted(),
-        run.total_shed(),
-        run.decision_fingerprint(),
-    );
+fn bits(scores: &[f32]) -> Vec<u32> {
+    scores.iter().map(|v| v.to_bits()).collect()
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let requests_per_round: usize =
-        std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(24);
+    let requests: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(72);
 
     let modes: [(&str, ArrivalProcess); 3] = [
         ("poisson", ArrivalProcess::Poisson { mean_gap_nanos: 150_000 }),
@@ -99,48 +70,57 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ];
 
+    let reference = model();
+    let us = |nanos: u64| nanos as f64 / 1_000.0;
     for (name, process) in modes {
-        let config = LoadgenConfig {
-            seed: 42,
-            rounds: 3,
-            requests_per_round,
-            streams: 4,
-            process,
-            admission: AdmissionConfig { cost_nanos: 130_000, max_backlog_nanos: 500_000 },
-        };
-        let first = one_run(&config)?;
-        let second = one_run(&config)?;
-        report(name, &first);
-        if first.schedule != second.schedule
-            || first.decision_fingerprint() != second.decision_fingerprint()
-        {
-            eprintln!("{name}: seed {0} did not reproduce the schedule/decisions", config.seed);
+        let config = LoadConfig { seed: 42, requests, streams: 4, process };
+        let service = ScoringService::start(model(), ServeConfig::default());
+        let run = run_open_loop(&service, &config, payload)?;
+        let latency = service.stats_snapshot().latency;
+        println!(
+            "{name} arrivals: {} scored, {} shed (queue full), {} shed (backlog); \
+             p50 {:.1} us, p90 {:.1} us, p99 {:.1} us, p999 {:.1} us",
+            run.scored(),
+            run.shed(ShedCause::QueueFull),
+            run.shed(ShedCause::Backlog),
+            us(latency.p50),
+            us(latency.p90),
+            us(latency.p99),
+            us(latency.p999),
+        );
+        if run.schedule != process.schedule(config.seed, requests) {
+            eprintln!("{name}: the schedule is not the seed's");
             std::process::exit(1);
         }
-        println!("  reproduced: second run matches schedule and shed decisions\n");
+        for (i, outcome) in (0u64..).zip(&run.outcomes) {
+            if let ScoreOutcome::Scored(scores) = outcome {
+                if bits(scores) != bits(&contrast_scores_shared(&reference, &payload(i))?) {
+                    eprintln!("{name}: request {i} differs from direct scoring (BIT DIVERGENCE)");
+                    std::process::exit(1);
+                }
+            }
+        }
+        println!("  checked: the seed's schedule, scored requests bit-equal to direct scoring\n");
     }
 
-    // Service-side admission: the same schedule machinery, but every
-    // arrival goes through `try_submit` and the *service* decides —
-    // queue-full sheds at the bounded request channel, backlog sheds at
-    // the batcher's pending-samples bound. Sweeping the mean gap maps
-    // out shed rate vs offered load.
-    println!("service-side admission (try_submit), offered-load sweep:");
+    // The same driver against a small queue and backlog bound: the
+    // service sheds at the full request queue and at the batcher's
+    // pending-samples bound. Sweeping the mean gap maps out shed rate
+    // vs offered load.
+    println!("service-side admission, offered-load sweep:");
     let mut reports = Vec::new();
     for mean_gap_nanos in [400_000u64, 150_000, 60_000, 25_000] {
-        let config = LoadgenConfig {
+        let config = LoadConfig {
             seed: 42,
-            rounds: 3,
-            requests_per_round,
+            requests,
             streams: 4,
             process: ArrivalProcess::Poisson { mean_gap_nanos },
-            admission: AdmissionConfig { cost_nanos: 130_000, max_backlog_nanos: 500_000 },
         };
         let service = ScoringService::start(
             model(),
             ServeConfig { queue_depth: 8, max_pending: 64, ..ServeConfig::default() },
         );
-        reports.push(run_open_loop_admission(&service, &config, payload)?);
+        reports.push(run_open_loop(&service, &config, payload)?);
     }
     print!("{}", shed_rate_table(&reports));
     Ok(())
