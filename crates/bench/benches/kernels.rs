@@ -32,7 +32,8 @@ fn bench_kernels(c: &mut Criterion) {
     let gy = Tensor::ones(y.shape().clone());
     c.bench_function("conv2d_backward_16x16x12x12", |bch| {
         bch.iter(|| {
-            conv2d_backward(black_box(&x), black_box(&w), black_box(&gy), 1, 1, false).unwrap()
+            conv2d_backward(black_box(&x), black_box(&w), black_box(&gy), 1, 1, true, false)
+                .unwrap()
         })
     });
 

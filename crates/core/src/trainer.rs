@@ -256,8 +256,10 @@ impl StreamTrainer {
         let loss_id = {
             let ModelParts { encoder, projector, store } = self.model.parts_mut();
             let mut ctx = Forward::new(&mut graph, store, &mut bindings, true);
-            let x1 = ctx.graph.leaf(v1);
-            let x2 = ctx.graph.leaf(v2);
+            // The views take no gradient, so the stem conv skips its
+            // input gradient.
+            let x1 = ctx.graph.constant(v1);
+            let x2 = ctx.graph.constant(v2);
             let h1 = sdc_nn::Module::forward(encoder, &mut ctx, x1)?;
             let h2 = sdc_nn::Module::forward(encoder, &mut ctx, x2)?;
             let p1 = sdc_nn::Module::forward(projector, &mut ctx, h1)?;

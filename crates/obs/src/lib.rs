@@ -46,9 +46,8 @@
 //!
 //! * `node.*` — the networked serving node (`sdc-node`):
 //!   `node.accept`, `node.frame.rx` / `node.frame.tx` /
-//!   `node.frame.rejected` for the TCP front-end,
-//!   `node.replica.clients` for scoring clients created through a
-//!   `ReplicaSet`, and `node.ship.full` / `node.ship.delta` /
+//!   `node.frame.rejected` for the TCP front-end, and
+//!   `node.ship.full` / `node.ship.delta` /
 //!   `node.ship.sections_reused` for hot-standby snapshot shipping.
 //! * `node.stats.*` — the network metrics scrape endpoint:
 //!   `node.stats.requests` counts `Stats` requests answered over the
@@ -72,12 +71,14 @@
 //!   chunks of a dispatch, first claim → job ran dry; its count ÷
 //!   `runtime.jobs` is the mean number of participating threads).
 //! * `tensor.*` — the autodiff/GEMM stack (`sdc-tensor`): scope timers
-//!   `tensor.gemm`, `tensor.gemm.pack_b`, `tensor.gemm.kernel` around
-//!   the blocked kernel (one `tensor.gemm` per GEMM call, including the
-//!   per-sample products of conv2d's input gradient, which run
-//!   concurrently on pool threads, so its sum can exceed wall time), and
-//!   `tensor.backward.{sweep,level}` around the level-scheduled backward
-//!   sweep.
+//!   `tensor.conv` around each direct conv forward call (one per call,
+//!   covering its sample-parallel dispatch); `tensor.gemm`,
+//!   `tensor.gemm.pack_b`, `tensor.gemm.kernel` around the blocked
+//!   kernel (one `tensor.gemm` per GEMM call: matmuls and conv2d's two
+//!   backward products, not its forward; the per-sample products of the
+//!   input gradient run concurrently on pool threads, so the sum can
+//!   exceed wall time); and `tensor.backward.{sweep,level}` around the
+//!   level-scheduled backward sweep.
 //!
 //! The scoring service keeps its request, batch and shed counters and
 //! its latency histograms per instance, in `sdc_serve::ServeStats`,

@@ -99,7 +99,6 @@ impl ReplicaSet {
 
     /// Creates a scoring client for `stream` on its assigned replica.
     pub fn client(&self, stream: StreamId) -> ScoringClient {
-        sdc_obs::counter!("node.replica.clients").inc();
         self.replica_of(stream).client(stream)
     }
 

@@ -27,8 +27,7 @@
 //! ```
 
 use crate::error::{Result, TensorError};
-use crate::ops::conv::{conv2d_backward_packed, conv2d_forward_packed};
-use crate::ops::gemm::PackedPanels;
+use crate::ops::conv::{conv2d_backward, conv2d_forward};
 use crate::ops::matmul::{matmul, matmul_nt, matmul_tn};
 use crate::ops::norm::{
     batch_norm2d_backward, batch_norm2d_forward, l2_normalize_rows_forward, BnBatchStats, BnSaved,
@@ -62,6 +61,9 @@ impl VarId {
 #[derive(Debug)]
 enum Op {
     Leaf,
+    /// A leaf that takes no gradient: contributions to it are dropped
+    /// and ops may skip computing them.
+    Constant,
     Add(VarId, VarId),
     Scale(VarId, f32),
     AddBias {
@@ -77,9 +79,6 @@ enum Op {
         b: Option<VarId>,
         stride: usize,
         padding: usize,
-        /// The forward product's fused column panels (`colsᵀ`), held
-        /// until backward reuses them for the weight gradient.
-        colst: PackedPanels,
     },
     GlobalAvgPool(VarId),
     BatchNorm2d {
@@ -120,7 +119,7 @@ impl Op {
     /// op variant a compile error here rather than a scheduling bug.
     fn for_each_parent(&self, mut f: impl FnMut(usize)) {
         match self {
-            Op::Leaf => {}
+            Op::Leaf | Op::Constant => {}
             Op::Add(a, b)
             | Op::Matmul(a, b)
             | Op::MatmulNt(a, b)
@@ -274,6 +273,19 @@ impl Graph {
         self.push(Op::Leaf, value)
     }
 
+    /// Inserts a value as a leaf that takes no gradient: [`Graph::grad`]
+    /// stays `None` after [`Graph::backward`], and ops skip work that
+    /// only its gradient would need (a conv over a constant input
+    /// computes no input gradient). For inputs such as image batches.
+    pub fn constant(&mut self, value: Tensor) -> VarId {
+        self.push(Op::Constant, value)
+    }
+
+    /// Whether node `id` was inserted by [`Graph::constant`].
+    fn is_constant(&self, id: VarId) -> bool {
+        matches!(self.nodes[id.0].op, Op::Constant)
+    }
+
     /// The value held by node `id`.
     pub fn value(&self, id: VarId) -> &Tensor {
         &self.nodes[id.0].value
@@ -392,14 +404,14 @@ impl Graph {
         stride: usize,
         padding: usize,
     ) -> Result<VarId> {
-        let (value, colst) = conv2d_forward_packed(
+        let value = conv2d_forward(
             &self.nodes[x.0].value,
             &self.nodes[w.0].value,
             b.map(|b| &self.nodes[b.0].value),
             stride,
             padding,
         )?;
-        Ok(self.push(Op::Conv2d { x, w, b, stride, padding, colst }, value))
+        Ok(self.push(Op::Conv2d { x, w, b, stride, padding }, value))
     }
 
     /// Global average pooling `(n, c, h, w) -> (n, c)`.
@@ -601,8 +613,13 @@ impl Graph {
 
     /// Adds `t` into node `id`'s gradient slot (installing it if empty).
     /// A folded-in contribution's storage goes back to the pool for the
-    /// next same-sized gradient instead of being dropped.
+    /// next same-sized gradient instead of being dropped, as does every
+    /// contribution to a constant.
     fn accumulate(&mut self, id: usize, t: Tensor) {
+        if self.is_constant(VarId(id)) {
+            self.pool.recycle(t);
+            return;
+        }
         match &mut self.nodes[id].grad {
             Some(g) => {
                 g.add_assign_scaled(&t, 1.0);
@@ -633,7 +650,7 @@ impl Graph {
     fn backward_node(&self, i: usize, g: &Tensor) -> Result<Vec<(usize, Tensor)>> {
         let node = &self.nodes[i];
         let out = match &node.op {
-            Op::Leaf => vec![],
+            Op::Leaf | Op::Constant => vec![],
             Op::Add(a, b) => vec![(a.0, self.pooled_copy(g)), (b.0, self.pooled_copy(g))],
             Op::Scale(x, c) => {
                 vec![(x.0, simd::unary_with(UnaryKernel::Scale { c: *c }, g, self.dest(g.len())))]
@@ -664,19 +681,21 @@ impl Graph {
                 let x_val = &self.nodes[x.0].value;
                 vec![(x.0, simd::relu_backward_with(g, x_val, self.dest(g.len()))?)]
             }
-            Op::Conv2d { x, w, b, stride, padding, colst } => {
-                // The weight-gradient GEMM reads the column panels the
-                // forward product consumed, so backward never re-unfolds.
-                let (dx, dw, db) = conv2d_backward_packed(
+            Op::Conv2d { x, w, b, stride, padding } => {
+                let (dx, dw, db) = conv2d_backward(
                     &self.nodes[x.0].value,
                     &self.nodes[w.0].value,
                     g,
                     *stride,
                     *padding,
+                    !self.is_constant(*x),
                     b.is_some(),
-                    colst,
                 )?;
-                let mut v = vec![(x.0, dx), (w.0, dw)];
+                let mut v = Vec::with_capacity(3);
+                if let Some(dx) = dx {
+                    v.push((x.0, dx));
+                }
+                v.push((w.0, dw));
                 if let (Some(bid), Some(db)) = (b, db) {
                     v.push((bid.0, db));
                 }
@@ -933,6 +952,49 @@ mod tests {
         let taken = g.take_grad(x).unwrap();
         g.backward(loss).unwrap();
         assert_eq!(g.grad(x).unwrap().data(), taken.data());
+    }
+
+    /// A conv over a constant input skips the input gradient only: the
+    /// weight and bias gradients keep their bits, the constant's slot
+    /// stays empty, and a constant used by a second op drops that op's
+    /// contribution too.
+    #[test]
+    fn conv_over_a_constant_keeps_weight_gradients_and_takes_none() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        let x = Tensor::randn([2, 3, 6, 6], 1.0, &mut rng);
+        let w = Tensor::randn([4, 3, 3, 3], 0.5, &mut rng);
+        let b = Tensor::randn([4], 0.5, &mut rng);
+        let build = |g: &mut Graph, constant: bool| {
+            let xv = if constant { g.constant(x.clone()) } else { g.leaf(x.clone()) };
+            let (wv, bv) = (g.leaf(w.clone()), g.leaf(b.clone()));
+            let y = g.conv2d(xv, wv, Some(bv), 2, 1).unwrap();
+            let r = g.relu(y);
+            let s = g.scale(xv, 0.5);
+            let (ly, lx) = (g.mean_all(r), g.mean_all(s));
+            let sum = g.add(ly, lx).unwrap();
+            (xv, wv, bv, sum)
+        };
+        for serial in [false, true] {
+            let (mut leafy, mut constant) = (Graph::new(), Graph::new());
+            let (lx, lw, lb, lloss) = build(&mut leafy, false);
+            let (cx, cw, cb, closs) = build(&mut constant, true);
+            for (g, loss) in [(&mut leafy, lloss), (&mut constant, closs)] {
+                if serial {
+                    g.backward_serial(loss).unwrap();
+                } else {
+                    g.backward(loss).unwrap();
+                }
+            }
+            assert!(leafy.grad(lx).is_some());
+            assert!(constant.grad(cx).is_none(), "serial={serial}");
+            for (l, c) in [(lw, cw), (lb, cb)] {
+                let bits = |g: &Graph, id| -> Vec<u32> {
+                    g.grad(id).unwrap().data().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(&leafy, l), bits(&constant, c), "serial={serial}");
+            }
+        }
     }
 
     /// An error mid-sweep must clear every gradient slot — callers can

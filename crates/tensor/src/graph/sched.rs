@@ -35,13 +35,14 @@
 //! deterministic at any thread count) nor the order its output is
 //! folded in.
 
-use super::{Graph, Node, VarId};
+use super::{Graph, Node, Op, VarId};
 use crate::error::Result;
 use crate::par::MIN_PAR_WORK;
 use crate::Tensor;
 
 /// Assigns every node reachable from `loss` its longest-path distance
 /// from the loss, and buckets the reachable node indices by level.
+/// Constants take no gradient, so they get no level.
 ///
 /// Returned buckets are in ascending level order; `buckets[0]` is
 /// always `[loss]`. Within a bucket, indices ascend (construction
@@ -56,6 +57,9 @@ fn levels(nodes: &[Node], loss: usize) -> Vec<Vec<usize>> {
         let Some(li) = level[i] else { continue };
         max_level = max_level.max(li);
         nodes[i].op.for_each_parent(|p| {
+            if matches!(nodes[p].op, Op::Constant) {
+                return;
+            }
             let lp = level[p].get_or_insert(0);
             *lp = (*lp).max(li + 1);
         });

@@ -2,13 +2,14 @@
 //!
 //! This module is the engine behind [`matmul`](super::matmul::matmul),
 //! [`matmul_nt`](super::matmul::matmul_nt) and
-//! [`matmul_tn`](super::matmul::matmul_tn), and behind conv2d's packed
-//! products. It implements the classic three-level blocking
-//! scheme: the output is cut into [`MC`]-row chunks (the parallel unit,
-//! dispatched on the `sdc-runtime` pool), the shared dimension into
-//! [`KC`]-deep panels packed into contiguous buffers, and each panel
-//! product is computed by a fixed-width [`MR`]×[`NR`] micro-kernel whose
-//! accumulators live in registers.
+//! [`matmul_tn`](super::matmul::matmul_tn), and behind conv2d's two
+//! backward products (the forward is a direct convolution of its own;
+//! see [`conv`](super::conv)). It implements the classic three-level
+//! blocking scheme: the output is cut into [`MC`]-row chunks (the
+//! parallel unit, dispatched on the `sdc-runtime` pool), the shared
+//! dimension into [`KC`]-deep panels packed into contiguous buffers, and
+//! each panel product is computed by a fixed-width [`MR`]×[`NR`]
+//! micro-kernel whose accumulators live in registers.
 //!
 //! ## Bit-exactness contract
 //!
@@ -26,8 +27,8 @@
 //!    reduction). An `f32` round-trip through memory is exact, so the
 //!    addition chain is the same as one uninterrupted accumulator.
 //! 3. **Packing copies values verbatim** (transposition is just a
-//!    strided read), so every multiply sees the same operand bits as
-//!    the naive kernel.
+//!    strided read, and a gathered `A` operand just an indexed one), so
+//!    every multiply sees the same operand bits as the naive kernel.
 //!
 //! Rule 2 is also why the output buffer starts **uninitialized** rather
 //! than zero-filled: the first `k`-panel *stores* (rather than
@@ -45,31 +46,30 @@
 //! operand holds `NaN`/`±∞` (a padded lane may internally compute
 //! `0 · ∞ = NaN`, but that lane is dropped).
 //!
-//! ## Packed panels as values
+//! ## Instruction set
 //!
-//! [`PackedPanels`] exposes the `B`-side packing as an owned object:
-//! [`PackedPanels::pack`] performs exactly the copy the blocked kernel
-//! would do internally, and [`gemm_prepacked`] / [`gemm_panels_a`]
-//! consume it without repacking. Conv2d's fused im2col writes its
-//! column matrix directly in this layout (via the crate-internal
-//! `PackedPanels::from_parts`), so the column tensor is never
-//! materialized unpacked, and the conv tape node holds those panels
-//! from its forward product until its backward reuses them as the `A`
-//! operand of the weight gradient. As an `A` operand the panels are
-//! walked, not addressed: `pack_a` copies each `NR`-run of a logical row
-//! from its column-panel block with one contiguous read. Every other
-//! product packs its operands per call. Because packing copies operand
-//! bits verbatim (rule 3 above), a GEMM over reused panels reads the
-//! same bits as one that packs fresh — reuse can never change rounding.
+//! The micro-kernel is one generic body, entered through
+//! `#[target_feature(enable = "avx2")]` when
+//! [`active_isa`](crate::simd::active_isa) selects AVX2 and run as
+//! portable code otherwise; each chunk reads the choice once, so
+//! `SDC_SIMD=scalar` reaches this kernel like every other. Both
+//! instantiations perform a separate multiply and add (never FMA), so
+//! the choice affects speed only.
 //!
-//! The blocked kernel also runs without dispatch, on the calling thread,
-//! for conv2d's per-sample input-gradient products: those already run
-//! inside a sample-parallel pool chunk.
+//! ## Conv2d's products
+//!
+//! The weight gradient `dWᵀ = colsᵀ · g` takes a `Gather` as its `A`
+//! operand: element `(i, j)` sits at `rows[i] + cols[j]` of the conv's
+//! zero-padded input, so `pack_a` reads the column matrix's values
+//! without the column matrix ever being formed. The input gradient's
+//! per-sample products run without dispatch, on the calling thread,
+//! because they already run inside a sample-parallel pool chunk.
 
 use std::mem::MaybeUninit;
 
 use crate::error::{Result, TensorError};
 use crate::par;
+use crate::simd::{self, Isa};
 use crate::Tensor;
 
 /// Rows per micro-tile: each micro-kernel invocation produces an
@@ -145,70 +145,22 @@ fn mat_ref(t: &Tensor, trans: Trans) -> MatRef<'_> {
     MatRef { data: t.data(), ld, trans }
 }
 
-/// An `A`-operand source for the blocked kernel: either a strided view
-/// of a tensor or a previously packed panel set, which [`pack_a`] walks
-/// one contiguous `NR`-run at a time.
+/// A logical matrix read by index: element `(i, j)` is
+/// `data[rows[i] + cols[j]]`. Conv2d's weight gradient passes its
+/// zero-padded input this way (`rows` the taps' run offsets, `cols` the
+/// output positions' offsets), so the column matrix is read in place.
+#[derive(Clone, Copy)]
+pub(crate) struct Gather<'a> {
+    pub data: &'a [f32],
+    pub rows: &'a [usize],
+    pub cols: &'a [usize],
+}
+
+/// An `A`-operand source for the blocked kernel.
 #[derive(Clone, Copy)]
 enum ASource<'a> {
     Mat(MatRef<'a>),
-    Panels(&'a PackedPanels),
-}
-
-/// An owned `B`-side packing of a logical `k × m` matrix in the blocked
-/// kernel's panel-major layout (see [`pack_b` layout][Self::pack]).
-///
-/// Packing copies operand bits verbatim, so a GEMM consuming a
-/// `PackedPanels` ([`gemm_prepacked`], [`gemm_panels_a`]) multiplies
-/// exactly the same bits as one that packs the operand fresh — reuse
-/// can never change rounding (enforced by
-/// `crates/tensor/tests/gemm_equivalence.rs`).
-#[derive(Debug, Clone)]
-pub struct PackedPanels {
-    buf: Vec<f32>,
-    k: usize,
-    m: usize,
-}
-
-impl PackedPanels {
-    /// Packs `op_b(b)` — a logical `k × m` matrix — into panel-major
-    /// layout: for each `k`-panel (ascending), for each `NR`-column
-    /// panel (ascending), a contiguous `kc × NR` block stored `p`-major.
-    /// This is byte-for-byte the packing the blocked kernel performs
-    /// internally.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `b` is not rank-2.
-    pub fn pack(op: &'static str, b: &Tensor, trans: Trans) -> Result<Self> {
-        let (k, m) = logical_dims(op, b, trans)?;
-        let _t = sdc_obs::scope!("tensor.gemm.pack_b");
-        Ok(Self { buf: pack_b(mat_ref(b, trans), k, m), k, m })
-    }
-
-    /// Wraps an externally written buffer that is already in the
-    /// [`pack_b`-layout][Self::pack] for a logical `k × m` matrix. Used
-    /// by conv2d's fused im2col, which walks the column panels and
-    /// writes them directly.
-    pub(crate) fn from_parts(buf: Vec<f32>, k: usize, m: usize) -> Self {
-        debug_assert_eq!(buf.len(), k * col_panels(m) * NR);
-        Self { buf, k, m }
-    }
-
-    /// Logical row count (the GEMM reduction depth when used as `B`).
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Logical column count.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// The packed buffer itself, for layout tests.
-    #[cfg(test)]
-    pub(crate) fn as_slice(&self) -> &[f32] {
-        &self.buf
-    }
+    Gather(Gather<'a>),
 }
 
 /// Validates both operands and returns the logical problem dimensions
@@ -280,64 +232,17 @@ pub fn naive(a: &Tensor, trans_a: Trans, b: &Tensor, trans_b: Trans) -> Result<T
     Ok(naive_unchecked(a, trans_a, b, trans_b, n, k, m))
 }
 
-/// `C = op_a(A) · B` where `B` was packed up front (conv2d's fused
-/// im2col writes its column panels this way) — the blocked kernel minus
-/// its `pack_b` pass. Always takes the blocked path; bit-identical to
-/// [`gemm`] on the same logical operands, since the panels hold the
-/// same operand bits the kernel would have packed itself.
-///
-/// # Errors
-///
-/// Returns an error if `a` is not rank-2 or its logical column count
-/// differs from the panels' `k`.
-pub fn gemm_prepacked(
-    op: &'static str,
-    a: &Tensor,
-    trans_a: Trans,
-    b: &PackedPanels,
-) -> Result<Tensor> {
-    let (n, k) = logical_dims(op, a, trans_a)?;
-    if k != b.k {
-        return Err(TensorError::ShapeMismatch {
-            op,
-            lhs: a.shape().clone(),
-            rhs: [b.k, b.m].into(),
-        });
-    }
-    Ok(blocked_core(ASource::Mat(mat_ref(a, trans_a)), &b.buf, n, k, b.m))
-}
-
-/// `C = P · op_b(B)` where the `A` operand is the logical `k × m`
-/// matrix a [`PackedPanels`] encodes, walked panel by panel: logical row
-/// `i` is row `i − kp0` of every column-panel block of its `k`-panel
-/// `kp0`, so `pack_a` copies each `NR`-run of a row with one contiguous
-/// read. Conv2d backward uses this to compute `dWᵀ` straight from the
-/// forward product's column panels, so the column matrix is never
-/// re-unfolded. `B` is packed internally as usual.
-///
-/// # Errors
-///
-/// Returns an error if `b` is not rank-2 or its logical row count
-/// differs from the panels' column count.
-pub fn gemm_panels_a(
-    op: &'static str,
-    a: &PackedPanels,
-    b: &Tensor,
-    trans_b: Trans,
-) -> Result<Tensor> {
-    let (kb, m) = logical_dims(op, b, trans_b)?;
-    if a.m != kb {
-        return Err(TensorError::ShapeMismatch {
-            op,
-            lhs: [a.k, a.m].into(),
-            rhs: b.shape().clone(),
-        });
-    }
+/// `C = A · B` where `A` is the `rows.len() × cols.len()` matrix a
+/// [`Gather`] reads in place and `B` is row-major `cols.len() × m`.
+/// Always takes the blocked path; conv2d's weight gradient calls it.
+pub(crate) fn gemm_gather_a(a: Gather<'_>, b: &Tensor) -> Tensor {
+    let (k, m) = b.shape().as_matrix().expect("gemm_gather_a: B is rank-2");
+    assert_eq!(k, a.cols.len(), "gemm_gather_a: A is n × k");
     let packed_b = {
         let _t = sdc_obs::scope!("tensor.gemm.pack_b");
-        pack_b(mat_ref(b, trans_b), kb, m)
+        pack_b(mat_ref(b, Trans::N), k, m)
     };
-    Ok(blocked_core(ASource::Panels(a), &packed_b, a.k, kb, m))
+    blocked_core(ASource::Gather(a), &packed_b, a.rows.len(), k, m)
 }
 
 /// `C = op_a(A) · B` on the calling thread, where `B` is a row-major
@@ -463,7 +368,7 @@ fn blocked_unchecked(
 }
 
 /// The blocked kernel over an already-packed `B`: the shared tail of
-/// [`blocked_unchecked`], [`gemm_prepacked`] and [`gemm_panels_a`].
+/// [`blocked_unchecked`] and [`gemm_gather_a`].
 fn blocked_core(aref: ASource<'_>, packed_b: &[f32], n: usize, k: usize, m: usize) -> Tensor {
     let _gemm_timer = sdc_obs::scope!("tensor.gemm");
     // SAFETY: the dispatch hands every `MC`-row chunk of the buffer to
@@ -504,7 +409,7 @@ unsafe fn uninit_output(len: usize, fill: impl FnOnce(&mut [MaybeUninit<f32>])) 
 
 /// Number of `NR`-wide column panels covering `m` columns.
 #[inline]
-pub(crate) fn col_panels(m: usize) -> usize {
+fn col_panels(m: usize) -> usize {
     m.div_ceil(NR)
 }
 
@@ -541,7 +446,7 @@ fn pack_b(b: MatRef<'_>, k: usize, m: usize) -> Vec<f32> {
 /// buffer, where `kp` starts at logical row `p0` and all earlier
 /// `k`-panels are full [`KC`] deep.
 #[inline]
-pub(crate) fn b_panel_offset(p0: usize, kc: usize, jp: usize, jpanels: usize) -> usize {
+fn b_panel_offset(p0: usize, kc: usize, jp: usize, jpanels: usize) -> usize {
     debug_assert!(p0.is_multiple_of(KC));
     (p0 * jpanels + jp * kc) * NR
 }
@@ -563,21 +468,11 @@ fn pack_a(dst: &mut Vec<f32>, a: ASource<'_>, i0: usize, mc: usize, p0: usize, k
                     }
                 }
             }
-            // Row `i` is row `i − kp0` of every column-panel block of its
-            // k-panel `kp0`. `p0` is a multiple of `KC`, hence of `NR`, so
-            // the `NR` columns of one column panel are one contiguous run,
-            // and the next panel's run starts `kcp · NR` floats on.
-            ASource::Panels(pa) => {
-                for r in 0..rows {
-                    let i = top + r;
-                    let kp0 = i - i % KC;
-                    let kcp = KC.min(pa.k - kp0);
-                    let row = b_panel_offset(kp0, kcp, p0 / NR, col_panels(pa.m)) + (i - kp0) * NR;
-                    for (q, run) in tile.chunks_mut(NR * MR).enumerate() {
-                        let src = &pa.buf[row + q * kcp * NR..];
-                        for (lanes, &v) in run.chunks_exact_mut(MR).zip(src) {
-                            lanes[r] = v;
-                        }
+            ASource::Gather(g) => {
+                let cols = &g.cols[p0..p0 + kc];
+                for (r, &row) in g.rows[top..top + rows].iter().enumerate() {
+                    for (lanes, &col) in tile.chunks_exact_mut(MR).zip(cols) {
+                        lanes[r] = g.data[row + col];
                     }
                 }
             }
@@ -587,23 +482,24 @@ fn pack_a(dst: &mut Vec<f32>, a: ASource<'_>, i0: usize, mc: usize, p0: usize, k
 
 /// The fixed-width micro-kernel: accumulates one `kc`-deep panel
 /// product into `acc` (an `MR × NR` register tile), with the `p` loop
-/// strictly ascending and one accumulator per lane. `MR`/`NR` are
-/// constants, so the compiler fully unrolls and vectorizes the two
-/// inner loops.
-/// Dispatches to the widest micro-kernel the host supports. Every
-/// variant executes the *same* IEEE-754 multiply/add sequence per
-/// output element (separate `mul` then `add` — never FMA, whose fused
-/// rounding would change results), so which variant runs affects speed
-/// only, never bits.
+/// strictly ascending and one accumulator per lane, on the instruction
+/// set `isa` selects. Every variant executes the *same* IEEE-754
+/// multiply/add sequence per output element (separate `mul` then `add`
+/// — never FMA, whose fused rounding would change results), so which
+/// variant runs affects speed only, never bits.
 #[inline]
-fn microkernel(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
+fn microkernel(isa: Isa, kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: guarded by runtime feature detection.
+    if isa == Isa::Avx2 {
+        // SAFETY: `Isa::Avx2` is only produced after a successful
+        // runtime `is_x86_feature_detected!("avx2")` check (see
+        // `simd::active_isa`).
         unsafe { microkernel_avx2(kc, ap, bp, acc) };
         return;
     }
-    microkernel_generic(kc, ap, bp, acc);
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = isa;
+    microkernel_body(kc, ap, bp, acc);
 }
 
 /// The portable micro-kernel body: `MR`/`NR` are constants and the
@@ -628,10 +524,6 @@ fn microkernel_body(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]
     *acc = tile;
 }
 
-fn microkernel_generic(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
-    microkernel_body(kc, ap, bp, acc);
-}
-
 /// The same body compiled for AVX2: each `NR`-lane row becomes one
 /// 256-bit `vmulps` + `vaddps`. No `fma` is enabled, so LLVM cannot
 /// fuse the pair and rounding stays identical to the generic variant.
@@ -642,9 +534,9 @@ unsafe fn microkernel_avx2(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; N
 }
 
 /// Computes all columns of output rows `i0..i0+rows.len()/m` into
-/// `rows` (a chunk of the output buffer). Guarantees every element of
-/// `rows` is written: zero-filled when `k == 0`, stored by the first
-/// `k`-panel otherwise.
+/// `rows` (a chunk of the output buffer), reading the instruction set
+/// once. Guarantees every element of `rows` is written: zero-filled
+/// when `k == 0`, stored by the first `k`-panel otherwise.
 fn fill_chunk(
     i0: usize,
     rows: &mut [MaybeUninit<f32>],
@@ -661,6 +553,7 @@ fn fill_chunk(
         return;
     }
     let jpanels = col_panels(m);
+    let isa = simd::active_isa();
     A_SCRATCH.with(|scratch| {
         let mut packed_a = scratch.take();
         let mut p0 = 0;
@@ -690,7 +583,7 @@ fn fill_chunk(
                             }
                         }
                     }
-                    microkernel(kc, ap, bp, &mut acc);
+                    microkernel(isa, kc, ap, bp, &mut acc);
                     for (r, arow) in acc.iter().take(height).enumerate() {
                         let crow = (r0 + r) * m + j0;
                         for (j, &v) in arow.iter().take(width).enumerate() {
@@ -831,49 +724,25 @@ mod tests {
     }
 
     #[test]
-    fn prepacked_matches_naive_on_tile_boundaries() {
-        for &(n, k, m) in &[(MR + 1, KC + 1, NR + 1), (MC, KC, 2 * NR + 3), (1, 1, 1), (3, 2, 5)] {
-            let a = rand_t([n, k], (n + k) as u64);
-            let b = rand_t([k, m], (m + k) as u64);
-            let pb = PackedPanels::pack("t", &b, Trans::N).unwrap();
-            assert_eq!((pb.k(), pb.m()), (k, m));
-            assert_bits_eq(
-                &gemm_prepacked("t", &a, Trans::N, &pb).unwrap(),
-                &naive(&a, Trans::N, &b, Trans::N).unwrap(),
-            );
-            let bt = rand_t([m, k], (m * 7 + k) as u64);
-            let pbt = PackedPanels::pack("t", &bt, Trans::T).unwrap();
-            assert_bits_eq(
-                &gemm_prepacked("t", &a, Trans::N, &pbt).unwrap(),
-                &naive(&a, Trans::N, &bt, Trans::T).unwrap(),
-            );
-        }
-    }
-
-    #[test]
-    fn panels_as_a_operand_match_naive() {
-        // C = P · B where P encodes a logical (n, k) matrix — compare
-        // against the naive product of the unpacked operands, across
-        // KC/NR panel edges.
-        for &(n, k, m) in &[(KC + 3, 2 * NR + 1, 5), (MR, NR, NR), (MC + 1, KC, 3)] {
-            let a = rand_t([n, k], (n * 3 + m) as u64);
+    fn gathered_a_matches_naive_across_panel_edges() {
+        // A gathered A (element (i, j) at rows[i] + cols[j]) against the
+        // naive product of the same logical matrix, across MR/MC and
+        // KC panel edges.
+        for &(n, k, m) in &[(MR + 1, KC + 3, NR + 1), (MC + 1, 2 * KC + 1, 3), (1, 1, 1)] {
+            let data = rand_t([n + 2, k + 5], (n * 3 + k) as u64);
+            let ld = k + 5;
+            let rows: Vec<usize> = (0..n).map(|i| (i + 2) * ld).collect();
+            let cols: Vec<usize> = (0..k).map(|j| j + 5).collect();
+            let data = data.data();
+            let a_data =
+                rows.iter().flat_map(|&r| cols.iter().map(move |&c| data[r + c])).collect();
+            let a = Tensor::from_vec([n, k], a_data).unwrap();
             let b = rand_t([k, m], (k * 5 + m) as u64);
-            let pa = PackedPanels::pack("t", &a, Trans::N).unwrap();
+            let gathered = Gather { data, rows: &rows, cols: &cols };
             assert_bits_eq(
-                &gemm_panels_a("t", &pa, &b, Trans::N).unwrap(),
+                &gemm_gather_a(gathered, &b),
                 &naive(&a, Trans::N, &b, Trans::N).unwrap(),
             );
         }
-    }
-
-    #[test]
-    fn prepacked_shape_errors_are_reported() {
-        let b = rand_t([4, 6], 1);
-        let pb = PackedPanels::pack("t", &b, Trans::N).unwrap();
-        let bad_a = rand_t([2, 5], 2);
-        assert!(gemm_prepacked("t", &bad_a, Trans::N, &pb).is_err());
-        let bad_b = rand_t([5, 2], 3);
-        assert!(gemm_panels_a("t", &pb, &bad_b, Trans::N).is_err());
-        assert!(PackedPanels::pack("t", &Tensor::scalar(1.0), Trans::N).is_err());
     }
 }

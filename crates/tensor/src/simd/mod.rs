@@ -58,9 +58,12 @@ use crate::par;
 use crate::tensor::DestBuf;
 use crate::Tensor;
 
+pub(crate) use kernels::{dispatch_with, SimdOp};
+pub(crate) use vec::{SimdF32, LANES};
+
 use kernels::{
-    dispatch_with, L2NormBwdChunk, LogSoftmaxBwdChunk, LogSoftmaxChunk, ReluBwdChunk, RowDivChunk,
-    RowNormsChunk, RowReduceChunk, SumColsChunk, UnaryChunk,
+    L2NormBwdChunk, LogSoftmaxBwdChunk, LogSoftmaxChunk, ReluBwdChunk, RowDivChunk, RowNormsChunk,
+    RowReduceChunk, SumColsChunk, UnaryChunk,
 };
 
 /// Environment variable overriding the dispatched instruction set:

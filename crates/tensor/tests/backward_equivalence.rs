@@ -8,10 +8,10 @@
 //! `take_grad` mid-use, random DAGs over the rank-2 ops, and re-swept
 //! tapes (the double-backward stale-gradient regression). Every tape is
 //! swept twice, so re-sweeps of the blocked-GEMM tower pair and of a
-//! conv whose fused column panels straddle the `KC`/`NR` panel edges —
-//! panels the conv node holds from its forward for every backward —
-//! ride the same harness. The conv kernel's own input and weight
-//! gradients are also checked against the column-matrix references
+//! conv whose weight-gradient reduction straddles the `KC`/`NR` panel
+//! edges ride the same harness. The conv kernels themselves are checked
+//! against the column-matrix references: the direct forward against
+//! `im2col` → naive GEMM → `+ b`, the input and weight gradients against
 //! `col2im(g · W)` and `gᵀ · cols`.
 //!
 //! CI runs this suite under `SDC_THREADS=7` like the gemm suite; the
@@ -20,9 +20,8 @@
 
 use proptest::prelude::*;
 use sdc_runtime::Runtime;
-use sdc_tensor::ops::conv::{
-    col2im, conv2d_backward_packed, conv2d_forward_packed, conv_out_dim, im2col,
-};
+use sdc_tensor::ops::conv::{col2im, conv2d_backward, conv2d_forward, conv_out_dim, im2col, MR};
+use sdc_tensor::ops::gemm::{self, Trans};
 use sdc_tensor::ops::matmul::{matmul, matmul_tn};
 use sdc_tensor::{Graph, Tensor, VarId};
 
@@ -295,9 +294,9 @@ fn tower_pair_resweeps_match_serial_bitwise() {
 }
 
 /// A conv whose patch dimension (29·3·3 = 261) straddles the `KC = 256`
-/// panel edge and whose column count (2·5·5 = 50) is not a multiple of
-/// `NR`, with padding — the fused im2col writer's hardest alignment
-/// case.
+/// panel edge and whose output positions (2·5·5 = 50) are not a
+/// multiple of `NR`, with padding — the hardest alignment case for the
+/// direct forward's tiles and the weight gradient's gathered `A` blocks.
 fn conv_panel_straddle(g: &mut Graph) -> (VarId, Vec<VarId>) {
     let x = g.leaf(rand_t([2 * 29 * 5 * 5], 61).reshape([2, 29, 5, 5]).unwrap());
     let w = g.leaf(rand_t([4 * 29 * 3 * 3], 62).reshape([4, 29, 3, 3]).unwrap());
@@ -308,11 +307,84 @@ fn conv_panel_straddle(g: &mut Graph) -> (VarId, Vec<VarId>) {
     (loss, vec![x, w, b, c, r, loss])
 }
 
-/// Both sweeps reuse the column panels the conv node holds from its
-/// forward, and must equal the serial reference bitwise.
+/// Both sweeps must equal the serial reference bitwise.
 #[test]
 fn conv_shapes_straddling_panel_boundaries_match_serial_bitwise() {
     check_scheduler_vs_serial(conv_panel_straddle, "conv_panel_straddle");
+}
+
+/// Conv inputs for the kernel gates below, with their `c_out`: 1×1
+/// images, `oh·ow` off a multiple of `NR` (6×6), `c_in·k² = 261`
+/// crossing `KC` at `k = 3`, the bench encoder's stage-0 input, and
+/// `c_out` values that are not multiples of the tile height `MR` (17
+/// spans three tiles).
+const CONV_CASES: [([usize; 4], usize); 8] = [
+    ([1, 1, 1, 1], 2),
+    ([3, 2, 1, 1], 3),
+    ([2, 3, 5, 5], 4),
+    ([1, 4, 6, 6], 5),
+    ([2, 29, 5, 5], 3),
+    ([2, 16, 12, 12], 16),
+    ([3, 5, 7, 4], 6),
+    ([2, 3, 9, 7], 2 * MR + 1),
+];
+
+/// Every `k, s ∈ {1, 2, 3}`, `p ∈ {0, 1, 2}` whose kernel fits an
+/// `h × w` input padded by `p`.
+fn conv_geometries(h: usize, w: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    (1..=3)
+        .flat_map(|k| (1..=3).flat_map(move |s| (0..=2).map(move |p| (k, s, p))))
+        .filter(move |&(k, _, p)| k <= h + 2 * p && k <= w + 2 * p)
+}
+
+/// The input batch of conv case `case`, with a `-0.0` at its first
+/// element.
+fn conv_input(case: usize, shape: [usize; 4]) -> Tensor {
+    let mut x = rand_t(shape, 70 + 10 * case as u64);
+    x.data_mut()[0] = -0.0;
+    x
+}
+
+/// The direct conv forward against its column-matrix reference,
+/// `im2col` → `gemm::naive` (`cols · Wᵀ`) → `+ b`, bit for bit, with
+/// and without a bias, on 1-, 2- and 7-thread runtimes, over every case
+/// and geometry above (strides 2 and 3 split the padded input into
+/// phases; `k < s` builds only some of them).
+#[test]
+fn conv_forward_matches_im2col_reference_bitwise() {
+    for (case, &(shape, c_out)) in CONV_CASES.iter().enumerate() {
+        let [n, c_in, h, w] = shape;
+        let seed = 70 + 10 * case as u64;
+        let x = conv_input(case, shape);
+        for (k, s, p) in conv_geometries(h, w) {
+            let ctx = format!("{shape:?} c_out={c_out} k{k} s{s} p{p}");
+            let wt = rand_t([c_out, c_in, k, k], seed + 1);
+            let b = rand_t([c_out], seed + 3);
+            let (oh, ow) = (conv_out_dim(h, k, s, p), conv_out_dim(w, k, s, p));
+            let (want, want_b) = Runtime::new(1).install(|| {
+                let cols = im2col(&x, k, s, p).unwrap();
+                let wmat = wt.reshape([c_out, c_in * k * k]).unwrap();
+                let prod = gemm::naive(&cols, Trans::N, &wmat, Trans::T).unwrap();
+                let (mut y, mut yb) =
+                    (Tensor::zeros([n, c_out, oh, ow]), Tensor::zeros([n, c_out, oh, ow]));
+                for (i, &v) in prod.data().iter().enumerate() {
+                    let (ni, pos, co) = (i / (oh * ow * c_out), i / c_out % (oh * ow), i % c_out);
+                    let at = (ni * c_out + co) * oh * ow + pos;
+                    y.data_mut()[at] = v;
+                    yb.data_mut()[at] = v + b.data()[co];
+                }
+                (y, yb)
+            });
+            for threads in THREADS {
+                Runtime::new(threads).install(|| {
+                    let y = conv2d_forward(&x, &wt, None, s, p).unwrap();
+                    assert_bits_eq(&y, &want, &format!("{ctx} threads={threads}: no bias"));
+                    let yb = conv2d_forward(&x, &wt, Some(&b), s, p).unwrap();
+                    assert_bits_eq(&yb, &want_b, &format!("{ctx} threads={threads}: bias"));
+                });
+            }
+        }
+    }
 }
 
 /// The conv input gradient against its column-matrix reference,
@@ -321,32 +393,14 @@ fn conv_shapes_straddling_panel_boundaries_match_serial_bitwise() {
 /// the weight gradient is checked against `gmatᵀ · cols` on the way. The
 /// per-sample fold must give every pixel its contributions in col2im's
 /// order: folding the planes in ascending `(ky, kx)` order fails here.
-/// Shapes: 1×1 images, `oh·ow` off a multiple of `NR` (6×6),
-/// `c_in·k² = 261` crossing `KC` at `k = 3`, the bench encoder's stage-0
-/// input, and a `-0.0` in both `x` and `gy`; every `k, s ∈ {1, 2, 3}`,
-/// `p ∈ {0, 1, 2}` whose kernel fits the padded input.
+/// Cases and geometries as for the forward, plus a `-0.0` in `gy`.
 #[test]
 fn conv_input_gradient_matches_col2im_reference_bitwise() {
-    let cases = [
-        ([1, 1, 1, 1], 2),
-        ([3, 2, 1, 1], 3),
-        ([2, 3, 5, 5], 4),
-        ([1, 4, 6, 6], 5),
-        ([2, 29, 5, 5], 3),
-        ([2, 16, 12, 12], 16),
-        ([3, 5, 7, 4], 6),
-    ];
-    for (case, &(shape, c_out)) in cases.iter().enumerate() {
+    for (case, &(shape, c_out)) in CONV_CASES.iter().enumerate() {
         let [n, c_in, h, w] = shape;
         let seed = 70 + 10 * case as u64;
-        let mut x = rand_t(shape, seed);
-        x.data_mut()[0] = -0.0;
-        for (k, s, p) in
-            (1..=3).flat_map(|k| (1..=3).flat_map(move |s| (0..=2).map(move |p| (k, s, p))))
-        {
-            if k > h + 2 * p || k > w + 2 * p {
-                continue;
-            }
+        let x = conv_input(case, shape);
+        for (k, s, p) in conv_geometries(h, w) {
             let ctx = format!("{shape:?} c_out={c_out} k{k} s{s} p{p}");
             let wt = rand_t([c_out, c_in, k, k], seed + 1);
             let (oh, ow) = (conv_out_dim(h, k, s, p), conv_out_dim(w, k, s, p));
@@ -368,10 +422,8 @@ fn conv_input_gradient_matches_col2im_reference_bitwise() {
             });
             for threads in THREADS {
                 Runtime::new(threads).install(|| {
-                    let (_, colst) = conv2d_forward_packed(&x, &wt, None, s, p).unwrap();
-                    let (dx, dw, _) =
-                        conv2d_backward_packed(&x, &wt, &gy, s, p, false, &colst).unwrap();
-                    assert_bits_eq(&dx, &dx_ref, &format!("{ctx} threads={threads}: dx"));
+                    let (dx, dw, _) = conv2d_backward(&x, &wt, &gy, s, p, true, false).unwrap();
+                    assert_bits_eq(&dx.unwrap(), &dx_ref, &format!("{ctx} threads={threads}: dx"));
                     assert_bits_eq(&dw, &dw_ref, &format!("{ctx} threads={threads}: dw"));
                 });
             }

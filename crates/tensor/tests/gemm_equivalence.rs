@@ -5,12 +5,14 @@
 //!
 //! This suite (plus the proptests at the bottom) is what lets
 //! `matmul`'s size dispatch pick either path freely: CI runs it under
-//! `SDC_THREADS=7` alongside the other odd-thread-count steps.
+//! `SDC_THREADS=7` alongside the other odd-thread-count steps, and under
+//! `SDC_SIMD=scalar`, which must reach the micro-kernel (checked below).
 
 use proptest::prelude::*;
 use sdc_runtime::Runtime;
-use sdc_tensor::ops::gemm::{self, PackedPanels, Trans, KC, MC, MR, NR};
+use sdc_tensor::ops::gemm::{self, Trans, KC, MC, MR, NR};
 use sdc_tensor::ops::matmul::{matmul, matmul_nt, matmul_tn, transpose};
+use sdc_tensor::simd::{self, Isa};
 use sdc_tensor::Tensor;
 
 /// Thread counts exercised everywhere: serial, even, and an odd
@@ -115,66 +117,22 @@ fn nonfinite_operands_match_the_naive_kernels() {
     check_blocked_vs_naive(&a, Trans::N, &bt, Trans::T, "nonfinite nt");
 }
 
+/// The micro-kernel dispatches on `simd::active_isa()`, so a run under
+/// `SDC_SIMD=scalar` must see the portable instantiation: otherwise this
+/// suite's forced-scalar CI step would test the AVX2 body again.
 #[test]
-fn prepacked_reuse_is_bitwise_stable_across_calls_and_threads() {
-    // The conv2d-forward path: a `PackedPanels` built once and consumed
-    // repeatedly must give results bitwise-identical to the naive
-    // reference on every call, at every thread count, for both operand
-    // orientations and across KC/NR panel edges.
-    for &(n, k, m) in &[(MR + 1, KC + 1, NR + 1), (MC, KC, 2 * NR + 3), (3, 2, 5)] {
-        let seed = (n * 1000 + m * 100 + k) as u64;
-        let a = rand_t([n, k], seed);
-        let b = rand_t([k, m], seed + 1);
-        let bt = rand_t([m, k], seed + 2);
-        let want_nn = Runtime::new(1).install(|| gemm::naive(&a, Trans::N, &b, Trans::N).unwrap());
-        let want_nt = Runtime::new(1).install(|| gemm::naive(&a, Trans::N, &bt, Trans::T).unwrap());
-        let pb = PackedPanels::pack("test", &b, Trans::N).unwrap();
-        let pbt = PackedPanels::pack("test", &bt, Trans::T).unwrap();
-        for threads in THREADS {
-            Runtime::new(threads).install(|| {
-                for call in 0..2 {
-                    let ctx = format!("prepacked {n}x{k}x{m} threads={threads} call={call}");
-                    let got = gemm::gemm_prepacked("test", &a, Trans::N, &pb).unwrap();
-                    assert_bits_eq(&got, &want_nn, &format!("{ctx} nn"));
-                    let got_t = gemm::gemm_prepacked("test", &a, Trans::N, &pbt).unwrap();
-                    assert_bits_eq(&got_t, &want_nt, &format!("{ctx} nt"));
-                }
-            });
-        }
+fn forced_scalar_dispatch_reaches_the_micro_kernel() {
+    let isa = simd::active_isa();
+    if std::env::var(simd::SIMD_ENV).as_deref() == Ok("scalar") {
+        assert_eq!(isa, Isa::Scalar, "SDC_SIMD=scalar must force the fallback");
+        return;
     }
-}
-
-#[test]
-fn panels_as_a_operand_reuse_matches_naive_at_every_thread_count() {
-    // The conv2d-backward path: the forward's column panels serve as the
-    // *A* operand (`dWᵀ = colsᵀ · g`), walked panel by panel. Reuse
-    // across calls must stay bitwise equal to the naive product of the
-    // unpacked operands. The last two shapes reduce over more than one
-    // `KC` panel, so the walk must offset each into the right column
-    // panels (the second is the stem conv's 16·12·12 = 2,304-row
-    // reduction).
-    for &(n, k, m) in &[
-        (KC + 3, 2 * NR + 1, 5),
-        (MR, NR, NR),
-        (MC + 1, KC, 3),
-        (261, 2 * KC + NR + 3, 16),
-        (27, 9 * KC, 16),
-    ] {
-        let seed = (n * 777 + m * 13 + k) as u64;
-        let a = rand_t([n, k], seed);
-        let b = rand_t([k, m], seed + 1);
-        let want = Runtime::new(1).install(|| gemm::naive(&a, Trans::N, &b, Trans::N).unwrap());
-        let pa = PackedPanels::pack("test", &a, Trans::N).unwrap();
-        for threads in THREADS {
-            Runtime::new(threads).install(|| {
-                for call in 0..2 {
-                    let got = gemm::gemm_panels_a("test", &pa, &b, Trans::N).unwrap();
-                    let ctx = format!("panels_a {n}x{k}x{m} threads={threads} call={call}");
-                    assert_bits_eq(&got, &want, &ctx);
-                }
-            });
-        }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        assert_eq!(isa, Isa::Avx2, "AVX2 host must dispatch AVX2 by default");
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    assert_eq!(isa, Isa::Scalar);
 }
 
 proptest! {

@@ -83,12 +83,12 @@ proptest! {
         let y = conv2d_forward(&x, &w, None, stride, 1).unwrap();
         let gy = Tensor::randn(y.shape().clone(), 1.0, &mut rng);
         let r = assert_thread_invariant(|| {
-            let (dx, _, _) = conv2d_backward(&x, &w, &gy, stride, 1, true).unwrap();
-            dx
+            let (dx, _, _) = conv2d_backward(&x, &w, &gy, stride, 1, true, true).unwrap();
+            dx.expect("dx requested")
         });
         prop_assert!(r.is_ok(), "backward dx: {}", r.unwrap_err());
         let r = assert_thread_invariant(|| {
-            let (_, dw, _) = conv2d_backward(&x, &w, &gy, stride, 1, true).unwrap();
+            let (_, dw, _) = conv2d_backward(&x, &w, &gy, stride, 1, true, true).unwrap();
             dw
         });
         prop_assert!(r.is_ok(), "backward dw: {}", r.unwrap_err());
