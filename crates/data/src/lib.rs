@@ -22,13 +22,10 @@
 #![warn(missing_docs)]
 
 pub mod augment;
-pub mod image_io;
 pub mod prefetch;
 mod sample;
 pub mod stream;
-pub mod stream_ext;
 pub mod synth;
 
 pub use prefetch::{PrefetchStream, SegmentSource, StreamId, WithStreamId};
 pub use sample::{stack_image_tensors, stack_images, Sample};
-pub use stream_ext::{DriftModel, ExtendedStream, RunLengthModel, StreamStats};

@@ -18,7 +18,6 @@ use std::thread::JoinHandle;
 
 use crate::sample::Sample;
 use crate::stream::TemporalStream;
-use crate::stream_ext::ExtendedStream;
 
 /// Identifier of one logical stream within a multi-stream deployment.
 ///
@@ -27,7 +26,7 @@ use crate::stream_ext::ExtendedStream;
 pub type StreamId = u64;
 
 /// Anything that yields stream segments — the interface the trainer
-/// consumes, implemented by the concrete streams and by
+/// consumes, implemented by [`TemporalStream`] and by
 /// [`PrefetchStream`] itself (so prefetching is a drop-in wrapper).
 pub trait SegmentSource {
     /// Produces the next `n` stream items.
@@ -80,12 +79,6 @@ impl<S: SegmentSource> SegmentSource for WithStreamId<S> {
 impl SegmentSource for TemporalStream {
     fn next_segment(&mut self, n: usize) -> Result<Vec<Sample>> {
         TemporalStream::next_segment(self, n)
-    }
-}
-
-impl SegmentSource for ExtendedStream {
-    fn next_segment(&mut self, n: usize) -> Result<Vec<Sample>> {
-        ExtendedStream::next_segment(self, n)
     }
 }
 

@@ -22,7 +22,6 @@
 
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod init;
 pub mod layers;
 pub mod models;

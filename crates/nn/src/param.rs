@@ -17,14 +17,6 @@ pub struct ParamId(usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct BufferId(usize);
 
-impl BufferId {
-    /// Rebuilds a handle from a registration index (used by checkpoint
-    /// restore, which walks buffers in order).
-    pub(crate) fn from_index(i: usize) -> Self {
-        Self(i)
-    }
-}
-
 /// A named trainable tensor with its accumulated gradient.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Parameter {
@@ -132,10 +124,9 @@ impl ParamStore {
 /// values; gradients are transient and reset to zero on restore).
 ///
 /// [`Persist::load`] restores *values* into an existing store with the
-/// same layout — the same contract as
-/// [`checkpoint::load_store`](crate::checkpoint::load_store): entry
-/// counts, names, and shapes must match or the load is rejected with a
-/// [`PersistError::StateMismatch`] and the store is left untouched.
+/// same layout: entry counts, names, and shapes must match or the load
+/// is rejected with a [`PersistError::StateMismatch`] and the store is
+/// left untouched.
 impl Persist for ParamStore {
     fn save(&self, w: &mut StateWriter) {
         w.put_u64(self.params.len() as u64);

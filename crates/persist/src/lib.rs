@@ -3,7 +3,7 @@
 //! Crash-safe checkpoint/restore for the *Selective Data Contrast*
 //! stack: a versioned, checksummed, chunked snapshot container plus the
 //! [`Persist`] state-capture trait the rest of the workspace implements
-//! (`ParamStore` + optimizer moments + EMA in `sdc-nn`, policy and
+//! (`ParamStore` + optimizer moments in `sdc-nn`, policy and
 //! PRNG state in `sdc-core`, stream cursors in `sdc-data`, and the
 //! serve-layer `NodeSnapshot` in `sdc-serve`).
 //!
@@ -73,7 +73,7 @@ pub use state::{StateReader, StateWriter};
 /// [`PersistError::StateMismatch`] when the serialized layout does not
 /// match (different model architecture, buffer capacity, policy
 /// configuration, ...). Building the equally configured instance is
-/// the caller's job — exactly as with `sdc-nn`'s checkpoint module.
+/// the caller's job.
 pub trait Persist {
     /// Serializes this component's state into `w`.
     fn save(&self, w: &mut StateWriter);

@@ -33,7 +33,6 @@ use crate::ops::norm::{
     batch_norm2d_backward, batch_norm2d_forward, l2_normalize_rows_forward, BnBatchStats, BnSaved,
 };
 use crate::ops::pool::{global_avg_pool_backward, global_avg_pool_forward};
-use crate::ops::reduce::sum_cols_forward;
 use crate::ops::softmax::{log_softmax_forward, nll_backward, nll_forward};
 use crate::simd::{self, RowNorms, UnaryKernel};
 use crate::tensor::DestBuf;
@@ -55,9 +54,8 @@ impl VarId {
 }
 
 /// The tape's op kinds: the ones the models, trainer and probe record,
-/// plus `Matmul` and `MeanAll`, which the backward benches build their
-/// tapes from (`MeanAll` is also the scalar loss the gradient-check
-/// suites reduce to).
+/// plus `MeanAll`, the scalar loss the gradient-check and equivalence
+/// suites reduce their tapes to.
 #[derive(Debug)]
 enum Op {
     Leaf,
@@ -70,7 +68,6 @@ enum Op {
         x: VarId,
         b: VarId,
     },
-    Matmul(VarId, VarId),
     MatmulNt(VarId, VarId),
     Relu(VarId),
     Conv2d {
@@ -121,7 +118,6 @@ impl Op {
         match self {
             Op::Leaf | Op::Constant => {}
             Op::Add(a, b)
-            | Op::Matmul(a, b)
             | Op::MatmulNt(a, b)
             | Op::Concat0 { a, b, .. }
             | Op::AddBias { x: a, b } => {
@@ -362,16 +358,6 @@ impl Graph {
             }
         }
         Ok(self.push(Op::AddBias { x, b }, value))
-    }
-
-    /// Matrix product `a · b`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on rank or inner-dimension mismatches.
-    pub fn matmul(&mut self, a: VarId, b: VarId) -> Result<VarId> {
-        let value = matmul(&self.nodes[a.0].value, &self.nodes[b.0].value)?;
-        Ok(self.push(Op::Matmul(a, b), value))
     }
 
     /// Matrix product `a · bᵀ` — the similarity-matrix building block.
@@ -658,18 +644,13 @@ impl Graph {
             Op::AddBias { x, b } => {
                 // The bias gradient is the column sum of the upstream
                 // gradient, chunked by columns over the worker pool.
-                let gb = sum_cols_forward(g)?;
+                let gb = simd::sum_cols(g)?;
                 vec![(x.0, self.pooled_copy(g)), (b.0, gb)]
             }
             // Gradient products run on the blocked gemm kernels; the
-            // transposed operand of each `matmul_tn`/`matmul_nt` is
-            // read through the packer's strided view, so backward
-            // allocates no transposed copies of activations or
-            // upstream gradients.
-            Op::Matmul(a, b) => {
-                let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-                vec![(a.0, matmul_nt(g, vb)?), (b.0, matmul_tn(va, g)?)]
-            }
+            // transposed operand of `matmul_tn` is read through the
+            // packer's strided view, so backward allocates no
+            // transposed copies of activations or upstream gradients.
             Op::MatmulNt(a, b) => {
                 let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
                 vec![(a.0, matmul(g, vb)?), (b.0, matmul_tn(g, va)?)]
@@ -779,21 +760,6 @@ mod tests {
         g.backward(loss).unwrap();
         assert_eq!(g.grad(a).unwrap().data(), &[0.25; 4]);
         assert_eq!(g.grad(b).unwrap().data(), &[0.25; 4]);
-    }
-
-    #[test]
-    fn matmul_backward_shapes() {
-        let mut g = Graph::new();
-        let a = g.leaf(Tensor::ones([2, 3]));
-        let b = g.leaf(Tensor::ones([3, 4]));
-        let c = g.matmul(a, b).unwrap();
-        let loss = g.mean_all(c);
-        g.backward(loss).unwrap();
-        assert_eq!(g.grad(a).unwrap().shape().dims(), &[2, 3]);
-        assert_eq!(g.grad(b).unwrap().shape().dims(), &[3, 4]);
-        // d(mean(A·B))/dA = (1/8)·ones·Bᵀ: each entry = 4/8.
-        assert_eq!(g.grad(a).unwrap().data(), &[0.5; 6]);
-        assert_eq!(g.grad(b).unwrap().data(), &[0.25; 12]);
     }
 
     #[test]
@@ -918,7 +884,7 @@ mod tests {
             let scaled = g.scale(biased, -1.75);
             let masked = g.masked_fill(scaled, vec![false, true, false, false], 0.0).unwrap();
             let relu = g.relu(masked);
-            let prod = g.matmul(relu, a).unwrap();
+            let prod = g.matmul_nt(relu, a).unwrap();
             let z = g.l2_normalize_rows(prod).unwrap();
             let lp = g.log_softmax(z).unwrap();
             let loss = g.mean_all(lp);

@@ -36,8 +36,8 @@ use super::{Isa, UnaryKernel};
 /// One chunk's worth of vectorisable work, generic over the lane type.
 ///
 /// This is the dispatch seam: implementors are the unary-map,
-/// relu-backward zip, horizontal-reduce, and fused map-reduce chunk
-/// forms the public entry points construct.
+/// relu-backward zip, column-sum, and fused map-reduce chunk forms the
+/// public entry points construct.
 pub(crate) trait SimdOp {
     /// What the chunk evaluation produces (usually `()`; results are
     /// written through mutable slices).
@@ -65,7 +65,6 @@ pub(crate) fn dispatch_with<O: SimdOp>(isa: Isa, op: O) -> O::Output {
 #[inline(always)]
 fn apply_unary<S: SimdF32>(k: UnaryKernel, x: S) -> S {
     match k {
-        UnaryKernel::Exp => vexp(x),
         UnaryKernel::Relu => {
             let zero = S::splat(0.0);
             S::blend(x.cmp_gt(zero), x, zero)
@@ -236,32 +235,11 @@ fn row_expsum<S: SimdF32>(row: &[f32], max: f32) -> f32 {
     s
 }
 
-/// Row sums over a chunk of rows. `src` holds exactly `dst.len()` rows
-/// of width `d`. A NaN sum is written as the canonical quiet NaN: which
-/// NaN operand an `fadd` propagates is not preserved by the optimizer,
-/// so only the canonical pattern is the same on every ISA and build.
-pub(crate) struct RowReduceChunk<'a> {
-    pub src: &'a [f32],
-    pub d: usize,
-    pub dst: &'a mut [f32],
-}
-
-impl SimdOp for RowReduceChunk<'_> {
-    type Output = ();
-
-    #[inline(always)]
-    fn eval<S: SimdF32>(self) {
-        let d = self.d;
-        for (r, out) in self.dst.iter_mut().enumerate() {
-            let s = row_sum::<S>(&self.src[r * d..(r + 1) * d]);
-            *out = if s.is_nan() { f32::from_bits(NAN_CANON) } else { s };
-        }
-    }
-}
-
 /// A column-sum over one `COL_CHUNK`-wide band of columns. `dst` is
-/// `out[j0 .. j0 + w]`; `src` is the full `(n, d)` matrix. NaN sums are
-/// written as the canonical quiet NaN, as in [`RowReduceChunk`].
+/// `out[j0 .. j0 + w]`; `src` is the full `(n, d)` matrix. A NaN sum is
+/// written as the canonical quiet NaN: which NaN operand an `fadd`
+/// propagates is not preserved by the optimizer, so only the canonical
+/// pattern is the same on every ISA and build.
 pub(crate) struct SumColsChunk<'a> {
     pub src: &'a [f32],
     pub n: usize,

@@ -1,12 +1,11 @@
 //! Runtime-dispatched vectorized kernels for the non-GEMM hot path.
 //!
 //! This module is the unified ops surface behind the elementwise
-//! `relu`/`scale` maps and the relu backward, the row/column
-//! reductions, the fused three-pass `log_softmax`, and
+//! `relu`/`scale` maps and the relu backward, the bias gradient's
+//! column sum, the fused three-pass `log_softmax`, and
 //! `l2_normalize_rows` — every kernel the scoring path runs besides
-//! GEMM. Maps and reductions are *descriptors* ([`UnaryKernel`],
-//! [`ReduceKernel`]) evaluated by a dispatcher that picks one
-//! instruction set **once per process**:
+//! GEMM. Maps are *descriptors* ([`UnaryKernel`]) evaluated by a
+//! dispatcher that picks one instruction set **once per process**:
 //!
 //! * **AVX2** on `x86-64` when the CPU supports it, entered through a
 //!   `#[target_feature(enable = "avx2")]` generic instantiation;
@@ -63,7 +62,7 @@ pub(crate) use vec::{SimdF32, LANES};
 
 use kernels::{
     L2NormBwdChunk, LogSoftmaxBwdChunk, LogSoftmaxChunk, ReluBwdChunk, RowDivChunk, RowNormsChunk,
-    RowReduceChunk, SumColsChunk, UnaryChunk,
+    SumColsChunk, UnaryChunk,
 };
 
 /// Environment variable overriding the dispatched instruction set:
@@ -130,9 +129,6 @@ pub fn active_isa() -> Isa {
 /// semantics — what the dispatcher computes on every ISA.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum UnaryKernel {
-    /// `exp(x)`: overflow → `+inf`, deep underflow → `0`, NaN → the
-    /// canonical quiet NaN.
-    Exp,
     /// `max(x, 0)` by compare+select (NaN and `-0.0` map to `+0.0`).
     Relu,
     /// `x * c`.
@@ -140,24 +136,6 @@ pub enum UnaryKernel {
         /// The constant factor.
         c: f32,
     },
-}
-
-/// Horizontal reduction kernels over rank-2 tensors.
-///
-/// NaN contract: a reduction whose result is NaN returns the canonical
-/// quiet NaN `0x7fc00000`, whichever NaN operand (or `inf + -inf`)
-/// produced it. IEEE-754 leaves the sign and payload of a propagated
-/// NaN unspecified, and the optimizer does not preserve which operand
-/// an `fadd` propagates, so only the canonical pattern is reproducible
-/// across ISAs and builds. Non-NaN results are exact IEEE sums in the
-/// documented order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReduceKernel {
-    /// Sum each row of `(n, d)` into `(n)`.
-    SumRows,
-    /// Sum each column of `(n, d)` into `(d)`; columns accumulate rows
-    /// in ascending order (the historical `sum_cols` bits).
-    SumCols,
 }
 
 /// Per-row ℓ2 norms produced by [`l2_normalize_rows`], typed so callers
@@ -219,28 +197,15 @@ fn relu_backward_impl(gy: &Tensor, x: &Tensor, dest: DestBuf, isa: Isa) -> Resul
     Ok(Tensor::from_vec(gy.shape().clone(), data).expect("destination length matches shape"))
 }
 
-fn reduce_impl(k: ReduceKernel, x: &Tensor, isa: Isa) -> Result<Tensor> {
-    let (n, d) = require_matrix(x, "simd_reduce")?;
+fn sum_cols_impl(x: &Tensor, isa: Isa) -> Result<Tensor> {
+    let (n, d) = require_matrix(x, "sum_cols")?;
     let xd = x.data();
-    match k {
-        ReduceKernel::SumRows => {
-            let mut out = Tensor::zeros([n]);
-            par::dispatch_chunks(out.data_mut(), par::ROW_CHUNK, n * d, |ci, piece| {
-                let row0 = ci * par::ROW_CHUNK;
-                let src = &xd[row0 * d..(row0 + piece.len()) * d];
-                dispatch_with(isa, RowReduceChunk { src, d, dst: piece });
-            });
-            Ok(out)
-        }
-        ReduceKernel::SumCols => {
-            let mut out = Tensor::zeros([d]);
-            par::dispatch_chunks(out.data_mut(), par::COL_CHUNK, n * d, |ci, piece| {
-                let j0 = ci * par::COL_CHUNK;
-                dispatch_with(isa, SumColsChunk { src: xd, n, d, j0, dst: piece });
-            });
-            Ok(out)
-        }
-    }
+    let mut out = Tensor::zeros([d]);
+    par::dispatch_chunks(out.data_mut(), par::COL_CHUNK, n * d, |ci, piece| {
+        let j0 = ci * par::COL_CHUNK;
+        dispatch_with(isa, SumColsChunk { src: xd, n, d, j0, dst: piece });
+    });
+    Ok(out)
 }
 
 fn log_softmax_impl(x: &Tensor, isa: Isa) -> Result<Tensor> {
@@ -350,13 +315,25 @@ pub fn relu_backward_with(gy: &Tensor, x: &Tensor, dest: DestBuf) -> Result<Tens
     relu_backward_impl(gy, x, dest, active_isa())
 }
 
-/// Run a horizontal reduction over a rank-2 tensor.
+/// Sums each column of an `(n, d)` tensor into a `(d)` vector: the
+/// bias gradient of [`Graph::add_bias`](crate::Graph::add_bias).
+///
+/// Columns are split into fixed `COL_CHUNK`-wide pieces on the worker
+/// pool and each column accumulates its rows in ascending order, so the
+/// result is bit-identical at any thread count.
+///
+/// NaN contract: a column whose sum is NaN returns the canonical quiet
+/// NaN `0x7fc00000`, whichever NaN operand (or `inf + -inf`) produced
+/// it. IEEE-754 leaves the sign and payload of a propagated NaN
+/// unspecified, and the optimizer does not preserve which operand an
+/// `fadd` propagates, so only the canonical pattern is reproducible
+/// across ISAs and builds. Non-NaN results are exact IEEE sums.
 ///
 /// # Errors
 ///
 /// Returns an error if the input is not rank-2.
-pub fn reduce(k: ReduceKernel, x: &Tensor) -> Result<Tensor> {
-    reduce_impl(k, x, active_isa())
+pub fn sum_cols(x: &Tensor) -> Result<Tensor> {
+    sum_cols_impl(x, active_isa())
 }
 
 /// Fused three-pass row-wise log-softmax (max / exp-sum / normalize).
@@ -419,13 +396,13 @@ pub mod scalar_ref {
         relu_backward_impl(gy, x, DestBuf::fresh(), Isa::Scalar)
     }
 
-    /// Scalar-reference [`super::reduce`].
+    /// Scalar-reference [`super::sum_cols`].
     ///
     /// # Errors
     ///
     /// Returns an error if the input is not rank-2.
-    pub fn reduce(k: ReduceKernel, x: &Tensor) -> Result<Tensor> {
-        reduce_impl(k, x, Isa::Scalar)
+    pub fn sum_cols(x: &Tensor) -> Result<Tensor> {
+        sum_cols_impl(x, Isa::Scalar)
     }
 
     /// Scalar-reference [`super::log_softmax`].
@@ -456,5 +433,21 @@ pub mod scalar_ref {
     /// fresh storage.
     pub fn l2_normalize_rows_backward(y: &Tensor, norms: &RowNorms, gy: &Tensor) -> Tensor {
         l2_normalize_rows_backward_impl(y, norms, gy, DestBuf::fresh(), Isa::Scalar)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sum_cols_sums_each_column() {
+        let x = Tensor::from_vec([2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
+        assert_eq!(sum_cols(&x).unwrap().data(), &[5.0, 7.0, 9.0]);
+    }
+
+    #[test]
+    fn sum_cols_rejects_non_matrices() {
+        assert!(sum_cols(&Tensor::zeros([2, 2, 2])).is_err());
     }
 }

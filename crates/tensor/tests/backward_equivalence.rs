@@ -82,7 +82,9 @@ fn check_scheduler_vs_serial(build: impl Fn(&mut Graph) -> (VarId, Vec<VarId>), 
 /// Two encoder-style towers sharing no nodes until the contrastive
 /// head — the tape shape the level scheduler exists to overlap. With
 /// `n = 64`, `d = 128` the tower levels are wide enough to take the
-/// pool fan-out path, and the matmuls the blocked-gemm path.
+/// pool fan-out path, and the matmuls the blocked-gemm path. Weights
+/// are stored transposed, `(out, in)` as `sdc-nn`'s `Linear` stores
+/// them, so each layer is `x · wᵀ`.
 fn tower_pair(g: &mut Graph) -> (VarId, Vec<VarId>) {
     let (n, d) = (64, 128);
     let mut ids = Vec::new();
@@ -95,10 +97,10 @@ fn tower_pair(g: &mut Graph) -> (VarId, Vec<VarId>) {
         let w1 = track(g.leaf(rand_t([d, d], seed + 1)), ids);
         let b1 = track(g.leaf(rand_t([d], seed + 2)), ids);
         let w2 = track(g.leaf(rand_t([d, d], seed + 3)), ids);
-        let h = track(g.matmul(x, w1).unwrap(), ids);
+        let h = track(g.matmul_nt(x, w1).unwrap(), ids);
         let h = track(g.add_bias(h, b1).unwrap(), ids);
         let h = track(g.relu(h), ids);
-        let p = track(g.matmul(h, w2).unwrap(), ids);
+        let p = track(g.matmul_nt(h, w2).unwrap(), ids);
         track(g.l2_normalize_rows(p).unwrap(), ids)
     };
     let z1 = tower(g, &mut ids, 100);
@@ -116,13 +118,13 @@ fn tower_pair(g: &mut Graph) -> (VarId, Vec<VarId>) {
 fn diamond(g: &mut Graph) -> (VarId, Vec<VarId>) {
     let x = g.leaf(rand_t([4, 4], 7));
     let y = g.leaf(rand_t([4, 4], 8));
-    let z = g.matmul(x, y).unwrap();
+    let z = g.matmul_nt(x, y).unwrap();
     let a = g.add(z, x).unwrap();
     let b = g.matmul_nt(z, y).unwrap();
     let nb = g.scale(b, -0.5);
     let c = g.add(a, nb).unwrap();
     let d = g.relu(c);
-    let e = g.matmul(d, a).unwrap(); // `a` re-consumed three levels later
+    let e = g.matmul_nt(d, a).unwrap(); // `a` re-consumed three levels later
     let f = g.add(e, x).unwrap(); // `x` consumed at three distinct levels
     let loss = g.mean_all(f);
     (loss, vec![x, y, z, a, b, nb, c, d, e, f, loss])
@@ -187,7 +189,7 @@ fn conv_and_misc_ops(g: &mut Graph) -> (VarId, Vec<VarId>) {
     ids.extend([hb, h, z, cat, sim, scaled, masked, lp, nll]);
 
     let wl = g.leaf(rand_t([4, 4], 38));
-    let read = g.matmul(cat, wl).unwrap();
+    let read = g.matmul_nt(cat, wl).unwrap();
     let mean = g.mean_all(read);
     let loss = g.add(nll, mean).unwrap();
     ids.extend([wl, read, mean, loss]);
@@ -472,7 +474,7 @@ fn random_dag(seed: u64, ops: usize) -> impl Fn(&mut Graph) -> (VarId, Vec<VarId
                 0 => g.add(a, b).unwrap(),
                 1 => g.scale(a, 0.5),
                 2 => g.add_bias(a, bias).unwrap(),
-                3 => g.matmul(a, b).unwrap(),
+                3 => g.matmul_nt(b, a).unwrap(),
                 4 => g.matmul_nt(a, b).unwrap(),
                 5 => g.relu(a),
                 6 => {

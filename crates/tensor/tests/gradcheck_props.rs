@@ -33,19 +33,6 @@ proptest! {
     }
 
     #[test]
-    fn matmul_grads(a in small_vec(6), b in small_vec(8)) {
-        let ta = Tensor::from_vec([3, 2], a).unwrap();
-        let tb = Tensor::from_vec([2, 4], b).unwrap();
-        let reports = check_gradients(&[ta, tb], EPS, |g, ids| {
-            let c = g.matmul(ids[0], ids[1])?;
-            Ok(g.mean_all(c))
-        }).unwrap();
-        for r in reports {
-            prop_assert!(r.within(TOL), "{r:?}");
-        }
-    }
-
-    #[test]
     fn matmul_nt_grads(a in small_vec(6), b in small_vec(6)) {
         let ta = Tensor::from_vec([3, 2], a).unwrap();
         let tb = Tensor::from_vec([3, 2], b).unwrap();

@@ -7,8 +7,8 @@ use sdc::core::{ContrastScoringPolicy, ContrastiveModel, TrainerConfig};
 use sdc::data::stream::TemporalStream;
 use sdc::data::synth::{SynthConfig, SynthDataset};
 use sdc::eval::{linear_probe, ProbeConfig};
-use sdc::nn::checkpoint::{load_store, save_store};
 use sdc::nn::models::EncoderConfig;
+use sdc::persist::{load_state, save_state};
 
 fn world() -> SynthConfig {
     SynthConfig { classes: 4, height: 10, width: 10, ..SynthConfig::default() }
@@ -68,10 +68,10 @@ fn checkpoint_roundtrips_a_trained_model() {
     let mut outcome =
         run_pipeline(&config, Box::new(ContrastScoringPolicy::new()), &mut stream).unwrap();
 
-    let bytes = save_store(&outcome.model.store);
+    let bytes = save_state(&outcome.model.store);
     // Restore into a freshly initialized model of the same architecture.
     let mut restored = ContrastiveModel::new(&config.trainer.model);
-    load_store(&mut restored.store, &bytes).unwrap();
+    load_state(&mut restored.store, &bytes).unwrap();
 
     // Both models must now produce identical projections.
     let probe_batch = {
