@@ -1,7 +1,7 @@
 //! 2-D convolution layer.
 
 use rand::{Rng, RngExt};
-use sdc_tensor::{Result, Tensor, VarId};
+use sdc_tensor::{Result, VarId};
 
 use crate::init::{conv_fan_in, he_normal};
 use crate::module::{Forward, Module};
@@ -9,12 +9,12 @@ use crate::param::{ParamId, ParamStore};
 
 /// A 2-D convolution with square kernels.
 ///
-/// Weight shape is `(c_out, c_in, k, k)`; bias is optional and usually
-/// omitted when the convolution is followed by batch normalization.
+/// Weight shape is `(c_out, c_in, k, k)`. There is no bias: every
+/// convolution in the encoder is followed by batch normalization, whose
+/// shift takes its place.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     weight: ParamId,
-    bias: Option<ParamId>,
     stride: usize,
     padding: usize,
 }
@@ -30,7 +30,6 @@ impl Conv2d {
         kernel: usize,
         stride: usize,
         padding: usize,
-        bias: bool,
         rng: &mut R,
     ) -> Self {
         let fan_in = conv_fan_in(in_channels, kernel);
@@ -38,9 +37,7 @@ impl Conv2d {
             format!("{name}.weight"),
             he_normal([out_channels, in_channels, kernel, kernel], fan_in, rng),
         );
-        let bias =
-            bias.then(|| store.add_param(format!("{name}.bias"), Tensor::zeros([out_channels])));
-        Self { weight, bias, stride, padding }
+        Self { weight, stride, padding }
     }
 
     /// Handle to the weight parameter.
@@ -52,8 +49,7 @@ impl Conv2d {
 impl Module for Conv2d {
     fn forward(&self, ctx: &mut Forward<'_>, x: VarId) -> Result<VarId> {
         let w = ctx.bind(self.weight);
-        let b = self.bias.map(|bid| ctx.bind(bid));
-        ctx.graph.conv2d(x, w, b, self.stride, self.padding)
+        ctx.graph.conv2d(x, w, self.stride, self.padding)
     }
 }
 
@@ -63,13 +59,13 @@ mod tests {
     use crate::param::Bindings;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sdc_tensor::Graph;
+    use sdc_tensor::{Graph, Tensor};
 
     #[test]
     fn output_shape_follows_stride_and_padding() {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(4);
-        let conv = Conv2d::new(&mut store, "c", 3, 8, 3, 2, 1, false, &mut rng);
+        let conv = Conv2d::new(&mut store, "c", 3, 8, 3, 2, 1, &mut rng);
         let mut g = Graph::new();
         let mut bind = Bindings::new();
         let mut ctx = Forward::new(&mut g, &mut store, &mut bind, true);
@@ -82,7 +78,7 @@ mod tests {
     fn gradient_reaches_conv_weight() {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(5);
-        let conv = Conv2d::new(&mut store, "c", 1, 2, 3, 1, 1, true, &mut rng);
+        let conv = Conv2d::new(&mut store, "c", 1, 2, 3, 1, 1, &mut rng);
         let mut g = Graph::new();
         let mut bind = Bindings::new();
         let mut ctx = Forward::new(&mut g, &mut store, &mut bind, true);

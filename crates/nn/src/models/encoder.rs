@@ -77,11 +77,9 @@ impl BasicBlock {
         stride: usize,
         rng: &mut R,
     ) -> Self {
-        let conv1 =
-            Conv2d::new(store, &format!("{name}.conv1"), in_ch, out_ch, 3, stride, 1, false, rng);
+        let conv1 = Conv2d::new(store, &format!("{name}.conv1"), in_ch, out_ch, 3, stride, 1, rng);
         let bn1 = BatchNorm2d::new(store, &format!("{name}.bn1"), out_ch);
-        let conv2 =
-            Conv2d::new(store, &format!("{name}.conv2"), out_ch, out_ch, 3, 1, 1, false, rng);
+        let conv2 = Conv2d::new(store, &format!("{name}.conv2"), out_ch, out_ch, 3, 1, 1, rng);
         let bn2 = BatchNorm2d::new(store, &format!("{name}.bn2"), out_ch);
         let shortcut = (stride != 1 || in_ch != out_ch).then(|| {
             let conv = Conv2d::new(
@@ -92,7 +90,6 @@ impl BasicBlock {
                 1,
                 stride,
                 0,
-                false,
                 rng,
             );
             let bn = BatchNorm2d::new(store, &format!("{name}.shortcut.bn"), out_ch);
@@ -165,7 +162,6 @@ impl ResNetEncoder {
             3,
             1,
             1,
-            false,
             rng,
         );
         let stem_bn = BatchNorm2d::new(store, "encoder.stem.bn", config.base_width);

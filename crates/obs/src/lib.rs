@@ -71,14 +71,13 @@
 //!   chunks of a dispatch, first claim → job ran dry; its count ÷
 //!   `runtime.jobs` is the mean number of participating threads).
 //! * `tensor.*` — the autodiff/GEMM stack (`sdc-tensor`): scope timers
-//!   `tensor.conv` around each direct conv forward call (one per call,
-//!   covering its sample-parallel dispatch); `tensor.gemm`,
-//!   `tensor.gemm.pack_b`, `tensor.gemm.kernel` around the blocked
-//!   kernel (one `tensor.gemm` per GEMM call: matmuls and conv2d's two
-//!   backward products, not its forward; the per-sample products of the
-//!   input gradient run concurrently on pool threads, so the sum can
-//!   exceed wall time); and `tensor.backward.{sweep,level}` around the
-//!   level-scheduled backward sweep.
+//!   `tensor.conv` and `tensor.conv.backward` around each direct conv
+//!   forward and backward call (one per call, covering its pool
+//!   dispatches); `tensor.gemm`, `tensor.gemm.pack_b`,
+//!   `tensor.gemm.kernel` around the blocked kernel (one `tensor.gemm`
+//!   per matmul call; no conv path calls the GEMM); and
+//!   `tensor.backward.{sweep,level}` around the level-scheduled backward
+//!   sweep.
 //!
 //! The scoring service keeps its request, batch and shed counters and
 //! its latency histograms per instance, in `sdc_serve::ServeStats`,

@@ -73,7 +73,6 @@ enum Op {
     Conv2d {
         x: VarId,
         w: VarId,
-        b: Option<VarId>,
         stride: usize,
         padding: usize,
     },
@@ -132,12 +131,9 @@ impl Op {
             | Op::L2NormalizeRows { x, .. }
             | Op::MaskedFill { x, .. } => f(x.0),
             Op::NllLoss { logp: x, .. } => f(x.0),
-            Op::Conv2d { x, w, b, .. } => {
+            Op::Conv2d { x, w, .. } => {
                 f(x.0);
                 f(w.0);
-                if let Some(b) = b {
-                    f(b.0);
-                }
             }
             Op::BatchNorm2d { x, gamma, beta, .. } => {
                 f(x.0);
@@ -376,28 +372,15 @@ impl Graph {
         self.push(Op::Relu(x), value)
     }
 
-    /// 2-D convolution of `x: (n, c_in, h, w)` with `w: (c_out, c_in, k, k)`
-    /// and optional `(c_out)` bias.
+    /// 2-D convolution of `x: (n, c_in, h, w)` with `w: (c_out, c_in, k, k)`.
     ///
     /// # Errors
     ///
     /// Returns an error on rank/channel mismatches or zero stride.
-    pub fn conv2d(
-        &mut self,
-        x: VarId,
-        w: VarId,
-        b: Option<VarId>,
-        stride: usize,
-        padding: usize,
-    ) -> Result<VarId> {
-        let value = conv2d_forward(
-            &self.nodes[x.0].value,
-            &self.nodes[w.0].value,
-            b.map(|b| &self.nodes[b.0].value),
-            stride,
-            padding,
-        )?;
-        Ok(self.push(Op::Conv2d { x, w, b, stride, padding }, value))
+    pub fn conv2d(&mut self, x: VarId, w: VarId, stride: usize, padding: usize) -> Result<VarId> {
+        let value =
+            conv2d_forward(&self.nodes[x.0].value, &self.nodes[w.0].value, stride, padding)?;
+        Ok(self.push(Op::Conv2d { x, w, stride, padding }, value))
     }
 
     /// Global average pooling `(n, c, h, w) -> (n, c)`.
@@ -662,24 +645,20 @@ impl Graph {
                 let x_val = &self.nodes[x.0].value;
                 vec![(x.0, simd::relu_backward_with(g, x_val, self.dest(g.len()))?)]
             }
-            Op::Conv2d { x, w, b, stride, padding } => {
-                let (dx, dw, db) = conv2d_backward(
+            Op::Conv2d { x, w, stride, padding } => {
+                let (dx, dw) = conv2d_backward(
                     &self.nodes[x.0].value,
                     &self.nodes[w.0].value,
                     g,
                     *stride,
                     *padding,
                     !self.is_constant(*x),
-                    b.is_some(),
                 )?;
-                let mut v = Vec::with_capacity(3);
+                let mut v = Vec::with_capacity(2);
                 if let Some(dx) = dx {
                     v.push((x.0, dx));
                 }
                 v.push((w.0, dw));
-                if let (Some(bid), Some(db)) = (b, db) {
-                    v.push((bid.0, db));
-                }
                 v
             }
             Op::GlobalAvgPool(x) => {
@@ -921,7 +900,7 @@ mod tests {
     }
 
     /// A conv over a constant input skips the input gradient only: the
-    /// weight and bias gradients keep their bits, the constant's slot
+    /// weight gradient keeps its bits, the constant's slot
     /// stays empty, and a constant used by a second op drops that op's
     /// contribution too.
     #[test]
@@ -930,21 +909,20 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(41);
         let x = Tensor::randn([2, 3, 6, 6], 1.0, &mut rng);
         let w = Tensor::randn([4, 3, 3, 3], 0.5, &mut rng);
-        let b = Tensor::randn([4], 0.5, &mut rng);
         let build = |g: &mut Graph, constant: bool| {
             let xv = if constant { g.constant(x.clone()) } else { g.leaf(x.clone()) };
-            let (wv, bv) = (g.leaf(w.clone()), g.leaf(b.clone()));
-            let y = g.conv2d(xv, wv, Some(bv), 2, 1).unwrap();
+            let wv = g.leaf(w.clone());
+            let y = g.conv2d(xv, wv, 2, 1).unwrap();
             let r = g.relu(y);
             let s = g.scale(xv, 0.5);
             let (ly, lx) = (g.mean_all(r), g.mean_all(s));
             let sum = g.add(ly, lx).unwrap();
-            (xv, wv, bv, sum)
+            (xv, wv, sum)
         };
         for serial in [false, true] {
             let (mut leafy, mut constant) = (Graph::new(), Graph::new());
-            let (lx, lw, lb, lloss) = build(&mut leafy, false);
-            let (cx, cw, cb, closs) = build(&mut constant, true);
+            let (lx, lw, lloss) = build(&mut leafy, false);
+            let (cx, cw, closs) = build(&mut constant, true);
             for (g, loss) in [(&mut leafy, lloss), (&mut constant, closs)] {
                 if serial {
                     g.backward_serial(loss).unwrap();
@@ -954,12 +932,10 @@ mod tests {
             }
             assert!(leafy.grad(lx).is_some());
             assert!(constant.grad(cx).is_none(), "serial={serial}");
-            for (l, c) in [(lw, cw), (lb, cb)] {
-                let bits = |g: &Graph, id| -> Vec<u32> {
-                    g.grad(id).unwrap().data().iter().map(|v| v.to_bits()).collect()
-                };
-                assert_eq!(bits(&leafy, l), bits(&constant, c), "serial={serial}");
-            }
+            let bits = |g: &Graph, id| -> Vec<u32> {
+                g.grad(id).unwrap().data().iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&leafy, lw), bits(&constant, cw), "serial={serial}");
         }
     }
 

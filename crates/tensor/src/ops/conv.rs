@@ -1,33 +1,44 @@
 //! 2-D convolution kernels: a direct forward over the zero-padded input,
-//! a backward that reads the same padded input, and the unfused
-//! [`im2col`] / [`col2im`] pair both are checked against. No production
-//! path forms a column matrix.
+//! a backward whose two gradient products are register tiles over the
+//! same padded input and a padded copy of the output gradient, and the
+//! unfused [`im2col`] / [`col2im`] pair both are checked against. No
+//! production path forms a column matrix or calls the GEMM.
+//!
+//! ## Phase planes
+//!
+//! Every kernel reads or writes a sample's zero-padded image through its
+//! **phase planes**: for stride `s`, phase `(ry, rx)` of channel `ci`
+//! holds padded pixel `(s·a + ry, s·b + rx)` at `(a, b)`. Tap
+//! `(ci, ky, kx)` of output `(oy, ox)` then reads phase
+//! `(ky mod s, kx mod s)` at `(oy + ky / s, ox + kx / s)`. Each plane is
+//! `hq × wq` with `hq = oh + (k − 1)/s` and `wq = ow + (k − 1)/s`, so in
+//! the flattened coordinate `q = oy·wq + ox` every tap reads one
+//! contiguous run of one plane, shifted by a fixed offset. Only the
+//! `min(s, k)²` phases some tap reads are built (a 1×1 stride-2 conv
+//! builds one). At stride 1 the one phase is the padded image itself.
+//!
+//! Which plane rows and columns hold input pixels is worked out once per
+//! call, as one range per row phase and per column phase. Building a
+//! sample's planes zeroes them once and copies each held input row's
+//! run for each column phase; the input gradient's copy-out walks the
+//! same runs the other way.
 //!
 //! ## Forward: direct convolution
 //!
-//! [`conv2d_forward`] runs one sample per pool chunk. The chunk copies
-//! its sample into **phase planes** of the zero-padded input: for stride
-//! `s`, phase `(ry, rx)` of channel `ci` holds padded pixel
-//! `(s·a + ry, s·b + rx)` at `(a, b)`. Tap `(ci, ky, kx)` of output
-//! `(oy, ox)` then reads phase `(ky mod s, kx mod s)` at
-//! `(oy + ky / s, ox + kx / s)`. Each plane is `hq × wq` with
-//! `hq = oh + (k − 1)/s` and `wq = ow + (k − 1)/s`, so in the flattened
-//! coordinate `q = oy·wq + ox` every tap reads one contiguous run of one
-//! plane, shifted by a fixed offset. Only the `min(s, k)²` phases some
-//! tap reads are built (a 1×1 stride-2 conv builds one). At stride 1 the
-//! one phase is the padded image itself.
+//! [`conv2d_forward`] runs one sample per pool chunk. The chunk builds
+//! its sample's phase planes, and an [`MR`]×[`NR`] register tile (output
+//! channels × consecutive `q`) then starts its accumulators at `+0.0`
+//! and, for every tap in ascending `(ci, ky, kx)` order, adds `w · x`
+//! with a separate multiply and add (never FMA). That is the chain the
+//! blocked GEMM computes for `W · colsᵀ`: one accumulator per output, the
+//! patch reduced in ascending order, padding taps multiplying a stored
+//! zero. So the output is bit-identical to `im2col` → GEMM. The tile
+//! writes NCHW directly; lanes whose `q` falls in the `wq − ow`
+//! wrap-around columns or past the last output are discarded, like the
+//! GEMM's padded lanes.
 //!
-//! An [`MR`]×[`NR`] register tile (output channels × consecutive `q`)
-//! then starts its accumulators at `+0.0` and, for every tap in
-//! ascending `(ci, ky, kx)` order, adds `w · x` with a separate multiply
-//! and add (never FMA). That is the chain the blocked GEMM computes for
-//! `W · colsᵀ`: one accumulator per output, the patch reduced in
-//! ascending order, padding taps multiplying a stored zero. So the
-//! output is bit-identical to `im2col` → GEMM → `+ b`. The tile writes
-//! NCHW directly, adding the bias; lanes whose `q` falls in the
-//! `wq − ow` wrap-around columns or past the last output are discarded,
-//! like the GEMM's padded lanes. As in the GEMM micro-kernel, the tile
-//! body is one generic function, entered through
+//! Every tile body here is one generic function over the 8-lane
+//! `SimdF32` abstraction, entered through
 //! `#[target_feature(enable = "avx2")]` when
 //! [`active_isa`](crate::simd::active_isa) says so (read once per
 //! chunk), so `SDC_SIMD=scalar` runs the portable instantiation of the
@@ -35,70 +46,94 @@
 //!
 //! ## Backward
 //!
-//! [`conv2d_backward`] computes both gradient products without a column
-//! matrix:
+//! [`conv2d_backward`] makes two dispatches. One chunk per sample lays
+//! out that sample's phase planes and its output gradient as
+//! `(position, c_out)` rows, and computes the sample's input gradient.
+//! Then one chunk per block of [`TAP_BLOCK`] taps computes those taps'
+//! weight gradient over every sample's layout.
 //!
-//! - **Weight gradient.** `dWᵀ = colsᵀ · g`. The GEMM packs its `A`
-//!   blocks straight from the phase planes of every sample: element
-//!   `(tap, j)` of `colsᵀ` sits at the tap's run offset plus output
-//!   position `j`'s offset, for valid positions only, in ascending
-//!   `(n, oy, ox)` order. Those are the column matrix's values in its
-//!   order, so the chain is unchanged.
-//! - **Input gradient.** Each chunk of a sample-parallel dispatch takes
-//!   one sample `ni`. On its own thread it computes
-//!   `dcolsᵀ = Wᵀ · gy[ni]` (`patch × oh·ow`: 83 KB for a 16-channel
-//!   3×3 conv on 12×12 images, so it stays in L2) and folds it into
-//!   `dx[ni]` plane by plane. No whole-batch `dcols` is written and no
-//!   nested pool job is dispatched. It is skipped when the caller does
-//!   not want it (the graph's constant inputs).
+//! - **Weight gradient.** A tile of 4 taps × 16 output channels (two
+//!   vectors; 8 taps × 8 channels for a last single vector), eight
+//!   accumulators, starts at `+0.0` and accumulates `x · g` over ascending
+//!   `(n, oy, ox)`: each tap's value is broadcast from the phase planes,
+//!   each `g` row loaded from the rearrange. Every element is one chain
+//!   over the valid output positions in the column matrix's order, the
+//!   chain the blocked GEMM formed for `colsᵀ · g` (its carry between
+//!   `KC` panels went through memory, which is exact). So `dW` is
+//!   bit-identical to `gᵀ · cols`.
+//! - **Input gradient: a direct transposed convolution in gather form.**
+//!   The sample's chunk lays `gy[ni]` out at the phase-plane row stride
+//!   `wq`, with zero wrap-around columns, zero rows from `oh` on and a
+//!   zero front margin of `(k − 1)/s · (wq + 1)`, the largest tap run
+//!   offset. Then an [`MR`]×[`NR`] tile (input channels × consecutive
+//!   `q` of one phase plane of the padded `dx`) starts at `+0.0`. For
+//!   each tap of its phase, in descending `(ky, kx)` order, it adds one
+//!   chain of `w · g` over ascending `c_out`, which also starts at
+//!   `+0.0`; a tap whose run offset is `off` reads `g` at `q − off`.
+//!   Only the tiles that cover a pixel the planes hold run, and the chunk
+//!   copies those pixels out to `dx[ni]` row by row. It is skipped when
+//!   the caller does not want it (the graph's constant inputs).
 //!
-//! ### Why the fold reproduces `col2im` bit for bit
+//! ### Why the input gradient reproduces `col2im` bit for bit
 //!
-//! [`col2im`], the reference adjoint, adds into every pixel in ascending
-//! `(oy, ox, ky, kx)` order. Pixel `(iy, ix)` receives tap `(ky, kx)` of
-//! output position `(oy, ox)` only when `oy·s + ky = iy + p` and
-//! `ox·s + kx = ix + p`. So along one pixel's contributions `oy` rises
-//! exactly as `ky` falls, and `ox` exactly as `kx` falls. Folding whole
-//! `(ci, ky, kx)` planes in descending `(ky, kx)` order therefore adds
-//! the same values to every pixel in the same sequence, starting from the
-//! same `+0.0`; one plane touches a pixel at most once. (Ascending order
-//! would reverse each pixel's sum.) Each `dcolsᵀ` element is the same
-//! ascending-`c_out`, one-accumulator sum as the whole-batch `g · W` it
-//! replaces, with the factors swapped. At stride 1 a plane row lands on
-//! a contiguous image row, so the fold is a slice add.
+//! [`col2im`], the reference adjoint, starts every pixel at `+0.0` and
+//! adds into it in ascending `(oy, ox, ky, kx)` order, where each added
+//! value is one `dcols` element: the ascending-`c_out` sum `g · W` from
+//! `+0.0`. Pixel `(iy, ix)` receives tap `(ky, kx)` of output position
+//! `(oy, ox)` only when `oy·s + ky = iy + p` and `ox·s + kx = ix + p`.
+//! So along one pixel's contributions `oy` rises exactly as `ky` falls,
+//! and `ox` exactly as `kx` falls; all of them come from taps of the
+//! pixel's own phase. The tile's descending `(ky, kx)` order therefore
+//! adds the same values in the same sequence, each chain being the
+//! `dcols` element it replaces (ascending `c_out` from `+0.0`, the
+//! factors swapped; see below).
+//!
+//! The tile also visits taps that give the pixel nothing: their `q − off`
+//! lands in the front margin, in a wrap-around column or in a row at or
+//! below `oh`, where `g` is zero. Such a chain is a sum of `±0.0`
+//! products from `+0.0`, which is `+0.0`, and adding `+0.0` changes no
+//! sum that started at `+0.0`: under round-to-nearest a sum is `−0.0`
+//! only when both addends are, so the accumulator is never `−0.0`, and
+//! `v + 0.0 = v` for every other `v`. Pixels no plane holds receive no
+//! tap and are never written: they keep `+0.0`, as in `col2im`. Plane
+//! positions in the padding are never copied out.
 //!
 //! ### Factor order and non-finite values
 //!
-//! The products above multiply `w · x` and `x · g` where the column
-//! references multiply `x · w` and `g · x`. `f32` multiplication is
-//! commutative at the bit level for finite values and infinities, so the
-//! results are bitwise-identical wherever a finite (or ±∞) product is
-//! formed. The only representable divergence is the NaN *payload* when
-//! an operand is NaN, which the determinism contract (finite data) does
-//! not cover.
+//! The products above multiply `w · x`, `x · g` and `w · g` where the
+//! column references multiply `x · w`, `g · x` and `g · w`. `f32`
+//! multiplication is commutative at the bit level for finite values and
+//! infinities, so the results are bitwise-identical wherever a finite
+//! (or ±∞) product is formed. The determinism contract (finite data)
+//! covers nothing else: a NaN's payload may differ, and a non-finite
+//! weight times a zero-margin `g` gives NaN where the reference adds
+//! nothing.
 //!
 //! Every loop here parallelizes over disjoint output regions (whole
-//! samples for the forward, the padding copy and the input gradient,
-//! patch rows for [`im2col`], per-sample channel images for
-//! [`col2im`]) on the `sdc-runtime` pool; every element is produced by
-//! exactly one chunk in the serial order, so outputs are bit-identical
-//! at any thread count.
+//! samples for the forward and for the backward's layout and input
+//! gradient, tap blocks for the weight gradient, patch rows for
+//! [`im2col`], per-sample channel images for [`col2im`]) on the
+//! `sdc-runtime` pool; every element is produced by exactly one chunk in
+//! the serial order, so outputs are bit-identical at any thread count.
 
 use std::cell::Cell;
 use std::ops::Range;
 
 use crate::error::{Result, TensorError};
-use crate::ops::gemm::{self, Gather, Trans};
 use crate::par;
-use crate::simd::{self, SimdF32, SimdOp, LANES};
+use crate::simd::{self, Isa, SimdF32, SimdOp, LANES};
 use crate::Tensor;
 
-/// Output channels per register tile of the direct forward.
+/// Channels per register tile: output channels in the forward, input
+/// channels in the input gradient.
 pub const MR: usize = 8;
 
 /// Consecutive output positions (flattened `q`) per register tile: one
 /// 8-lane vector.
 pub const NR: usize = LANES;
+
+/// Taps per chunk of the weight gradient's dispatch.
+pub const TAP_BLOCK: usize = 8;
 
 /// Marks a tile lane whose `q` is no output position.
 const SKIP: usize = usize::MAX;
@@ -174,25 +209,46 @@ impl Geom {
     }
 }
 
-/// The phase planes of one sample's zero-padded input (see the module
-/// docs): `c` channels of `kp²` planes of `hq × wq` floats each.
-#[derive(Debug, Clone, Copy)]
+/// The phase planes of one sample's zero-padded image (see the module
+/// docs): `c` channels of `kp²` planes of `hq × wq` floats, each plane
+/// rounded up to whole `NR` tiles.
+#[derive(Debug)]
 struct Phases {
     /// Phases per axis that some tap reads: `min(s, k)`.
     kp: usize,
-    hq: usize,
+    /// Plane row length.
     wq: usize,
+    /// Floats per plane: `hq·wq`, rounded up to a multiple of `NR`.
+    len: usize,
+    /// Per row phase `ry`, the plane rows `a` that hold an input row,
+    /// `a·s + ry − p`.
+    rows: Vec<Range<usize>>,
+    /// Per column phase `rx`, the plane columns `b` that hold an input
+    /// column, `b·s + rx − p`.
+    cols: Vec<Range<usize>>,
 }
 
 impl Phases {
     fn new(g: &Geom) -> Self {
         let reach = (g.k - 1) / g.s;
-        Self { kp: g.s.min(g.k), hq: g.oh + reach, wq: g.ow + reach }
+        let (kp, hq, wq) = (g.s.min(g.k), g.oh + reach, g.ow + reach);
+        Self {
+            kp,
+            wq,
+            len: (hq * wq).next_multiple_of(NR),
+            rows: (0..kp).map(|ry| taps_inside(g.h, hq, ry, g.s, g.p)).collect(),
+            cols: (0..kp).map(|rx| taps_inside(g.w, wq, rx, g.s, g.p)).collect(),
+        }
+    }
+
+    /// Floats in one channel's planes.
+    fn channel_len(&self) -> usize {
+        self.kp * self.kp * self.len
     }
 
     /// Floats in one sample's planes.
     fn sample_len(&self, g: &Geom) -> usize {
-        g.c * self.kp * self.kp * self.hq * self.wq
+        g.c * self.channel_len()
     }
 
     /// The offset of every tap's run, in ascending `(ci, ky, kx)` order.
@@ -202,47 +258,92 @@ impl Phases {
             for ky in 0..g.k {
                 for kx in 0..g.k {
                     let plane = (ci * self.kp + ky % g.s) * self.kp + kx % g.s;
-                    taps.push((plane * self.hq + ky / g.s) * self.wq + kx / g.s);
+                    taps.push(plane * self.len + ky / g.s * self.wq + kx / g.s);
                 }
             }
         }
         taps
     }
 
-    /// Writes one sample `xs` (`c × h × w`) as phase planes into the
-    /// first [`sample_len`](Self::sample_len) floats of `dst`, zeros
-    /// wherever a plane position falls in the padding. Every float is
-    /// written once.
-    fn build(&self, g: &Geom, xs: &[f32], dst: &mut [f32]) {
-        let plane = self.hq * self.wq;
-        let mut planes = dst[..self.sample_len(g)].chunks_exact_mut(plane);
-        for ci in 0..g.c {
-            let img = &xs[ci * g.h * g.w..][..g.h * g.w];
-            for ry in 0..self.kp {
-                let rows = taps_inside(g.h, self.hq, ry, g.s, g.p);
-                for rx in 0..self.kp {
-                    let cols = taps_inside(g.w, self.wq, rx, g.s, g.p);
-                    let dst = planes.next().expect("c·kp² planes");
-                    for (a, drow) in dst.chunks_exact_mut(self.wq).enumerate() {
-                        if !rows.contains(&a) || cols.is_empty() {
-                            drow.fill(0.0);
-                            continue;
-                        }
-                        drow[..cols.start].fill(0.0);
-                        drow[cols.end..].fill(0.0);
-                        let (iy, ix) = (a * g.s + ry - g.p, cols.start * g.s + rx - g.p);
-                        let src = &img[iy * g.w + ix..];
-                        let out = &mut drow[cols.clone()];
-                        if g.s == 1 {
-                            out.copy_from_slice(&src[..out.len()]);
-                        } else {
-                            out.iter_mut().zip(src.iter().step_by(g.s)).for_each(|(d, &v)| *d = v);
-                        }
-                    }
+    /// Per phase `ry·kp + rx`, the flattened plane positions `a·wq + b`
+    /// from the first pixel the phase holds to one past the last (empty
+    /// when it holds none): all that [`copy_out`](Self::copy_out) reads.
+    fn held(&self) -> Vec<Range<usize>> {
+        let mut held = Vec::with_capacity(self.kp * self.kp);
+        for a in &self.rows {
+            for b in &self.cols {
+                held.push(if a.is_empty() || b.is_empty() {
+                    0..0
+                } else {
+                    a.start * self.wq + b.start..(a.end - 1) * self.wq + b.end
+                });
+            }
+        }
+        held
+    }
+
+    /// Calls `f(input row, plane offset, input column, count)` for every
+    /// run of one input row that one plane row holds, the pixels `s`
+    /// apart in the input and adjacent in the plane; offsets are within
+    /// one channel.
+    fn runs(&self, g: &Geom, mut f: impl FnMut(usize, usize, usize, usize)) {
+        for (ry, rows) in self.rows.iter().enumerate() {
+            for a in rows.clone() {
+                for (rx, cols) in self.cols.iter().enumerate().filter(|(_, b)| !b.is_empty()) {
+                    let at = (ry * self.kp + rx) * self.len + a * self.wq + cols.start;
+                    f(a * g.s + ry - g.p, at, cols.start * g.s + rx - g.p, cols.len());
                 }
             }
         }
     }
+
+    /// Writes one sample `xs` (`c × h × w`) as phase planes into the
+    /// first [`sample_len`](Self::sample_len) floats of `dst`: zeroes
+    /// them, then copies each run of each input row the planes hold once.
+    fn build(&self, g: &Geom, xs: &[f32], dst: &mut [f32]) {
+        let chan = self.channel_len();
+        let dst = &mut dst[..g.c * chan];
+        dst.fill(0.0);
+        for ci in 0..g.c {
+            let img = &xs[ci * g.h * g.w..][..g.h * g.w];
+            let planes = &mut dst[ci * chan..][..chan];
+            self.runs(g, |iy, at, ix, count| {
+                let (src, out) = (&img[iy * g.w + ix..], &mut planes[at..at + count]);
+                if g.s == 1 {
+                    out.copy_from_slice(&src[..count]);
+                } else {
+                    out.iter_mut().zip(src.iter().step_by(g.s)).for_each(|(d, &v)| *d = v);
+                }
+            });
+        }
+    }
+
+    /// The inverse of [`build`](Self::build): copies every pixel the
+    /// planes in `src` hold into `dst` (`c × h × w`). Pixels no plane
+    /// holds are left as they are.
+    fn copy_out(&self, g: &Geom, src: &[f32], dst: &mut [f32]) {
+        let chan = self.channel_len();
+        for ci in 0..g.c {
+            let img = &mut dst[ci * g.h * g.w..][..g.h * g.w];
+            let planes = &src[ci * chan..][..chan];
+            self.runs(g, |iy, at, ix, count| {
+                let (vals, out) = (&planes[at..at + count], &mut img[iy * g.w + ix..]);
+                if g.s == 1 {
+                    out[..count].copy_from_slice(vals);
+                } else {
+                    out.iter_mut().step_by(g.s).zip(vals).for_each(|(d, &v)| *d = v);
+                }
+            });
+        }
+    }
+}
+
+/// The output positions `o < out` whose tap `o·stride + t − padding`
+/// lands inside `0..len`.
+fn taps_inside(len: usize, out: usize, t: usize, stride: usize, padding: usize) -> Range<usize> {
+    let lo = padding.saturating_sub(t).div_ceil(stride);
+    let hi = (len + padding).saturating_sub(t).div_ceil(stride).min(out);
+    lo..hi.max(lo)
 }
 
 /// Unfolds `x: (n, c, h, w)` into a matrix of shape
@@ -367,10 +468,24 @@ pub fn col2im(
 }
 
 thread_local! {
-    /// Reusable per-thread buffer for one sample's phase planes, so the
-    /// forward does not allocate once warm. Each sample rewrites every
-    /// float a tile reads, so reuse cannot leak state.
+    /// Reusable per-thread scratch for one sample's phase planes (and,
+    /// in the input gradient, its padded output gradient), so the
+    /// per-sample chunks do not allocate once warm. Each sample rewrites
+    /// every float that reaches a result, so reuse cannot leak state.
     static PLANES: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
+
+/// Runs `f` with the first `len` floats of this thread's [`PLANES`]
+/// scratch, grown as needed and kept for the next call.
+fn with_scratch(len: usize, f: impl FnOnce(&mut [f32])) {
+    PLANES.with(|cell| {
+        let mut buf = cell.take();
+        if buf.len() < len {
+            buf.resize(len, 0.0);
+        }
+        f(&mut buf[..len]);
+        cell.set(buf);
+    });
 }
 
 /// What the forward's register tiles read, shared by every sample.
@@ -383,8 +498,6 @@ struct DirectArgs<'a> {
     /// Per flattened `q` (rounded up to whole `NR` tiles), the output
     /// position `oy·ow + ox` it computes, or [`SKIP`].
     pos: &'a [usize],
-    /// The bias per output channel (zeros without one).
-    bias: &'a [f32],
     c_out: usize,
 }
 
@@ -393,10 +506,9 @@ struct DirectArgs<'a> {
 ///
 /// * `x`: `(n, c_in, h, w)`
 /// * `weight`: `(c_out, c_in, k, k)`
-/// * `bias`: optional `(c_out)`
 ///
-/// Returns `(n, c_out, oh, ow)`, bit-identical to `im2col` → GEMM →
-/// `+ b` for finite data. One pool chunk per sample.
+/// Returns `(n, c_out, oh, ow)`, bit-identical to `im2col` → GEMM for
+/// finite data. One pool chunk per sample.
 ///
 /// # Errors
 ///
@@ -406,20 +518,10 @@ struct DirectArgs<'a> {
 pub fn conv2d_forward(
     x: &Tensor,
     weight: &Tensor,
-    bias: Option<&Tensor>,
     stride: usize,
     padding: usize,
 ) -> Result<Tensor> {
     let g = Geom::new("conv2d", x, weight, stride, padding)?;
-    if let Some(b) = bias {
-        if b.len() != g.c_out {
-            return Err(TensorError::ShapeMismatch {
-                op: "conv2d",
-                lhs: b.shape().clone(),
-                rhs: [g.c_out].into(),
-            });
-        }
-    }
     let _conv_timer = sdc_obs::scope!("tensor.conv");
     let patch = g.patch();
     let ph = Phases::new(&g);
@@ -445,11 +547,10 @@ pub fn conv2d_forward(
             }
         })
         .collect();
-    let bias = bias.map_or_else(|| vec![0.0; g.c_out], |b| b.data().to_vec());
-    let args = DirectArgs { taps: &taps, wpack: &wpack, pos: &pos, bias: &bias, c_out: g.c_out };
+    let args = DirectArgs { taps: &taps, wpack: &wpack, pos: &pos, c_out: g.c_out };
 
     // Every tile reads NR floats from its run start, so the last tile of
-    // a plane may read up to NR − 1 floats past the plane.
+    // the last plane may read up to NR − 1 floats past the planes.
     let scratch = ph.sample_len(&g) + NR;
     let in_len = g.c * g.h * g.w;
     let out_len = g.c_out * g.oh * g.ow;
@@ -457,14 +558,11 @@ pub fn conv2d_forward(
     let mut out = Tensor::zeros([g.n, g.c_out, g.oh, g.ow]);
     let fill = |first_sample: usize, piece: &mut [f32]| {
         let isa = simd::active_isa();
-        PLANES.with(|cell| {
-            let mut planes = cell.take();
-            planes.resize(scratch, 0.0);
+        with_scratch(scratch, |planes| {
             for (r, ys) in piece.chunks_mut(out_len).enumerate() {
-                ph.build(&g, &xd[(first_sample + r) * in_len..][..in_len], &mut planes);
-                simd::dispatch_with(isa, DirectSample { args: &args, planes: &planes, ys });
+                ph.build(&g, &xd[(first_sample + r) * in_len..][..in_len], planes);
+                simd::dispatch_with(isa, DirectSample { args: &args, planes: &*planes, ys });
             }
-            cell.set(planes);
         });
     };
     par::dispatch_chunks(out.data_mut(), out_len, g.n * g.c_out * patch * g.oh * g.ow, fill);
@@ -473,9 +571,9 @@ pub fn conv2d_forward(
 
 /// One sample's register tiles: for each `MR`-channel tile and each run
 /// of `NR` flattened positions, accumulate every tap in ascending order
-/// from `+0.0`, then store the lanes that are output positions, adding
-/// the bias. Generic over the lane type, so the AVX2 and portable
-/// instantiations run the same multiplies and adds.
+/// from `+0.0`, then store the lanes that are output positions. Generic
+/// over the lane type, so the AVX2 and portable instantiations run the
+/// same multiplies and adds.
 struct DirectSample<'a> {
     args: &'a DirectArgs<'a>,
     planes: &'a [f32],
@@ -505,15 +603,14 @@ impl SimdOp for DirectSample<'_> {
                 // valid and `NR − 1` apart.
                 let run = dst[0] != SKIP && dst[NR - 1] == dst[0] + NR - 1;
                 for (r, row) in acc.iter().enumerate().take(args.c_out - co0) {
-                    let b = args.bias[co0 + r];
                     let yrow = &mut ys[(co0 + r) * plane..][..plane];
                     if run {
-                        row.add(S::splat(b)).store(&mut yrow[dst[0]..dst[0] + NR]);
+                        row.store(&mut yrow[dst[0]..dst[0] + NR]);
                         continue;
                     }
                     for (&d, v) in dst.iter().zip(row.to_array()) {
                         if d != SKIP {
-                            yrow[d] = v + b;
+                            yrow[d] = v;
                         }
                     }
                 }
@@ -523,14 +620,15 @@ impl SimdOp for DirectSample<'_> {
 }
 
 /// Backward 2-D convolution. Given the output gradient `gy` of shape
-/// `(n, c_out, oh, ow)`, returns `(dx, dw, db)`: `dx` when `want_dx`,
-/// `db` when `want_bias`.
+/// `(n, c_out, oh, ow)`, returns `(dx, dw)`, with `dx` only when
+/// `want_dx`.
 ///
-/// The weight gradient is `dWᵀ = colsᵀ · g` with the GEMM's `A` blocks
-/// packed straight from the padded input; the input gradient is computed
-/// per sample as `dcolsᵀ = Wᵀ · gy[ni]` and folded straight into `dx`.
-/// The module docs explain why both are bitwise-identical to the
-/// `gᵀ · cols` and `col2im(g · W)` references for finite data.
+/// Both products are register tiles with no GEMM: `dW` accumulates
+/// tap × output-channel tiles over the phase planes of every sample,
+/// and `dx` is a per-sample transposed convolution that gathers `gy`
+/// into the phase planes of the padded input. The module docs explain
+/// why both are bitwise-identical to the `gᵀ · cols` and
+/// `col2im(g · W)` references for finite data.
 ///
 /// # Errors
 ///
@@ -543,123 +641,297 @@ pub fn conv2d_backward(
     stride: usize,
     padding: usize,
     want_dx: bool,
-    want_bias: bool,
-) -> Result<(Option<Tensor>, Tensor, Option<Tensor>)> {
+) -> Result<(Option<Tensor>, Tensor)> {
     let g = Geom::new("conv2d_backward", x, weight, stride, padding)?;
-    let (n, c_out, oh, ow) = (g.n, g.c_out, g.oh, g.ow);
-    if gy.shape().as_nchw() != Some((n, c_out, oh, ow)) {
+    if gy.shape().as_nchw() != Some((g.n, g.c_out, g.oh, g.ow)) {
         return Err(TensorError::ShapeMismatch {
             op: "conv2d_backward",
             lhs: gy.shape().clone(),
-            rhs: [n, c_out, oh, ow].into(),
+            rhs: [g.n, g.c_out, g.oh, g.ow].into(),
         });
     }
-    let (c_in, h, w, k) = (g.c, g.h, g.w, g.k);
-    let patch = g.patch();
-    let plane = oh * ow;
+    let _conv_timer = sdc_obs::scope!("tensor.conv.backward");
+    let ph = Phases::new(&g);
+    let plane = g.oh * g.ow;
+    let lanes = g.c_out.next_multiple_of(LANES);
+    let planes = ph.sample_len(&g);
+    let per_sample = planes + plane * lanes;
+    let in_len = g.c * g.h * g.w;
+    let dx_args = want_dx.then(|| DxArgs::new(&g, &ph, weight.data()));
+    let mut dx = want_dx.then(|| Tensor::zeros([g.n, g.c, g.h, g.w]));
 
-    // Rearrange gy (n, c_out, oh, ow) -> (n*oh*ow, c_out); the parallel
-    // unit is one sample's contiguous (oh*ow, c_out) block.
-    let gd = gy.data();
-    let mut gmat = Tensor::zeros([n * plane, c_out]);
-    {
-        let block = plane * c_out;
-        let fill = |first_sample: usize, piece: &mut [f32]| {
-            for (r, sample) in piece.chunks_mut(block).enumerate() {
-                let ni = first_sample + r;
-                for co in 0..c_out {
-                    for (pos, &v) in gd[(ni * c_out + co) * plane..][..plane].iter().enumerate() {
-                        sample[pos * c_out + co] = v;
-                    }
+    // One chunk per sample: lay the sample out for the weight gradient
+    // and, when wanted, compute its input gradient.
+    let (xd, gd) = (x.data(), gy.data());
+    let mut samples = vec![0.0f32; g.n * per_sample];
+    let mut dxs = dx.as_mut().map(|t| t.data_mut().chunks_mut(in_len.max(1)));
+    let mut parts: Vec<_> = samples
+        .chunks_mut(per_sample.max(1))
+        .map(|buf| (buf, dxs.as_mut().and_then(Iterator::next).unwrap_or_default()))
+        .collect();
+    let dx_work = if want_dx { g.patch() * g.c_out * plane } else { 0 };
+    par::dispatch_chunks(&mut parts, 1, g.n * (per_sample + dx_work), |first_sample, piece| {
+        let isa = simd::active_isa();
+        for (r, (buf, dxn)) in piece.iter_mut().enumerate() {
+            let ni = first_sample + r;
+            let gyn = &gd[ni * g.c_out * plane..][..g.c_out * plane];
+            let (dst, rows) = buf.split_at_mut(planes);
+            ph.build(&g, &xd[ni * in_len..][..in_len], dst);
+            for (co, src) in gyn.chunks_exact(plane).enumerate() {
+                for (row, &v) in rows.chunks_exact_mut(lanes).zip(src) {
+                    row[co] = v;
                 }
             }
-        };
-        par::dispatch_chunks(gmat.data_mut(), block, n * block, fill);
-    }
-
-    // dWᵀ: (patch, c_out) = colsᵀ · gmat with colsᵀ gathered from every
-    // sample's phase planes; the transpose back to (c_out, patch) is a
-    // bit-copy.
-    let dwt = {
-        let ph = Phases::new(&g);
-        let sample_len = ph.sample_len(&g);
-        let in_len = c_in * h * w;
-        let mut planes = vec![0.0f32; n * sample_len];
-        par::dispatch_chunks(&mut planes, sample_len, n * sample_len, |first_sample, piece| {
-            for (r, dst) in piece.chunks_mut(sample_len).enumerate() {
-                ph.build(&g, &x.data()[(first_sample + r) * in_len..][..in_len], dst);
-            }
-        });
-        let mut cols = Vec::with_capacity(n * plane);
-        for ni in 0..n {
-            for oy in 0..oh {
-                cols.extend((0..ow).map(|ox| ni * sample_len + oy * ph.wq + ox));
+            if let Some(args) = &dx_args {
+                args.sample(&g, &ph, isa, gyn, dxn);
             }
         }
-        gemm::gemm_gather_a(Gather { data: &planes, rows: &ph.taps(&g), cols: &cols }, &gmat)
-    };
-    let dw = super::matmul::transpose(&dwt)?.reshape([c_out, c_in, k, k])?;
+    });
+    drop(parts);
 
-    // dx, one sample per chunk: dcolsᵀ = Wᵀ · gy[ni] (patch × oh·ow) on
-    // the chunk's own thread, folded into dx[ni] plane by plane in
-    // descending (ky, kx) order — col2im's per-pixel addition sequence
-    // (see the module docs).
-    let dx = want_dx.then(|| {
-        let (s, p) = (g.s, g.p);
-        let wmat = weight.reshape([c_out, patch]).expect("weight is c_out × patch");
-        let mut dx = Tensor::zeros([n, c_in, h, w]);
-        let fill = |first_sample: usize, piece: &mut [f32]| {
-            for (r, dxn) in piece.chunks_mut(c_in * h * w).enumerate() {
-                let gyn = &gd[(first_sample + r) * c_out * plane..][..c_out * plane];
-                let dcolst = gemm::gemm_serial(&wmat, Trans::T, gyn, plane);
-                for (img, dplanes) in dxn.chunks_mut(h * w).zip(dcolst.chunks(k * k * plane)) {
-                    for ky in (0..k).rev() {
-                        let oys = taps_inside(h, oh, ky, s, p);
-                        for kx in (0..k).rev() {
-                            let oxs = taps_inside(w, ow, kx, s, p);
-                            if oxs.is_empty() {
-                                continue;
-                            }
-                            let src = &dplanes[(ky * k + kx) * plane..];
-                            let ix = oxs.start * s + kx - p;
-                            for oy in oys.clone() {
-                                let row = &src[oy * ow + oxs.start..oy * ow + oxs.end];
-                                let dst = &mut img[(oy * s + ky - p) * w + ix..];
-                                if s == 1 {
-                                    dst.iter_mut().zip(row).for_each(|(d, &v)| *d += v);
-                                } else {
-                                    dst.iter_mut().step_by(s).zip(row).for_each(|(d, &v)| *d += v);
-                                }
-                            }
+    let args = DwArgs {
+        samples: &samples,
+        per_sample,
+        planes,
+        lanes,
+        c_out: g.c_out,
+        ow: g.ow,
+        wq: ph.wq,
+    };
+    Ok((dx, weight_grad(&g, &ph, &args)))
+}
+
+/// What the weight gradient's tiles read: every sample's phase planes
+/// followed by its output gradient as `(position, lanes)` rows.
+struct DwArgs<'a> {
+    samples: &'a [f32],
+    /// Floats per sample in `samples`.
+    per_sample: usize,
+    /// Floats of phase planes at the front of each sample.
+    planes: usize,
+    /// `c_out` rounded up to whole vectors: the row length of the
+    /// rearranged gradient, zero past `c_out`.
+    lanes: usize,
+    c_out: usize,
+    ow: usize,
+    wq: usize,
+}
+
+/// `dW` (`c_out × c·k²`): one pool chunk per [`TAP_BLOCK`] taps runs
+/// [`DwTaps`] into `dWᵀ`, which is then transposed.
+fn weight_grad(g: &Geom, ph: &Phases, args: &DwArgs<'_>) -> Tensor {
+    let taps = ph.taps(g);
+    let patch = taps.len();
+    let mut dwt = vec![0.0f32; patch * g.c_out];
+    let work = patch * g.c_out * g.n * g.oh * g.ow;
+    par::dispatch_chunks(&mut dwt, TAP_BLOCK * g.c_out, work, |first_block, piece| {
+        let t0 = first_block * TAP_BLOCK;
+        let taps = &taps[t0..t0 + piece.len() / g.c_out];
+        simd::dispatch_with(simd::active_isa(), DwTaps { args, taps, out: piece });
+    });
+
+    let mut dw = Tensor::zeros([g.c_out, g.c, g.k, g.k]);
+    let dwd = dw.data_mut();
+    for tap in 0..patch {
+        for co in 0..g.c_out {
+            dwd[co * patch + tap] = dwt[tap * g.c_out + co];
+        }
+    }
+    dw
+}
+
+/// The weight gradient of some taps: `out` holds their `dWᵀ` rows
+/// (`taps.len() × c_out`).
+struct DwTaps<'a> {
+    args: &'a DwArgs<'a>,
+    taps: &'a [usize],
+    out: &'a mut [f32],
+}
+
+impl SimdOp for DwTaps<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn eval<S: SimdF32>(self) {
+        let Self { args, taps, out } = self;
+        // Two vectors of output channels at a time (one for the last
+        // vector of an odd count), with as many taps as make eight
+        // accumulators.
+        for co0 in (0..args.c_out).step_by(2 * LANES) {
+            if args.lanes - co0 == LANES {
+                dw_tiles::<S, 8, 1>(args, taps, co0, out);
+            } else {
+                dw_tiles::<S, 4, 2>(args, taps, co0, out);
+            }
+        }
+    }
+}
+
+/// `T` taps × `V` vectors of output channels from `co0`: each element
+/// one chain from `+0.0` over ascending `(n, oy, ox)`. A short last tile
+/// repeats its first tap in the missing rows and discards them.
+#[inline(always)]
+fn dw_tiles<S: SimdF32, const T: usize, const V: usize>(
+    args: &DwArgs<'_>,
+    taps: &[usize],
+    co0: usize,
+    out: &mut [f32],
+) {
+    let width = (args.c_out - co0).min(V * LANES);
+    for (t0, tile) in (0..).step_by(T).zip(taps.chunks(T)) {
+        let off: [usize; T] = std::array::from_fn(|t| tile.get(t).copied().unwrap_or(tile[0]));
+        let mut acc = [[S::splat(0.0); V]; T];
+        for sample in args.samples.chunks_exact(args.per_sample) {
+            let (planes, rows) = sample.split_at(args.planes);
+            for (oy, grows) in rows.chunks_exact(args.ow * args.lanes).enumerate() {
+                let xs: [&[f32]; T] =
+                    std::array::from_fn(|t| &planes[off[t] + oy * args.wq..][..args.ow]);
+                for (ox, grow) in grows.chunks_exact(args.lanes).enumerate() {
+                    let grow = &grow[co0..co0 + V * LANES];
+                    let gv: [S; V] = std::array::from_fn(|v| S::load(&grow[v * LANES..]));
+                    for (row, x) in acc.iter_mut().zip(xs) {
+                        let xv = S::splat(x[ox]);
+                        for (a, &gl) in row.iter_mut().zip(&gv) {
+                            *a = a.add(xv.mul(gl));
                         }
                     }
                 }
             }
-        };
-        par::dispatch_chunks(dx.data_mut(), c_in * h * w, n * patch * c_out * plane, fill);
-        dx
-    });
-
-    let db = want_bias.then(|| {
-        let mut db = Tensor::zeros([c_out]);
-        let dbd = db.data_mut();
-        for ni in 0..n {
-            for (co, acc) in dbd.iter_mut().enumerate() {
-                let base = (ni * c_out + co) * plane;
-                *acc += gd[base..base + plane].iter().sum::<f32>();
+        }
+        for (t, row) in acc.iter().enumerate().take(tile.len()) {
+            let dst = &mut out[(t0 + t) * args.c_out + co0..][..width];
+            for (lanes, v) in dst.chunks_mut(LANES).zip(row) {
+                lanes.copy_from_slice(&v.to_array()[..lanes.len()]);
             }
         }
-        db
-    });
-    Ok((dx, dw, db))
+    }
 }
 
-/// The output positions `o < out` whose tap `o·stride + t − padding`
-/// lands inside `0..len`.
-fn taps_inside(len: usize, out: usize, t: usize, stride: usize, padding: usize) -> Range<usize> {
-    let lo = padding.saturating_sub(t).div_ceil(stride);
-    let hi = (len + padding).saturating_sub(t).div_ceil(stride).min(out);
-    lo..hi.max(lo)
+/// What the input gradient's tiles read, shared by every sample.
+struct DxArgs {
+    /// The weights in `MR`-input-channel tiles: tile `t`, tap
+    /// `kk = ky·k + kx`, output channel `co` holds `w[co, t·MR + r, kk]`
+    /// at `((t·k² + kk)·c_out + co)·MR + r`, zero past `c`.
+    wpack: Vec<f32>,
+    /// Per phase `ry·kp + rx`, its taps in descending `(ky, kx)` order:
+    /// `(kk, run offset within a plane)`.
+    phase_taps: Vec<Vec<(usize, usize)>>,
+    /// Per phase, the first `q` of every tile that covers a position the
+    /// copy-out reads.
+    tiles: Vec<Range<usize>>,
+    /// Floats per output channel of the padded `gy`.
+    glen: usize,
+    /// Zeros in front of each output channel of the padded `gy`: the
+    /// largest tap run offset.
+    margin: usize,
+    /// Floats per phase plane.
+    len: usize,
+    c: usize,
+    c_out: usize,
+    kk: usize,
+}
+
+impl DxArgs {
+    fn new(g: &Geom, ph: &Phases, wd: &[f32]) -> Self {
+        let kk = g.k * g.k;
+        let mut phase_taps = vec![Vec::new(); ph.kp * ph.kp];
+        for ky in (0..g.k).rev() {
+            for kx in (0..g.k).rev() {
+                let phase = ky % g.s * ph.kp + kx % g.s;
+                phase_taps[phase].push((ky * g.k + kx, ky / g.s * ph.wq + kx / g.s));
+            }
+        }
+        let mut wpack = vec![0.0f32; g.c.div_ceil(MR) * kk * g.c_out * MR];
+        for co in 0..g.c_out {
+            for ci in 0..g.c {
+                for t in 0..kk {
+                    wpack[((ci / MR * kk + t) * g.c_out + co) * MR + ci % MR] =
+                        wd[(co * g.c + ci) * kk + t];
+                }
+            }
+        }
+        let tiles = ph.held().into_iter().map(|q| q.start / NR * NR..q.end).collect();
+        let margin = (g.k - 1) / g.s * (ph.wq + 1);
+        Self {
+            wpack,
+            phase_taps,
+            tiles,
+            glen: margin + ph.len,
+            margin,
+            len: ph.len,
+            c: g.c,
+            c_out: g.c_out,
+            kk,
+        }
+    }
+
+    /// `dx[ni]` into `dxn` (`c × h × w`, all `+0.0`) from `gyn = gy[ni]`:
+    /// lays `gyn` out padded, runs [`DxSample`] into the phase planes of
+    /// the padded `dx[ni]`, and copies their interior out.
+    fn sample(&self, g: &Geom, ph: &Phases, isa: Isa, gyn: &[f32], dxn: &mut [f32]) {
+        let gy_len = self.c_out * self.glen;
+        with_scratch(gy_len + ph.sample_len(g), |buf| {
+            let (gpad, planes) = buf.split_at_mut(gy_len);
+            gpad.fill(0.0);
+            for (dst, src) in gpad.chunks_exact_mut(self.glen).zip(gyn.chunks_exact(g.oh * g.ow)) {
+                for (drow, srow) in dst[self.margin..].chunks_mut(ph.wq).zip(src.chunks_exact(g.ow))
+                {
+                    drow[..g.ow].copy_from_slice(srow);
+                }
+            }
+            simd::dispatch_with(isa, DxSample { args: self, gpad: &*gpad, planes: &mut *planes });
+            ph.copy_out(g, planes, dxn);
+        });
+    }
+}
+
+/// One sample's input-gradient tiles: for each `MR`-input-channel tile,
+/// each phase and each run of `NR` plane positions, add one chain of
+/// `w · g` over ascending `c_out` per tap of the phase, in descending
+/// `(ky, kx)` order, to an accumulator that starts at `+0.0`.
+struct DxSample<'a> {
+    args: &'a DxArgs,
+    /// `gy[ni]` padded: `c_out` rows of [`DxArgs::glen`] floats.
+    gpad: &'a [f32],
+    /// The phase planes of the padded `dx[ni]`, written at every
+    /// position the copy-out reads.
+    planes: &'a mut [f32],
+}
+
+impl SimdOp for DxSample<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn eval<S: SimdF32>(self) {
+        let Self { args, gpad, planes } = self;
+        let (len, c_out, glen) = (args.len, args.c_out, args.glen);
+        let phases = args.phase_taps.len();
+        for (tile, ci0) in (0..args.c).step_by(MR).enumerate() {
+            let w = &args.wpack[tile * args.kk * c_out * MR..][..args.kk * c_out * MR];
+            for (phase, (taps, tiles)) in args.phase_taps.iter().zip(&args.tiles).enumerate() {
+                for q0 in tiles.clone().step_by(NR) {
+                    let mut acc = [S::splat(0.0); MR];
+                    for &(kk, off) in taps {
+                        let wt = &w[kk * c_out * MR..][..c_out * MR];
+                        let mut chain = [S::splat(0.0); MR];
+                        let gs = gpad[args.margin + q0 - off..].chunks(glen);
+                        for (wv, g) in wt.chunks_exact(MR).zip(gs) {
+                            let gv = S::load(g);
+                            for (c, &wr) in chain.iter_mut().zip(wv) {
+                                *c = c.add(S::splat(wr).mul(gv));
+                            }
+                        }
+                        for (a, c) in acc.iter_mut().zip(chain) {
+                            *a = a.add(c);
+                        }
+                    }
+                    for (r, v) in acc.iter().enumerate().take(args.c - ci0) {
+                        v.store(&mut planes[((ci0 + r) * phases + phase) * len + q0..]);
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -678,7 +950,7 @@ mod tests {
         // 1x1 kernel with weight 1 acts as identity.
         let x = Tensor::from_vec([1, 1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let w = Tensor::from_vec([1, 1, 1, 1], vec![1.0]).unwrap();
-        let y = conv2d_forward(&x, &w, None, 1, 0).unwrap();
+        let y = conv2d_forward(&x, &w, 1, 0).unwrap();
         assert_eq!(y.data(), x.data());
     }
 
@@ -688,26 +960,15 @@ mod tests {
         // centre sees 9 ones, edges 6, corners 4.
         let x = Tensor::ones([1, 1, 3, 3]);
         let w = Tensor::ones([1, 1, 3, 3]);
-        let y = conv2d_forward(&x, &w, None, 1, 1).unwrap();
+        let y = conv2d_forward(&x, &w, 1, 1).unwrap();
         assert_eq!(y.data(), &[4.0, 6.0, 4.0, 6.0, 9.0, 6.0, 4.0, 6.0, 4.0]);
-    }
-
-    #[test]
-    fn bias_is_added_per_channel() {
-        let x = Tensor::zeros([1, 1, 2, 2]);
-        let w = Tensor::zeros([2, 1, 1, 1]);
-        let b = Tensor::from_vec([2], vec![0.5, -1.5]).unwrap();
-        let y = conv2d_forward(&x, &w, Some(&b), 1, 0).unwrap();
-        assert_eq!(y.shape().dims(), &[1, 2, 2, 2]);
-        assert_eq!(y.data()[..4], [0.5; 4]);
-        assert_eq!(y.data()[4..], [-1.5; 4]);
     }
 
     #[test]
     fn stride_two_downsamples() {
         let x = Tensor::ones([1, 1, 4, 4]);
         let w = Tensor::ones([1, 1, 1, 1]);
-        let y = conv2d_forward(&x, &w, None, 2, 0).unwrap();
+        let y = conv2d_forward(&x, &w, 2, 0).unwrap();
         assert_eq!(y.shape().dims(), &[1, 1, 2, 2]);
     }
 
@@ -765,14 +1026,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let x = Tensor::randn([2, 3, 6, 6], 1.0, &mut rng);
         let w = Tensor::randn([4, 3, 3, 3], 0.1, &mut rng);
-        let y = conv2d_forward(&x, &w, None, 2, 1).unwrap();
+        let y = conv2d_forward(&x, &w, 2, 1).unwrap();
         let gy = Tensor::ones(y.shape().clone());
-        let (dx, dw, db) = conv2d_backward(&x, &w, &gy, 2, 1, true, true).unwrap();
+        let (dx, dw) = conv2d_backward(&x, &w, &gy, 2, 1, true).unwrap();
         assert_eq!(dx.unwrap().shape(), x.shape());
         assert_eq!(dw.shape(), w.shape());
-        assert_eq!(db.unwrap().shape().dims(), &[4]);
-        let (dx, _, db) = conv2d_backward(&x, &w, &gy, 2, 1, false, false).unwrap();
-        assert!(dx.is_none() && db.is_none());
+        let (dx, _) = conv2d_backward(&x, &w, &gy, 2, 1, false).unwrap();
+        assert!(dx.is_none());
     }
 
     fn assert_bits_eq(a: &Tensor, b: &Tensor) {
@@ -791,8 +1051,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let x = Tensor::randn([2, 29, 3, 3], 1.0, &mut rng);
         let w = Tensor::randn([5, 29, 3, 3], 0.1, &mut rng);
-        let b = Tensor::randn([5], 0.1, &mut rng);
-        let y = conv2d_forward(&x, &w, Some(&b), 1, 1).unwrap();
+        let y = conv2d_forward(&x, &w, 1, 1).unwrap();
         let cols = im2col(&x, 3, 1, 1).unwrap();
         let wmat = w.reshape([5, 261]).unwrap();
         let prod = super::super::matmul::matmul_nt(&cols, &wmat).unwrap();
@@ -802,7 +1061,7 @@ mod tests {
                 for oy in 0..oh {
                     for ox in 0..ow {
                         let got = y.data()[((ni * 5 + co) * oh + oy) * ow + ox];
-                        let want = prod.data()[((ni * oh + oy) * ow + ox) * 5 + co] + b.data()[co];
+                        let want = prod.data()[((ni * oh + oy) * ow + ox) * 5 + co];
                         assert_eq!(got.to_bits(), want.to_bits());
                     }
                 }
@@ -811,15 +1070,15 @@ mod tests {
     }
 
     #[test]
-    fn packed_dw_matches_unfused_reference_bitwise() {
+    fn direct_dw_matches_unfused_reference_bitwise() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(11);
         let x = Tensor::randn([2, 29, 4, 4], 1.0, &mut rng);
         let w = Tensor::randn([4, 29, 3, 3], 0.1, &mut rng);
-        let y = conv2d_forward(&x, &w, None, 2, 1).unwrap();
+        let y = conv2d_forward(&x, &w, 2, 1).unwrap();
         let gy = Tensor::randn(y.shape().clone(), 1.0, &mut rng);
-        let (_, dw, _) = conv2d_backward(&x, &w, &gy, 2, 1, false, false).unwrap();
+        let (_, dw) = conv2d_backward(&x, &w, &gy, 2, 1, false).unwrap();
         // Reference dW via the unfused gᵀ · cols product.
         let (n, c_out, oh, ow) = (2, 4, 2, 2);
         let mut gmat = Tensor::zeros([n * oh * ow, c_out]);
@@ -858,9 +1117,9 @@ mod tests {
         ] {
             let x = Tensor::zeros(shape);
             let w = Tensor::zeros([1, shape[1], k, k]);
-            assert!(invalid(conv2d_forward(&x, &w, None, s, p).map(drop)), "{shape:?} {k}/{s}/{p}");
+            assert!(invalid(conv2d_forward(&x, &w, s, p).map(drop)), "{shape:?} {k}/{s}/{p}");
             let gy = Tensor::zeros([1, 1, 1, 1]);
-            assert!(invalid(conv2d_backward(&x, &w, &gy, s, p, true, true).map(drop)));
+            assert!(invalid(conv2d_backward(&x, &w, &gy, s, p, true).map(drop)));
             assert!(invalid(im2col(&x, k, s, p).map(drop)), "{shape:?} {k}/{s}/{p}");
             let cols = Tensor::zeros([1, 1]);
             let [n, c, h, wd] = shape;
@@ -868,7 +1127,7 @@ mod tests {
         }
         // The largest kernel that fits the padded input is valid.
         let x = Tensor::zeros([1, 1, 2, 2]);
-        assert_eq!(conv2d_forward(&x, &Tensor::zeros([1, 1, 4, 4]), None, 1, 1).unwrap().len(), 1);
+        assert_eq!(conv2d_forward(&x, &Tensor::zeros([1, 1, 4, 4]), 1, 1).unwrap().len(), 1);
     }
 
     #[test]
@@ -876,13 +1135,11 @@ mod tests {
         let x = Tensor::zeros([1, 2, 4, 4]);
         let w = Tensor::zeros([3, 2, 3, 3]);
         let shape_err = |r: Result<()>| matches!(r, Err(TensorError::ShapeMismatch { .. }));
-        // A bias of the wrong length, a weight with the wrong input width,
-        // an output gradient of the wrong geometry.
-        let b = Tensor::zeros([2]);
-        assert!(shape_err(conv2d_forward(&x, &w, Some(&b), 1, 1).map(drop)));
+        // A weight with the wrong input width, an output gradient of the
+        // wrong geometry.
         let w1 = Tensor::zeros([3, 1, 3, 3]);
-        assert!(shape_err(conv2d_forward(&x, &w1, None, 1, 1).map(drop)));
+        assert!(shape_err(conv2d_forward(&x, &w1, 1, 1).map(drop)));
         let gy = Tensor::zeros([1, 3, 2, 2]);
-        assert!(shape_err(conv2d_backward(&x, &w, &gy, 1, 1, true, false).map(drop)));
+        assert!(shape_err(conv2d_backward(&x, &w, &gy, 1, 1, true).map(drop)));
     }
 }

@@ -2,11 +2,9 @@
 //!
 //! This module is the engine behind [`matmul`](super::matmul::matmul),
 //! [`matmul_nt`](super::matmul::matmul_nt) and
-//! [`matmul_tn`](super::matmul::matmul_tn), and behind conv2d's two
-//! backward products (the forward is a direct convolution of its own;
-//! see [`conv`](super::conv)). It implements the classic three-level
-//! blocking scheme: the output is cut into [`MC`]-row chunks (the
-//! parallel unit, dispatched on the `sdc-runtime` pool), the shared
+//! [`matmul_tn`](super::matmul::matmul_tn). It implements the classic
+//! three-level blocking scheme: the output is cut into [`MC`]-row chunks
+//! (the parallel unit, dispatched on the `sdc-runtime` pool), the shared
 //! dimension into [`KC`]-deep panels packed into contiguous buffers, and
 //! each panel product is computed by a fixed-width [`MR`]×[`NR`]
 //! micro-kernel whose accumulators live in registers.
@@ -27,8 +25,8 @@
 //!    reduction). An `f32` round-trip through memory is exact, so the
 //!    addition chain is the same as one uninterrupted accumulator.
 //! 3. **Packing copies values verbatim** (transposition is just a
-//!    strided read, and a gathered `A` operand just an indexed one), so
-//!    every multiply sees the same operand bits as the naive kernel.
+//!    strided read), so every multiply sees the same operand bits as the
+//!    naive kernel.
 //!
 //! Rule 2 is also why the output buffer starts **uninitialized** rather
 //! than zero-filled: the first `k`-panel *stores* (rather than
@@ -55,15 +53,6 @@
 //! `SDC_SIMD=scalar` reaches this kernel like every other. Both
 //! instantiations perform a separate multiply and add (never FMA), so
 //! the choice affects speed only.
-//!
-//! ## Conv2d's products
-//!
-//! The weight gradient `dWᵀ = colsᵀ · g` takes a `Gather` as its `A`
-//! operand: element `(i, j)` sits at `rows[i] + cols[j]` of the conv's
-//! zero-padded input, so `pack_a` reads the column matrix's values
-//! without the column matrix ever being formed. The input gradient's
-//! per-sample products run without dispatch, on the calling thread,
-//! because they already run inside a sample-parallel pool chunk.
 
 use std::mem::MaybeUninit;
 
@@ -145,24 +134,6 @@ fn mat_ref(t: &Tensor, trans: Trans) -> MatRef<'_> {
     MatRef { data: t.data(), ld, trans }
 }
 
-/// A logical matrix read by index: element `(i, j)` is
-/// `data[rows[i] + cols[j]]`. Conv2d's weight gradient passes its
-/// zero-padded input this way (`rows` the taps' run offsets, `cols` the
-/// output positions' offsets), so the column matrix is read in place.
-#[derive(Clone, Copy)]
-pub(crate) struct Gather<'a> {
-    pub data: &'a [f32],
-    pub rows: &'a [usize],
-    pub cols: &'a [usize],
-}
-
-/// An `A`-operand source for the blocked kernel.
-#[derive(Clone, Copy)]
-enum ASource<'a> {
-    Mat(MatRef<'a>),
-    Gather(Gather<'a>),
-}
-
 /// Validates both operands and returns the logical problem dimensions
 /// `(n, k, m)` — the one shape check shared by every entry point.
 fn validate(
@@ -230,41 +201,6 @@ pub fn blocked(a: &Tensor, trans_a: Trans, b: &Tensor, trans_b: Trans) -> Result
 pub fn naive(a: &Tensor, trans_a: Trans, b: &Tensor, trans_b: Trans) -> Result<Tensor> {
     let (n, k, m) = validate("gemm_naive", a, trans_a, b, trans_b)?;
     Ok(naive_unchecked(a, trans_a, b, trans_b, n, k, m))
-}
-
-/// `C = A · B` where `A` is the `rows.len() × cols.len()` matrix a
-/// [`Gather`] reads in place and `B` is row-major `cols.len() × m`.
-/// Always takes the blocked path; conv2d's weight gradient calls it.
-pub(crate) fn gemm_gather_a(a: Gather<'_>, b: &Tensor) -> Tensor {
-    let (k, m) = b.shape().as_matrix().expect("gemm_gather_a: B is rank-2");
-    assert_eq!(k, a.cols.len(), "gemm_gather_a: A is n × k");
-    let packed_b = {
-        let _t = sdc_obs::scope!("tensor.gemm.pack_b");
-        pack_b(mat_ref(b, Trans::N), k, m)
-    };
-    blocked_core(ASource::Gather(a), &packed_b, a.rows.len(), k, m)
-}
-
-/// `C = op_a(A) · B` on the calling thread, where `B` is a row-major
-/// `k × m` slice; returns `C` row-major (`n × m`). This is the blocked
-/// kernel without pool dispatch, for callers that already run inside a
-/// pool chunk (conv2d's per-sample input gradient), where dispatching
-/// again would add a nested pool job per call. Same packing and
-/// micro-kernel as [`blocked`], so the same bits.
-pub(crate) fn gemm_serial(a: &Tensor, trans_a: Trans, b: &[f32], m: usize) -> Vec<f32> {
-    let (n, k) = logical_dims("gemm_serial", a, trans_a).expect("gemm_serial: A is rank-2");
-    assert_eq!(b.len(), k * m, "gemm_serial: B is not k × m");
-    let _gemm_timer = sdc_obs::scope!("tensor.gemm");
-    let packed_b = pack_b(MatRef { data: b, ld: m, trans: Trans::N }, k, m);
-    // SAFETY: one `fill_chunk` call covers all `n` rows and writes every
-    // element of them; an empty buffer has nothing to write.
-    unsafe {
-        uninit_output(n * m, |out| {
-            if !out.is_empty() {
-                fill_chunk(0, out, m, k, ASource::Mat(mat_ref(a, trans_a)), &packed_b);
-            }
-        })
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -359,18 +295,12 @@ fn blocked_unchecked(
     k: usize,
     m: usize,
 ) -> Tensor {
-    let bref = mat_ref(b, trans_b);
     let packed_b = {
         let _t = sdc_obs::scope!("tensor.gemm.pack_b");
-        pack_b(bref, k, m)
+        pack_b(mat_ref(b, trans_b), k, m)
     };
-    blocked_core(ASource::Mat(mat_ref(a, trans_a)), &packed_b, n, k, m)
-}
-
-/// The blocked kernel over an already-packed `B`: the shared tail of
-/// [`blocked_unchecked`] and [`gemm_gather_a`].
-fn blocked_core(aref: ASource<'_>, packed_b: &[f32], n: usize, k: usize, m: usize) -> Tensor {
     let _gemm_timer = sdc_obs::scope!("tensor.gemm");
+    let aref = mat_ref(a, trans_a);
     // SAFETY: the dispatch hands every `MC`-row chunk of the buffer to
     // `fill_chunk`, which writes each element of its rows; with `m == 0`
     // the buffer is empty.
@@ -378,7 +308,7 @@ fn blocked_core(aref: ASource<'_>, packed_b: &[f32], n: usize, k: usize, m: usiz
         uninit_output(n * m, |data| {
             par::dispatch_chunks(data, MC * m, n * k * m, |chunk_index, rows| {
                 let _t = sdc_obs::scope!("tensor.gemm.kernel");
-                fill_chunk(chunk_index * MC, rows, m, k, aref, packed_b);
+                fill_chunk(chunk_index * MC, rows, m, k, aref, &packed_b);
             });
         })
     };
@@ -455,26 +385,14 @@ fn b_panel_offset(p0: usize, kc: usize, jp: usize, jpanels: usize) -> usize {
 /// `p0..p0+kc`) into `MR`-row panel-major layout:
 /// `dst[tile · MR · kc + p · MR + r] = A[i0 + tile·MR + r, p0 + p]`.
 /// Rows past `mc` pad with zeros (their lanes are discarded on store).
-fn pack_a(dst: &mut Vec<f32>, a: ASource<'_>, i0: usize, mc: usize, p0: usize, kc: usize) {
+fn pack_a(dst: &mut Vec<f32>, a: MatRef<'_>, i0: usize, mc: usize, p0: usize, kc: usize) {
     dst.clear();
     dst.resize(mc.div_ceil(MR) * MR * kc, 0.0);
     for (t, tile) in dst.chunks_exact_mut(MR * kc).enumerate() {
         let (top, rows) = (i0 + t * MR, MR.min(mc - t * MR));
-        match a {
-            ASource::Mat(m) => {
-                for (p, lanes) in tile.chunks_exact_mut(MR).enumerate() {
-                    for (r, slot) in lanes.iter_mut().take(rows).enumerate() {
-                        *slot = m.get(top + r, p0 + p);
-                    }
-                }
-            }
-            ASource::Gather(g) => {
-                let cols = &g.cols[p0..p0 + kc];
-                for (r, &row) in g.rows[top..top + rows].iter().enumerate() {
-                    for (lanes, &col) in tile.chunks_exact_mut(MR).zip(cols) {
-                        lanes[r] = g.data[row + col];
-                    }
-                }
+        for (p, lanes) in tile.chunks_exact_mut(MR).enumerate() {
+            for (r, slot) in lanes.iter_mut().take(rows).enumerate() {
+                *slot = a.get(top + r, p0 + p);
             }
         }
     }
@@ -542,7 +460,7 @@ fn fill_chunk(
     rows: &mut [MaybeUninit<f32>],
     m: usize,
     k: usize,
-    a: ASource<'_>,
+    a: MatRef<'_>,
     packed_b: &[f32],
 ) {
     let mc = rows.len() / m;
@@ -721,28 +639,5 @@ mod tests {
         assert!(naive(&a, Trans::N, &b, Trans::N).is_err());
         let scalar = Tensor::scalar(1.0);
         assert!(gemm("t", &scalar, Trans::N, &b, Trans::N).is_err());
-    }
-
-    #[test]
-    fn gathered_a_matches_naive_across_panel_edges() {
-        // A gathered A (element (i, j) at rows[i] + cols[j]) against the
-        // naive product of the same logical matrix, across MR/MC and
-        // KC panel edges.
-        for &(n, k, m) in &[(MR + 1, KC + 3, NR + 1), (MC + 1, 2 * KC + 1, 3), (1, 1, 1)] {
-            let data = rand_t([n + 2, k + 5], (n * 3 + k) as u64);
-            let ld = k + 5;
-            let rows: Vec<usize> = (0..n).map(|i| (i + 2) * ld).collect();
-            let cols: Vec<usize> = (0..k).map(|j| j + 5).collect();
-            let data = data.data();
-            let a_data =
-                rows.iter().flat_map(|&r| cols.iter().map(move |&c| data[r + c])).collect();
-            let a = Tensor::from_vec([n, k], a_data).unwrap();
-            let b = rand_t([k, m], (k * 5 + m) as u64);
-            let gathered = Gather { data, rows: &rows, cols: &cols };
-            assert_bits_eq(
-                &gemm_gather_a(gathered, &b),
-                &naive(&a, Trans::N, &b, Trans::N).unwrap(),
-            );
-        }
     }
 }

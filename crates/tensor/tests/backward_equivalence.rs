@@ -11,7 +11,7 @@
 //! conv whose weight-gradient reduction straddles the `KC`/`NR` panel
 //! edges ride the same harness. The conv kernels themselves are checked
 //! against the column-matrix references: the direct forward against
-//! `im2col` → naive GEMM → `+ b`, the input and weight gradients against
+//! `im2col` → naive GEMM, the input and weight gradients against
 //! `col2im(g · W)` and `gᵀ · cols`.
 //!
 //! CI runs this suite under `SDC_THREADS=7` like the gemm suite; the
@@ -164,13 +164,12 @@ fn conv_and_misc_ops(g: &mut Graph) -> (VarId, Vec<VarId>) {
     let mut ids = Vec::new();
     let x = g.leaf(rand_t([2, 3, 8, 8], 31));
     let w = g.leaf(rand_t([4, 3, 3, 3], 32));
-    let cb = g.leaf(rand_t([4], 33));
     let w2 = g.leaf(rand_t([4, 4, 3, 3], 34));
     let gamma = g.leaf(rand_t([4], 35));
     let beta = g.leaf(rand_t([4], 36));
-    ids.extend([x, w, cb, w2, gamma, beta]);
-    let c = g.conv2d(x, w, Some(cb), 1, 1).unwrap();
-    let c2 = g.conv2d(c, w2, None, 2, 1).unwrap();
+    ids.extend([x, w, w2, gamma, beta]);
+    let c = g.conv2d(x, w, 1, 1).unwrap();
+    let c2 = g.conv2d(c, w2, 2, 1).unwrap();
     let (bn, _) = g.batch_norm2d(c2, gamma, beta, 1e-5, None).unwrap();
     let r = g.relu(bn);
     let gp = g.global_avg_pool(r).unwrap(); // (2, 4)
@@ -298,15 +297,14 @@ fn tower_pair_resweeps_match_serial_bitwise() {
 /// A conv whose patch dimension (29·3·3 = 261) straddles the `KC = 256`
 /// panel edge and whose output positions (2·5·5 = 50) are not a
 /// multiple of `NR`, with padding — the hardest alignment case for the
-/// direct forward's tiles and the weight gradient's gathered `A` blocks.
+/// direct forward's tiles and the weight gradient's tap tiles.
 fn conv_panel_straddle(g: &mut Graph) -> (VarId, Vec<VarId>) {
     let x = g.leaf(rand_t([2 * 29 * 5 * 5], 61).reshape([2, 29, 5, 5]).unwrap());
     let w = g.leaf(rand_t([4 * 29 * 3 * 3], 62).reshape([4, 29, 3, 3]).unwrap());
-    let b = g.leaf(rand_t([4], 63));
-    let c = g.conv2d(x, w, Some(b), 1, 1).unwrap();
+    let c = g.conv2d(x, w, 1, 1).unwrap();
     let r = g.relu(c);
     let loss = g.mean_all(r);
-    (loss, vec![x, w, b, c, r, loss])
+    (loss, vec![x, w, c, r, loss])
 }
 
 /// Both sweeps must equal the serial reference bitwise.
@@ -317,18 +315,23 @@ fn conv_shapes_straddling_panel_boundaries_match_serial_bitwise() {
 
 /// Conv inputs for the kernel gates below, with their `c_out`: 1×1
 /// images, `oh·ow` off a multiple of `NR` (6×6), `c_in·k² = 261`
-/// crossing `KC` at `k = 3`, the bench encoder's stage-0 input, and
+/// crossing `KC` at `k = 3`, the bench encoder's stage-0 and stage-1
+/// widths (`c_out` 16 and 32: one and two 16-channel weight tiles), and
 /// `c_out` values that are not multiples of the tile height `MR` (17
-/// spans three tiles).
-const CONV_CASES: [([usize; 4], usize); 8] = [
+/// spans three forward tiles and ends its weight tiles on a single
+/// vector; 35 takes two 16-channel weight tiles and then one vector).
+/// Tap counts such as `3·3² = 27` are not multiples of `TAP_BLOCK`.
+const CONV_CASES: [([usize; 4], usize); 10] = [
     ([1, 1, 1, 1], 2),
     ([3, 2, 1, 1], 3),
     ([2, 3, 5, 5], 4),
     ([1, 4, 6, 6], 5),
     ([2, 29, 5, 5], 3),
     ([2, 16, 12, 12], 16),
+    ([2, 32, 6, 6], 32),
     ([3, 5, 7, 4], 6),
     ([2, 3, 9, 7], 2 * MR + 1),
+    ([1, 2, 5, 5], 4 * MR + 3),
 ];
 
 /// Every `k, s ∈ {1, 2, 3}`, `p ∈ {0, 1, 2}` whose kernel fits an
@@ -348,10 +351,10 @@ fn conv_input(case: usize, shape: [usize; 4]) -> Tensor {
 }
 
 /// The direct conv forward against its column-matrix reference,
-/// `im2col` → `gemm::naive` (`cols · Wᵀ`) → `+ b`, bit for bit, with
-/// and without a bias, on 1-, 2- and 7-thread runtimes, over every case
-/// and geometry above (strides 2 and 3 split the padded input into
-/// phases; `k < s` builds only some of them).
+/// `im2col` → `gemm::naive` (`cols · Wᵀ`), bit for bit, on 1-, 2- and
+/// 7-thread runtimes, over every case and geometry above (strides 2 and
+/// 3 split the padded input into phases; `k < s` builds only some of
+/// them).
 #[test]
 fn conv_forward_matches_im2col_reference_bitwise() {
     for (case, &(shape, c_out)) in CONV_CASES.iter().enumerate() {
@@ -361,28 +364,22 @@ fn conv_forward_matches_im2col_reference_bitwise() {
         for (k, s, p) in conv_geometries(h, w) {
             let ctx = format!("{shape:?} c_out={c_out} k{k} s{s} p{p}");
             let wt = rand_t([c_out, c_in, k, k], seed + 1);
-            let b = rand_t([c_out], seed + 3);
             let (oh, ow) = (conv_out_dim(h, k, s, p), conv_out_dim(w, k, s, p));
-            let (want, want_b) = Runtime::new(1).install(|| {
+            let want = Runtime::new(1).install(|| {
                 let cols = im2col(&x, k, s, p).unwrap();
                 let wmat = wt.reshape([c_out, c_in * k * k]).unwrap();
                 let prod = gemm::naive(&cols, Trans::N, &wmat, Trans::T).unwrap();
-                let (mut y, mut yb) =
-                    (Tensor::zeros([n, c_out, oh, ow]), Tensor::zeros([n, c_out, oh, ow]));
+                let mut y = Tensor::zeros([n, c_out, oh, ow]);
                 for (i, &v) in prod.data().iter().enumerate() {
                     let (ni, pos, co) = (i / (oh * ow * c_out), i / c_out % (oh * ow), i % c_out);
-                    let at = (ni * c_out + co) * oh * ow + pos;
-                    y.data_mut()[at] = v;
-                    yb.data_mut()[at] = v + b.data()[co];
+                    y.data_mut()[(ni * c_out + co) * oh * ow + pos] = v;
                 }
-                (y, yb)
+                y
             });
             for threads in THREADS {
                 Runtime::new(threads).install(|| {
-                    let y = conv2d_forward(&x, &wt, None, s, p).unwrap();
-                    assert_bits_eq(&y, &want, &format!("{ctx} threads={threads}: no bias"));
-                    let yb = conv2d_forward(&x, &wt, Some(&b), s, p).unwrap();
-                    assert_bits_eq(&yb, &want_b, &format!("{ctx} threads={threads}: bias"));
+                    let y = conv2d_forward(&x, &wt, s, p).unwrap();
+                    assert_bits_eq(&y, &want, &format!("{ctx} threads={threads}"));
                 });
             }
         }
@@ -392,10 +389,11 @@ fn conv_forward_matches_im2col_reference_bitwise() {
 /// The conv input gradient against its column-matrix reference,
 /// `col2im(gmat · W)` built from the same `gy` (`gmat` is `gy` laid out
 /// `(n·oh·ow) × c_out`), bit for bit on 1-, 2- and 7-thread runtimes;
-/// the weight gradient is checked against `gmatᵀ · cols` on the way. The
-/// per-sample fold must give every pixel its contributions in col2im's
-/// order: folding the planes in ascending `(ky, kx)` order fails here.
-/// Cases and geometries as for the forward, plus a `-0.0` in `gy`.
+/// the weight gradient is checked against `gmatᵀ · cols` on the way,
+/// with and without the input gradient. The input gradient's tiles must
+/// give every pixel its contributions in col2im's order: visiting a
+/// phase's taps in ascending `(ky, kx)` order fails here. Cases and
+/// geometries as for the forward, plus a `-0.0` in `gy`.
 #[test]
 fn conv_input_gradient_matches_col2im_reference_bitwise() {
     for (case, &(shape, c_out)) in CONV_CASES.iter().enumerate() {
@@ -424,9 +422,12 @@ fn conv_input_gradient_matches_col2im_reference_bitwise() {
             });
             for threads in THREADS {
                 Runtime::new(threads).install(|| {
-                    let (dx, dw, _) = conv2d_backward(&x, &wt, &gy, s, p, true, false).unwrap();
+                    let (dx, dw) = conv2d_backward(&x, &wt, &gy, s, p, true).unwrap();
                     assert_bits_eq(&dx.unwrap(), &dx_ref, &format!("{ctx} threads={threads}: dx"));
                     assert_bits_eq(&dw, &dw_ref, &format!("{ctx} threads={threads}: dw"));
+                    let (dx, dw) = conv2d_backward(&x, &wt, &gy, s, p, false).unwrap();
+                    assert!(dx.is_none(), "{ctx} threads={threads}: dx not wanted");
+                    assert_bits_eq(&dw, &dw_ref, &format!("{ctx} threads={threads}: dw alone"));
                 });
             }
         }

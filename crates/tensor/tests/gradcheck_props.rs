@@ -46,12 +46,11 @@ proptest! {
     }
 
     #[test]
-    fn conv2d_grads(x in small_vec(2 * 2 * 4 * 4), w in small_vec(3 * 2 * 3 * 3), b in small_vec(3)) {
+    fn conv2d_grads(x in small_vec(2 * 2 * 4 * 4), w in small_vec(3 * 2 * 3 * 3)) {
         let tx = Tensor::from_vec([2, 2, 4, 4], x).unwrap();
         let tw = Tensor::from_vec([3, 2, 3, 3], w).unwrap();
-        let tb = Tensor::from_vec([3], b).unwrap();
-        let reports = check_gradients(&[tx, tw, tb], EPS, |g, ids| {
-            let y = g.conv2d(ids[0], ids[1], Some(ids[2]), 1, 1)?;
+        let reports = check_gradients(&[tx, tw], EPS, |g, ids| {
+            let y = g.conv2d(ids[0], ids[1], 1, 1)?;
             Ok(g.mean_all(y))
         }).unwrap();
         for r in reports {
@@ -64,7 +63,7 @@ proptest! {
         let tx = Tensor::from_vec([1, 2, 5, 5], x).unwrap();
         let tw = Tensor::from_vec([2, 2, 3, 3], w).unwrap();
         let reports = check_gradients(&[tx, tw], EPS, |g, ids| {
-            let y = g.conv2d(ids[0], ids[1], None, 2, 1)?;
+            let y = g.conv2d(ids[0], ids[1], 2, 1)?;
             Ok(g.mean_all(y))
         }).unwrap();
         for r in reports {
@@ -197,10 +196,10 @@ fn values_match_between_graph_and_kernels() {
     // The graph wrappers must produce exactly the kernel outputs.
     let x = Tensor::from_vec([1, 1, 3, 3], (0..9).map(|v| v as f32).collect()).unwrap();
     let w = Tensor::ones([1, 1, 2, 2]);
-    let direct = sdc_tensor::ops::conv::conv2d_forward(&x, &w, None, 1, 0).unwrap();
+    let direct = sdc_tensor::ops::conv::conv2d_forward(&x, &w, 1, 0).unwrap();
     let mut g = Graph::new();
     let xi = g.leaf(x);
     let wi = g.leaf(w);
-    let y = g.conv2d(xi, wi, None, 1, 0).unwrap();
+    let y = g.conv2d(xi, wi, 1, 0).unwrap();
     assert_eq!(g.value(y), &direct);
 }

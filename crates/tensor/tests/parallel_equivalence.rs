@@ -74,21 +74,18 @@ proptest! {
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
         let x = Tensor::randn([n, c_in, hw, hw], 1.0, &mut rng);
         let w = Tensor::randn([c_out, c_in, 3, 3], 0.3, &mut rng);
-        let bias = Tensor::randn([c_out], 0.1, &mut rng);
-        let r = assert_thread_invariant(|| {
-            conv2d_forward(&x, &w, Some(&bias), stride, 1).unwrap()
-        });
+        let r = assert_thread_invariant(|| conv2d_forward(&x, &w, stride, 1).unwrap());
         prop_assert!(r.is_ok(), "forward: {}", r.unwrap_err());
 
-        let y = conv2d_forward(&x, &w, None, stride, 1).unwrap();
+        let y = conv2d_forward(&x, &w, stride, 1).unwrap();
         let gy = Tensor::randn(y.shape().clone(), 1.0, &mut rng);
         let r = assert_thread_invariant(|| {
-            let (dx, _, _) = conv2d_backward(&x, &w, &gy, stride, 1, true, true).unwrap();
+            let (dx, _) = conv2d_backward(&x, &w, &gy, stride, 1, true).unwrap();
             dx.expect("dx requested")
         });
         prop_assert!(r.is_ok(), "backward dx: {}", r.unwrap_err());
         let r = assert_thread_invariant(|| {
-            let (_, dw, _) = conv2d_backward(&x, &w, &gy, stride, 1, true, true).unwrap();
+            let (_, dw) = conv2d_backward(&x, &w, &gy, stride, 1, true).unwrap();
             dw
         });
         prop_assert!(r.is_ok(), "backward dw: {}", r.unwrap_err());
