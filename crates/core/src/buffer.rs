@@ -54,11 +54,6 @@ impl ReplayBuffer {
         self.entries.is_empty()
     }
 
-    /// Whether the buffer is at capacity.
-    pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
-    }
-
     /// The stored entries.
     pub fn entries(&self) -> &[BufferEntry] {
         &self.entries
@@ -174,7 +169,6 @@ mod tests {
             BufferEntry::new(sample(2, 2), 0.0),
         ]);
         assert_eq!(buf.len(), 2);
-        assert!(buf.is_full());
     }
 
     #[test]

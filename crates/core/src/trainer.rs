@@ -10,7 +10,8 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sdc_data::augment::{strong_augmentation, Augment, Compose};
-use sdc_data::{stack_image_tensors, Sample, SegmentSource};
+use sdc_data::stream::TemporalStream;
+use sdc_data::{stack_image_tensors, Sample};
 use sdc_nn::optim::Adam;
 use sdc_nn::{Bindings, Forward};
 use sdc_persist::{Persist, PersistError, StateReader, StateWriter};
@@ -112,20 +113,10 @@ pub struct StreamTrainer {
 impl StreamTrainer {
     /// Creates a trainer with a freshly initialized model.
     pub fn new(config: TrainerConfig, policy: Box<dyn ReplacementPolicy>) -> Self {
-        let model = ContrastiveModel::new(&config.model);
-        Self::with_model(config, policy, model)
-    }
-
-    /// Creates a trainer around an existing (e.g. pre-trained) model.
-    pub fn with_model(
-        config: TrainerConfig,
-        policy: Box<dyn ReplacementPolicy>,
-        model: ContrastiveModel,
-    ) -> Self {
         let optimizer =
             Adam::with_options(config.learning_rate, 0.9, 0.999, 1e-8, config.weight_decay);
         Self {
-            model,
+            model: ContrastiveModel::new(&config.model),
             policy,
             buffer: ReplayBuffer::new(config.buffer_size),
             optimizer,
@@ -283,16 +274,15 @@ impl StreamTrainer {
     }
 
     /// Convenience driver: consumes `iterations` segments of
-    /// `buffer_size` samples from any [`SegmentSource`] — a plain
-    /// stream, or a [`sdc_data::PrefetchStream`] overlapping synthesis
-    /// with training — invoking `on_step` after each update.
+    /// `buffer_size` samples from `stream`, invoking `on_step` after
+    /// each update.
     ///
     /// # Errors
     ///
     /// Propagates stream and training errors.
     pub fn run(
         &mut self,
-        stream: &mut impl SegmentSource,
+        stream: &mut TemporalStream,
         iterations: usize,
         mut on_step: impl FnMut(u64, &StepReport),
     ) -> Result<()> {

@@ -22,10 +22,14 @@
 #![warn(missing_docs)]
 
 pub mod augment;
-pub mod prefetch;
 mod sample;
 pub mod stream;
 pub mod synth;
 
-pub use prefetch::{PrefetchStream, SegmentSource, StreamId, WithStreamId};
 pub use sample::{stack_image_tensors, stack_images, Sample};
+
+/// Identifier of one logical stream within a multi-stream deployment.
+///
+/// The serve layer (`sdc-serve`) keys buffer shards and scoring-request
+/// routing on this id.
+pub type StreamId = u64;

@@ -1,8 +1,7 @@
 //! Stream samples: an image plus ground-truth metadata.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use sdc_persist::{Persist, PersistError, StateReader, StateWriter};
-use sdc_tensor::{Result, Shape, Tensor, TensorError};
+use sdc_tensor::{Result, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// One item of the input stream: a `(c, h, w)` image, its ground-truth
@@ -30,52 +29,6 @@ impl Sample {
     /// Image channel count.
     pub fn channels(&self) -> usize {
         self.image.shape().dim(0)
-    }
-
-    /// Serializes into a compact binary record
-    /// (`id | label | rank | dims | f32 data`), the format an edge device
-    /// would use to spool samples through a small staging buffer.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(24 + self.image.len() * 4);
-        buf.put_u64_le(self.id);
-        buf.put_u64_le(self.label as u64);
-        buf.put_u32_le(self.image.shape().rank() as u32);
-        for &d in self.image.shape().dims() {
-            buf.put_u32_le(d as u32);
-        }
-        for &v in self.image.data() {
-            buf.put_f32_le(v);
-        }
-        buf.freeze()
-    }
-
-    /// Deserializes a record produced by [`Sample::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the record is truncated or inconsistent.
-    pub fn from_bytes(mut bytes: Bytes) -> Result<Self> {
-        let need = |b: &Bytes, n: usize| -> Result<()> {
-            if b.remaining() < n {
-                Err(TensorError::InvalidArgument {
-                    op: "sample_from_bytes",
-                    message: "truncated record".into(),
-                })
-            } else {
-                Ok(())
-            }
-        };
-        need(&bytes, 20)?;
-        let id = bytes.get_u64_le();
-        let label = bytes.get_u64_le() as usize;
-        let rank = bytes.get_u32_le() as usize;
-        need(&bytes, rank * 4)?;
-        let dims: Vec<usize> = (0..rank).map(|_| bytes.get_u32_le() as usize).collect();
-        let shape = Shape::new(dims);
-        let n = shape.num_elements();
-        need(&bytes, n * 4)?;
-        let data: Vec<f32> = (0..n).map(|_| bytes.get_f32_le()).collect();
-        Ok(Self { image: Tensor::from_vec(shape, data)?, label, id })
     }
 }
 
@@ -124,20 +77,6 @@ mod tests {
     fn sample() -> Sample {
         let image = Tensor::from_vec([1, 2, 2], vec![0.1, 0.2, 0.3, 0.4]).unwrap();
         Sample::new(image, 7, 42)
-    }
-
-    #[test]
-    fn bytes_roundtrip() {
-        let s = sample();
-        let restored = Sample::from_bytes(s.to_bytes()).unwrap();
-        assert_eq!(s, restored);
-    }
-
-    #[test]
-    fn truncated_record_is_rejected() {
-        let b = sample().to_bytes();
-        let truncated = b.slice(0..b.len() - 3);
-        assert!(Sample::from_bytes(truncated).is_err());
     }
 
     #[test]

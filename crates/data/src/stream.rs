@@ -67,11 +67,7 @@ impl TemporalStream {
     }
 
     /// Produces the next stream item.
-    ///
-    /// # Errors
-    ///
-    /// Propagates generator errors (cannot occur for valid streams).
-    pub fn next_sample(&mut self) -> Result<Sample> {
+    fn next_sample(&mut self) -> Result<Sample> {
         if self.remaining_in_run == 0 {
             // Class change: pick a different class to make run boundaries
             // real boundaries even for tiny class counts.
@@ -98,21 +94,6 @@ impl TemporalStream {
     /// Propagates generator errors.
     pub fn next_segment(&mut self, n: usize) -> Result<Vec<Sample>> {
         (0..n).map(|_| self.next_sample()).collect()
-    }
-
-    /// Empirical STC of a label sequence: the mean run length of equal
-    /// consecutive labels. Useful for validating stream construction.
-    pub fn measure_stc(labels: &[usize]) -> f32 {
-        if labels.is_empty() {
-            return 0.0;
-        }
-        let mut runs = 1usize;
-        for w in labels.windows(2) {
-            if w[0] != w[1] {
-                runs += 1;
-            }
-        }
-        labels.len() as f32 / runs as f32
     }
 }
 
@@ -180,6 +161,21 @@ mod tests {
         TemporalStream::new(SynthDataset::new(SynthConfig::default()), stc, seed)
     }
 
+    /// Empirical STC of a label sequence: the mean run length of equal
+    /// consecutive labels.
+    fn measure_stc(labels: &[usize]) -> f32 {
+        if labels.is_empty() {
+            return 0.0;
+        }
+        let mut runs = 1usize;
+        for w in labels.windows(2) {
+            if w[0] != w[1] {
+                runs += 1;
+            }
+        }
+        labels.len() as f32 / runs as f32
+    }
+
     #[test]
     fn runs_have_exactly_stc_length() {
         let mut s = stream(5, 1);
@@ -197,7 +193,7 @@ mod tests {
         let mut s = stream(10, 2);
         let seg = s.next_segment(400).unwrap();
         let labels: Vec<usize> = seg.iter().map(|x| x.label).collect();
-        let measured = TemporalStream::measure_stc(&labels);
+        let measured = measure_stc(&labels);
         assert!((measured - 10.0).abs() < 1.0, "measured {measured}");
     }
 
@@ -263,8 +259,8 @@ mod tests {
 
     #[test]
     fn measure_stc_edge_cases() {
-        assert_eq!(TemporalStream::measure_stc(&[]), 0.0);
-        assert_eq!(TemporalStream::measure_stc(&[1, 1, 1, 1]), 4.0);
-        assert_eq!(TemporalStream::measure_stc(&[1, 2, 3, 4]), 1.0);
+        assert_eq!(measure_stc(&[]), 0.0);
+        assert_eq!(measure_stc(&[1, 1, 1, 1]), 4.0);
+        assert_eq!(measure_stc(&[1, 2, 3, 4]), 1.0);
     }
 }

@@ -7,7 +7,6 @@ use sdc_data::augment::flip::hflip;
 use sdc_data::augment::{strong_augmentation, Augment, ColorJitter, RandomCrop};
 use sdc_data::stream::TemporalStream;
 use sdc_data::synth::{SynthConfig, SynthDataset};
-use sdc_data::Sample;
 use sdc_tensor::Tensor;
 
 fn image_strategy() -> impl Strategy<Value = Tensor> {
@@ -86,12 +85,5 @@ proptest! {
         for chunk in labels.chunks(stc) {
             prop_assert!(chunk.iter().all(|&l| l == chunk[0]), "{labels:?}");
         }
-    }
-
-    #[test]
-    fn sample_bytes_roundtrip(img in image_strategy(), label in 0usize..100, id in 0u64..u64::MAX) {
-        let s = Sample::new(img, label, id);
-        let restored = Sample::from_bytes(s.to_bytes()).unwrap();
-        prop_assert_eq!(s, restored);
     }
 }

@@ -1,8 +1,6 @@
 //! Learning-curve recording and speedup analysis (paper Figs. 4–6).
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// One learning-curve checkpoint: probe accuracy after a number of seen
 /// stream inputs.
@@ -47,7 +45,7 @@ impl LearningCurve {
     /// The number of seen inputs at which the curve first reaches
     /// `target` accuracy, if ever — the quantity behind the paper's
     /// "2.67× faster learning" claim.
-    pub fn inputs_to_reach(&self, target: f32) -> Option<u64> {
+    fn inputs_to_reach(&self, target: f32) -> Option<u64> {
         self.points.iter().find(|p| p.accuracy >= target).map(|p| p.seen)
     }
 
@@ -61,29 +59,6 @@ impl LearningCurve {
         } else {
             Some(theirs as f32 / mine as f32)
         }
-    }
-}
-
-/// Thread-safe curve recorder, cloneable into training callbacks.
-#[derive(Debug, Clone, Default)]
-pub struct CurveRecorder {
-    inner: Arc<Mutex<LearningCurve>>,
-}
-
-impl CurveRecorder {
-    /// Creates a recorder for a labelled curve.
-    pub fn new(label: impl Into<String>) -> Self {
-        Self { inner: Arc::new(Mutex::new(LearningCurve::new(label))) }
-    }
-
-    /// Appends a checkpoint.
-    pub fn record(&self, seen: u64, accuracy: f32) {
-        self.inner.lock().push(seen, accuracy);
-    }
-
-    /// Snapshot of the curve so far.
-    pub fn snapshot(&self) -> LearningCurve {
-        self.inner.lock().clone()
     }
 }
 
@@ -122,16 +97,5 @@ mod tests {
         let baseline = curve(&[(9_980_000, 0.761)]);
         let s = ours.speedup_over(&baseline, 0.76).unwrap();
         assert!((s - 2.668).abs() < 0.01, "speedup {s}");
-    }
-
-    #[test]
-    fn recorder_is_shareable() {
-        let rec = CurveRecorder::new("shared");
-        let rec2 = rec.clone();
-        rec.record(1, 0.1);
-        rec2.record(2, 0.2);
-        let snap = rec.snapshot();
-        assert_eq!(snap.points.len(), 2);
-        assert_eq!(snap.label, "shared");
     }
 }

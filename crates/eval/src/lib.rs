@@ -11,7 +11,7 @@
 //! * [`supervised`] — the direct supervised baseline of §IV-B.
 //! * [`curve`] — learning-curve recording plus the "inputs to reach X%"
 //!   speedup arithmetic behind the paper's 2.67× claim.
-//! * [`metrics`] — accuracy and confusion matrices.
+//! * [`metrics`] — top-1 and top-k accuracy.
 
 #![warn(missing_docs)]
 
@@ -23,10 +23,10 @@ pub mod metrics;
 pub mod split;
 pub mod supervised;
 
-pub use curve::{CurvePoint, CurveRecorder, LearningCurve};
+pub use curve::{CurvePoint, LearningCurve};
 pub use features::extract_features;
 pub use knn::{knn_predict, knn_probe};
 pub use linear_probe::{linear_probe, ProbeConfig, ProbeResult};
-pub use metrics::{accuracy, argmax_rows, top_k_accuracy, ConfusionMatrix};
+pub use metrics::{accuracy, argmax_rows, top_k_accuracy};
 pub use split::labeled_fraction;
 pub use supervised::{supervised_baseline, SupervisedConfig};

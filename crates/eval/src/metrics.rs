@@ -1,7 +1,5 @@
 //! Classification metrics.
 
-use serde::{Deserialize, Serialize};
-
 /// Top-1 accuracy of predictions against ground truth.
 ///
 /// # Panics
@@ -14,64 +12,6 @@ pub fn accuracy(predictions: &[usize], targets: &[usize]) -> f32 {
     }
     let correct = predictions.iter().zip(targets).filter(|(p, t)| p == t).count();
     correct as f32 / predictions.len() as f32
-}
-
-/// A square confusion matrix.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ConfusionMatrix {
-    classes: usize,
-    counts: Vec<usize>,
-}
-
-impl ConfusionMatrix {
-    /// Builds the matrix from prediction/target pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ or any label is out of range.
-    pub fn from_predictions(predictions: &[usize], targets: &[usize], classes: usize) -> Self {
-        assert_eq!(predictions.len(), targets.len());
-        let mut counts = vec![0usize; classes * classes];
-        for (&p, &t) in predictions.iter().zip(targets) {
-            assert!(p < classes && t < classes, "label out of range");
-            counts[t * classes + p] += 1;
-        }
-        Self { classes, counts }
-    }
-
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
-    /// Count of samples with true class `t` predicted as `p`.
-    pub fn count(&self, t: usize, p: usize) -> usize {
-        self.counts[t * self.classes + p]
-    }
-
-    /// Overall accuracy.
-    pub fn accuracy(&self) -> f32 {
-        let total: usize = self.counts.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let diag: usize = (0..self.classes).map(|i| self.count(i, i)).sum();
-        diag as f32 / total as f32
-    }
-
-    /// Per-class recall (diagonal / row sum), 0 for absent classes.
-    pub fn per_class_recall(&self) -> Vec<f32> {
-        (0..self.classes)
-            .map(|t| {
-                let row: usize = (0..self.classes).map(|p| self.count(t, p)).sum();
-                if row == 0 {
-                    0.0
-                } else {
-                    self.count(t, t) as f32 / row as f32
-                }
-            })
-            .collect()
-    }
 }
 
 /// Top-k accuracy: a prediction row counts as correct if the target is
@@ -125,18 +65,6 @@ mod tests {
     fn accuracy_counts_matches() {
         assert_eq!(accuracy(&[1, 2, 3], &[1, 0, 3]), 2.0 / 3.0);
         assert_eq!(accuracy(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn confusion_matrix_diag_and_recall() {
-        let m = ConfusionMatrix::from_predictions(&[0, 1, 1, 0], &[0, 1, 0, 0], 2);
-        assert_eq!(m.count(0, 0), 2);
-        assert_eq!(m.count(0, 1), 1);
-        assert_eq!(m.count(1, 1), 1);
-        assert!((m.accuracy() - 0.75).abs() < 1e-6);
-        let recall = m.per_class_recall();
-        assert!((recall[0] - 2.0 / 3.0).abs() < 1e-6);
-        assert!((recall[1] - 1.0).abs() < 1e-6);
     }
 
     #[test]

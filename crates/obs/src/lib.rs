@@ -73,9 +73,9 @@
 //! * `tensor.*` — the autodiff/GEMM stack (`sdc-tensor`): scope timers
 //!   `tensor.conv` and `tensor.conv.backward` around each direct conv
 //!   forward and backward call (one per call, covering its pool
-//!   dispatches); `tensor.gemm`, `tensor.gemm.pack_b`,
-//!   `tensor.gemm.kernel` around the blocked kernel (one `tensor.gemm`
-//!   per matmul call; no conv path calls the GEMM); and
+//!   dispatches); `tensor.gemm` around each matmul call, whatever its
+//!   size (one per call, covering the packing and the register tile; no
+//!   conv path calls the GEMM); and
 //!   `tensor.backward.{sweep,level}` around the level-scheduled backward
 //!   sweep.
 //!

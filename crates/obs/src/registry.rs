@@ -38,7 +38,7 @@ impl Counter {
 /// Handles are `&'static`: the first lookup of a name leaks one
 /// allocation, every later lookup (and every record through a cached
 /// handle — see [`crate::scope!`]) is lock-free. Names are dotted
-/// paths by convention (`runtime.queue_wait`, `tensor.gemm.pack_b`).
+/// paths by convention (`runtime.queue_wait`, `tensor.conv.backward`).
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, &'static Counter>>,

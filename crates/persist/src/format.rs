@@ -166,23 +166,11 @@ impl Snapshot {
         Ok(Self { sections, order })
     }
 
-    /// Names of every section, sorted.
-    pub fn section_names(&self) -> Vec<&str> {
-        self.sections.keys().map(String::as_str).collect()
-    }
-
     /// Section names in **file order** — the order the writer emitted
     /// them. Delta encoding walks this so a reconstructed container is
     /// byte-identical to the original.
     pub fn section_order(&self) -> &[String] {
         &self.order
-    }
-
-    /// CRC-32 of the named section's payload, recomputed from the
-    /// stored bytes (`None` when absent). Snapshot shipping compares
-    /// these across two snapshots to skip unchanged sections.
-    pub fn section_crc(&self, name: &str) -> Option<u32> {
-        self.sections.get(name).map(|b| crc32(b))
     }
 
     /// The raw payload bytes of a section (delta encoding needs them
@@ -277,7 +265,7 @@ mod tests {
     fn roundtrip_reads_both_sections() {
         let bytes = sample_snapshot();
         let snap = Snapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(snap.section_names(), vec!["alpha", "beta"]);
+        assert_eq!(snap.section_order(), ["alpha", "beta"]);
         assert!(snap.has_section("alpha"));
         assert!(!snap.has_section("gamma"));
         let mut r = snap.section("alpha").unwrap();
@@ -377,7 +365,7 @@ mod tests {
         let bytes = sample_snapshot();
         Snapshot::write_atomic(&path, &bytes).unwrap();
         let reread = Snapshot::read(&path).unwrap();
-        assert_eq!(reread.section_names(), vec!["alpha", "beta"]);
+        assert_eq!(reread.section_order(), ["alpha", "beta"]);
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
         assert!(!std::path::Path::new(&tmp).exists(), "temp file left behind");
@@ -388,6 +376,6 @@ mod tests {
     fn empty_snapshot_roundtrips() {
         let bytes = SnapshotWriter::new().into_bytes();
         let snap = Snapshot::from_bytes(&bytes).unwrap();
-        assert!(snap.section_names().is_empty());
+        assert!(snap.section_order().is_empty());
     }
 }

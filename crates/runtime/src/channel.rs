@@ -1,9 +1,9 @@
 //! Bounded channels for pipeline stages.
 //!
 //! A thin wrapper over `std::sync::mpsc::sync_channel` giving the
-//! stack one vocabulary for bounded hand-off queues (the data layer's
-//! prefetching stream produces into one of these while training
-//! consumes), plus explicit disconnect reporting.
+//! stack one vocabulary for bounded hand-off queues (serving clients
+//! produce into one of these while the batcher consumes), plus explicit
+//! disconnect reporting.
 
 use std::sync::mpsc;
 

@@ -2,15 +2,15 @@
 //!
 //! A dependency-free parallel execution subsystem for the *Selective
 //! Data Contrast* stack: a fixed-size worker pool with data-parallel
-//! primitives ([`par_for`], [`par_chunks_mut`], [`par_reduce`]) and a
-//! bounded [`channel`] used for stream prefetching and the serve
-//! layer's request coalescing.
+//! primitives ([`par_for`], [`par_chunks_mut`], [`par_map`]) and a
+//! bounded [`channel`] used by the serve layer's request coalescing and
+//! the node's reply pumps.
 //!
 //! ## Determinism contract
 //!
 //! Every primitive derives its chunking from the **problem size only**
-//! — never from the thread count — and [`par_reduce`] combines partial
-//! results in fixed chunk order. A kernel written against these
+//! — never from the thread count — and [`par_map`] returns its results
+//! in index order. A kernel written against these
 //! primitives therefore produces **bit-identical** results at any
 //! `SDC_THREADS` setting, which the stack's reproducibility tests rely
 //! on. Threads change *when* a chunk runs, never *what* it computes or
@@ -423,37 +423,6 @@ pub fn par_chunks_mut<T: Send>(
     });
 }
 
-/// Maps fixed chunks of `0..n` through `map` in parallel, then folds
-/// the per-chunk partials **in ascending chunk order** — the fold order,
-/// and therefore any floating-point rounding, is independent of the
-/// thread count.
-///
-/// Returns `identity()` when `n == 0`.
-pub fn par_reduce<T: Send>(
-    n: usize,
-    chunk: usize,
-    identity: impl Fn() -> T,
-    map: impl Fn(Range<usize>) -> T + Sync,
-    mut fold: impl FnMut(T, T) -> T,
-) -> T {
-    let chunk = chunk.max(1);
-    let n_chunks = n.div_ceil(chunk);
-    let mut partials: Vec<Option<T>> = (0..n_chunks).map(|_| None).collect();
-    {
-        let slots = SendPtr(partials.as_mut_ptr());
-        par_for(n, chunk, |range| {
-            let idx = range.start / chunk;
-            let value = map(range);
-            // Soundness: each chunk index writes exactly one distinct slot.
-            unsafe { slots.get().add(idx).write(Some(value)) };
-        });
-    }
-    partials
-        .into_iter()
-        .map(|p| p.expect("every chunk produced a partial"))
-        .fold(identity(), &mut fold)
-}
-
 /// Runs `body(i)` for every index in `0..n` — one pool job per index,
 /// so this is the primitive for **coarse-grained** fan-out (whole graph
 /// nodes, whole requests), not tight element loops — and returns the
@@ -534,28 +503,6 @@ mod tests {
         });
         let want: Vec<usize> = (0..103).collect();
         assert_eq!(data, want);
-    }
-
-    #[test]
-    fn par_reduce_is_thread_count_invariant() {
-        // A sum whose fp rounding depends on fold order: identical
-        // results across thread counts prove the fixed-order contract.
-        let values: Vec<f32> = (0..1000).map(|i| ((i * 37) % 100) as f32 * 1e-3 + 1.0).collect();
-        let sum_at = |threads: usize| {
-            let rt = Runtime::new(threads);
-            rt.install(|| {
-                par_reduce(
-                    values.len(),
-                    13,
-                    || 0.0f32,
-                    |r| r.map(|i| values[i]).fold(0.0f32, |a, b| a + b),
-                    |a, b| a + b,
-                )
-            })
-        };
-        let s1 = sum_at(1);
-        assert_eq!(s1.to_bits(), sum_at(2).to_bits());
-        assert_eq!(s1.to_bits(), sum_at(7).to_bits());
     }
 
     #[test]
@@ -651,7 +598,13 @@ mod tests {
     fn par_map_jobs_can_dispatch_nested_work() {
         let rt = Runtime::new(3);
         let sums = rt.par_map(6, |i| {
-            par_reduce(64, 8, || 0u64, |r| r.map(|j| (i * 64 + j) as u64).sum(), |a, b| a + b)
+            let mut v = vec![0u64; 64];
+            par_chunks_mut(&mut v, 8, |ci, piece| {
+                for (j, x) in piece.iter_mut().enumerate() {
+                    *x = (i * 64 + ci * 8 + j) as u64;
+                }
+            });
+            v.iter().sum::<u64>()
         });
         for (i, s) in sums.iter().enumerate() {
             let want: u64 = (0..64).map(|j| (i * 64 + j) as u64).sum();

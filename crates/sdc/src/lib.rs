@@ -5,15 +5,15 @@
 //!
 //! * [`tensor`] — CPU tensors + reverse-mode autodiff.
 //! * [`simd`] — the runtime-dispatched vectorized kernel layer behind
-//!   the non-GEMM tensor ops (AVX2 or portable scalar, chosen once per
-//!   process; `SDC_SIMD` overrides).
+//!   the tensor ops (AVX2 or portable scalar, chosen once per process;
+//!   `SDC_SIMD` overrides).
 //! * [`nn`] — layers, the residual encoder, optimizers.
 //! * [`data`] — synthetic datasets, STC streams, augmentations.
 //! * [`core`] — contrast scoring, replacement policies, the on-device
 //!   trainer (the paper's contribution).
 //! * [`eval`] — linear/kNN probes, supervised baseline, learning curves.
 //! * [`runtime`] — the parallel execution subsystem (worker pool,
-//!   deterministic data-parallel kernels, prefetch channels).
+//!   deterministic data-parallel kernels, bounded channels).
 //! * [`serve`] — the batched scoring service layer (request
 //!   coalescing, scoring replicas, per-stream buffer shards, the
 //!   multi-stream trainer, the open-loop load driver).

@@ -630,10 +630,10 @@ impl Graph {
                 let gb = simd::sum_cols(g)?;
                 vec![(x.0, self.pooled_copy(g)), (b.0, gb)]
             }
-            // Gradient products run on the blocked gemm kernels; the
-            // transposed operand of `matmul_tn` is read through the
-            // packer's strided view, so backward allocates no
-            // transposed copies of activations or upstream gradients.
+            // Gradient products run on the gemm tile; the transposed
+            // operand of `matmul_tn` is read through the packer's
+            // strided view, so backward allocates no transposed copies
+            // of activations or upstream gradients.
             Op::MatmulNt(a, b) => {
                 let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
                 vec![(a.0, matmul(g, vb)?), (b.0, matmul_tn(g, va)?)]

@@ -5,11 +5,11 @@
 //! *Selective Data Contrast* (DAC 2021) reproduction.
 //!
 //! The library provides exactly the operations an on-device contrastive
-//! learning pipeline records — dense matmul, convolution over a packed
-//! unfold, batch normalization, global average pooling, ReLU, bias,
-//! row-wise ℓ2 normalization, masking, log-softmax, and NLL — each with
-//! a hand-written backward pass validated by the finite-difference
-//! harness in [`gradcheck`].
+//! learning pipeline records — dense matmul, direct convolution, batch
+//! normalization, global average pooling, ReLU, bias, row-wise ℓ2
+//! normalization, masking, log-softmax, and NLL — each with a
+//! hand-written backward pass validated by the finite-difference harness
+//! in [`gradcheck`].
 //!
 //! ## Quick example
 //!

@@ -30,9 +30,9 @@
 //! channels × consecutive `q`) then starts its accumulators at `+0.0`
 //! and, for every tap in ascending `(ci, ky, kx)` order, adds `w · x`
 //! with a separate multiply and add (never FMA). That is the chain the
-//! blocked GEMM computes for `W · colsᵀ`: one accumulator per output, the
-//! patch reduced in ascending order, padding taps multiplying a stored
-//! zero. So the output is bit-identical to `im2col` → GEMM. The tile
+//! GEMM computes for `W · colsᵀ`: one accumulator per output, the patch
+//! reduced in ascending order from `+0.0`, padding taps multiplying a
+//! stored zero. So the output is bit-identical to `im2col` → GEMM. The tile
 //! writes NCHW directly; lanes whose `q` falls in the `wq − ow`
 //! wrap-around columns or past the last output are discarded, like the
 //! GEMM's padded lanes.
@@ -58,9 +58,8 @@
 //!   `(n, oy, ox)`: each tap's value is broadcast from the phase planes,
 //!   each `g` row loaded from the rearrange. Every element is one chain
 //!   over the valid output positions in the column matrix's order, the
-//!   chain the blocked GEMM formed for `colsᵀ · g` (its carry between
-//!   `KC` panels went through memory, which is exact). So `dW` is
-//!   bit-identical to `gᵀ · cols`.
+//!   chain the GEMM forms for `colsᵀ · g`. So `dW` is bit-identical to
+//!   `gᵀ · cols`.
 //! - **Input gradient: a direct transposed convolution in gather form.**
 //!   The sample's chunk lays `gy[ni]` out at the phase-plane row stride
 //!   `wq`, with zero wrap-around columns, zero rows from `oh` on and a
@@ -1044,8 +1043,8 @@ mod tests {
 
     #[test]
     fn fused_forward_matches_unfused_reference_bitwise() {
-        // patch = 29·3·3 = 261 straddles KC = 256; rows = 2·3·3 = 18 is
-        // not an NR multiple; padding exercises the zero lanes.
+        // A deep patch (29·3·3 = 261); rows = 2·3·3 = 18 is not an NR
+        // multiple; padding exercises the zero lanes.
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(9);

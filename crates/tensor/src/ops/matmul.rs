@@ -1,22 +1,14 @@
 //! Dense matrix-multiplication kernels.
 //!
 //! These are the plain-value kernels; differentiable wrappers live on
-//! [`Graph`](crate::Graph). All three entry points route through
-//! [`ops::gemm`](super::gemm): products above
-//! [`gemm::BLOCK_MIN_WORK`] run the
-//! cache-blocked, operand-packing kernel with its fixed-width
-//! [`MR`](super::gemm::MR)×[`NR`](super::gemm::NR) micro-kernel;
-//! smaller ones run the naive `i-k-j` loops. Both paths are
-//! **bit-identical** (same per-element reduction order, ascending `k`,
-//! one accumulator per output element), so the size dispatch never
-//! changes results — see the `gemm` module docs for the argument and
-//! `crates/tensor/tests/gemm_equivalence.rs` for the enforcement.
-//!
-//! Large multiplications split their output into tile-row chunks of
-//! [`MC`](super::gemm::MC) rows executed on the `sdc-runtime` pool.
-//! Each output element's reduction runs in ascending-`k` order inside
-//! exactly one chunk, so parallel results are bit-identical to serial
-//! at every thread count.
+//! [`Graph`](crate::Graph). All three entry points run the one register
+//! tile in [`ops::gemm`](super::gemm), whatever the size. Each output
+//! element is one chain from `+0.0` over ascending `k`, written by
+//! exactly one fixed-size chunk of the `sdc-runtime` pool, so results
+//! are **bit-identical** to [`gemm::naive`] at every thread count and
+//! on every instruction set — see the `gemm` module docs for the
+//! argument and `crates/tensor/tests/gemm_equivalence.rs` for the
+//! enforcement.
 //!
 //! Unlike the original kernels, zero `A` elements are **not** skipped,
 //! because the skip masks non-finite values: with it, `0 · ∞` gives
@@ -25,10 +17,10 @@
 //! side. Speed is not the reason. The last measurement of the two naive
 //! `i-k-j` loops (192³, one thread, AVX2 host) found the skip *faster*:
 //! 1.13 ms vs 1.32 ms on dense inputs and 0.73 ms vs 1.01 ms with half
-//! the `A` elements zero. The packed path preserves these semantics
-//! exactly: its zero-padded edge lanes can internally produce
-//! `0 · ∞ = NaN`, but padded lanes are discarded on store and never
-//! folded into a real output element.
+//! the `A` elements zero. The tile preserves these semantics exactly:
+//! its zero-padded rows and lanes can internally produce
+//! `0 · ∞ = NaN`, but they are never stored, so they are never folded
+//! into a real output element.
 
 use super::gemm::{self, Trans};
 use crate::error::{Result, TensorError};
@@ -47,7 +39,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// `C = A · Bᵀ` for `A: (n, k)`, `B: (m, k)`.
 ///
 /// `B` is read through the packer's strided view — no transpose is
-/// materialized on the blocked path.
+/// materialized.
 ///
 /// # Errors
 ///
@@ -59,11 +51,10 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 
 /// `C = Aᵀ · B` for `A: (k, n)`, `B: (k, m)` — used by backward passes.
 ///
-/// On the blocked path `A` is packed straight from its transposed
-/// storage, so (unlike the previous kernel) no `O(nk)` transposed copy
-/// is allocated. Per output element the accumulation is still
-/// ascending-`k` with one accumulator, so the result is bit-identical
-/// to the transpose-then-multiply form.
+/// `A` is packed straight from its transposed storage, so no `O(nk)`
+/// transposed copy is allocated. Per output element the accumulation is
+/// still ascending-`k` with one accumulator, so the result is
+/// bit-identical to the transpose-then-multiply form.
 ///
 /// # Errors
 ///
@@ -145,7 +136,8 @@ mod tests {
 
     #[test]
     fn zero_width_operands_produce_empty_outputs() {
-        // m == 0 makes the chunk size zero; dispatch must not panic.
+        // m == 0 leaves no output element to compute; no orientation may
+        // panic on it.
         let a = t([2, 3], &[1.0; 6]);
         let b = Tensor::zeros([3, 0]);
         assert_eq!(matmul(&a, &b).unwrap().shape().dims(), &[2, 0]);
@@ -162,20 +154,5 @@ mod tests {
         let eye = t([2, 2], &[1.0, 0.0, 0.0, 1.0]);
         assert_eq!(matmul(&a, &eye).unwrap(), a);
         assert_eq!(matmul(&eye, &a).unwrap(), a);
-    }
-
-    #[test]
-    fn large_matmul_takes_blocked_path_and_matches_reference() {
-        // 64³ is past BLOCK_MIN_WORK; the public entry point must agree
-        // bitwise with the naive reference there.
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(11);
-        let a = Tensor::randn([64, 64], 1.0, &mut rng);
-        let b = Tensor::randn([64, 64], 1.0, &mut rng);
-        const { assert!(64 * 64 * 64 >= gemm::BLOCK_MIN_WORK) };
-        let got = matmul(&a, &b).unwrap();
-        let want = gemm::naive(&a, Trans::N, &b, Trans::N).unwrap();
-        for (x, y) in got.data().iter().zip(want.data()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
     }
 }

@@ -37,8 +37,8 @@ pub(crate) fn parallelize(work: usize) -> bool {
 /// `fill(0, buf)` serially (the fill functions iterate their piece in
 /// fixed sub-units, so the serial call covers the whole buffer).
 ///
-/// Generic over the element type so the gemm path can fill
-/// `MaybeUninit<f32>` buffers without a prior zero pass.
+/// Generic over the element type so the conv backward can hand each
+/// sample's chunk a pair of slices: its layout and its input gradient.
 ///
 /// Degenerate buffers (empty, or a zero chunk from a zero-width
 /// dimension) have nothing to fill and return immediately.

@@ -1,20 +1,21 @@
-//! Runtime-dispatched vectorized kernels for the non-GEMM hot path.
+//! Runtime-dispatched vectorized kernels.
 //!
 //! This module is the unified ops surface behind the elementwise
 //! `relu`/`scale` maps and the relu backward, the bias gradient's
 //! column sum, the fused three-pass `log_softmax`, and
-//! `l2_normalize_rows` — every kernel the scoring path runs besides
-//! GEMM. Maps are *descriptors* ([`UnaryKernel`]) evaluated by a
-//! dispatcher that picks one instruction set **once per process**:
+//! `l2_normalize_rows`. The register tiles of the matmul (`ops::gemm`)
+//! and of the convolution (`ops::conv`) are written against the same
+//! 8-lane abstraction and enter through the same dispatcher. Maps are
+//! *descriptors* ([`UnaryKernel`]) evaluated by a dispatcher that picks
+//! one instruction set **once per process**:
 //!
 //! * **AVX2** on `x86-64` when the CPU supports it, entered through a
 //!   `#[target_feature(enable = "avx2")]` generic instantiation;
 //! * a **portable scalar fallback** everywhere else.
 //!
 //! The choice can be overridden with the `SDC_SIMD` environment
-//! variable (see [`SIMD_ENV`]): `SDC_SIMD=scalar` forces the fallback,
-//! `SDC_SIMD=avx2` requests AVX2 (silently falling back if the CPU
-//! lacks it). [`active_isa`] reports the decision.
+//! variable (see [`SIMD_ENV`]): `SDC_SIMD=scalar` forces the fallback.
+//! [`active_isa`] reports the decision.
 //!
 //! # The bitwise contract
 //!
@@ -66,8 +67,8 @@ use kernels::{
 };
 
 /// Environment variable overriding the dispatched instruction set:
-/// `scalar` forces the portable fallback, `avx2` requests AVX2 (used
-/// only if the CPU supports it). Read once per process.
+/// `scalar` forces the portable fallback; any other value leaves the
+/// choice to runtime detection. Read once per process.
 pub const SIMD_ENV: &str = "SDC_SIMD";
 
 /// The instruction set a kernel dispatch runs on.
@@ -81,8 +82,8 @@ pub enum Isa {
 }
 
 impl Isa {
-    /// Stable lowercase name (`"scalar"` / `"avx2"`), as accepted by
-    /// [`SIMD_ENV`] and recorded in bench JSON.
+    /// Stable lowercase name (`"scalar"` / `"avx2"`), as recorded in
+    /// bench JSON.
     pub fn name(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
@@ -113,15 +114,16 @@ fn detect_isa() -> Isa {
 
 /// The instruction set every kernel in this process dispatches to.
 ///
-/// Decided once on first use: `SDC_SIMD=scalar` forces the fallback,
-/// `SDC_SIMD=avx2` requests AVX2 (falling back to scalar when the CPU
-/// lacks it), anything else defers to runtime feature detection.
+/// Decided once on first use: `SDC_SIMD=scalar` forces the fallback;
+/// otherwise runtime feature detection picks AVX2 when the CPU has it.
 pub fn active_isa() -> Isa {
     static ISA: OnceLock<Isa> = OnceLock::new();
-    *ISA.get_or_init(|| match std::env::var(SIMD_ENV).ok().as_deref() {
-        Some("scalar") => Isa::Scalar,
-        Some("avx2") => detect_isa(),
-        _ => detect_isa(),
+    *ISA.get_or_init(|| {
+        if std::env::var(SIMD_ENV).as_deref() == Ok("scalar") {
+            Isa::Scalar
+        } else {
+            detect_isa()
+        }
     })
 }
 
@@ -377,7 +379,7 @@ pub fn l2_normalize_rows_backward_with(
 ///
 /// `tests/simd_equivalence.rs` proves the dispatched path bitwise-equal
 /// to these functions at `SDC_THREADS` 1/2/7 — the same role
-/// `gemm::naive` plays for the blocked GEMM.
+/// `gemm::naive` plays for the matmul tile.
 pub mod scalar_ref {
     use super::*;
 

@@ -15,8 +15,8 @@
 //! is pinned down identically on every path.
 //!
 //! No fused multiply-add is ever used — mul and add round separately on
-//! every ISA (the same rule the blocked GEMM kernel follows), because a
-//! fused rounding step would break scalar/AVX2 bit-identity.
+//! every ISA, because a fused rounding step would break scalar/AVX2
+//! bit-identity.
 
 /// Canonical lane width shared by every ISA instantiation.
 pub(crate) const LANES: usize = 8;

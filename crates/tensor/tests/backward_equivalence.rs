@@ -7,9 +7,9 @@
 //! pipeline with a contrastive head that records every op kind,
 //! `take_grad` mid-use, random DAGs over the rank-2 ops, and re-swept
 //! tapes (the double-backward stale-gradient regression). Every tape is
-//! swept twice, so re-sweeps of the blocked-GEMM tower pair and of a
-//! conv whose weight-gradient reduction straddles the `KC`/`NR` panel
-//! edges ride the same harness. The conv kernels themselves are checked
+//! swept twice, so re-sweeps of the matmul tower pair and of a conv
+//! with a deep patch whose output positions end off an `NR` edge ride
+//! the same harness. The conv kernels themselves are checked
 //! against the column-matrix references: the direct forward against
 //! `im2col` → naive GEMM, the input and weight gradients against
 //! `col2im(g · W)` and `gᵀ · cols`.
@@ -82,7 +82,7 @@ fn check_scheduler_vs_serial(build: impl Fn(&mut Graph) -> (VarId, Vec<VarId>), 
 /// Two encoder-style towers sharing no nodes until the contrastive
 /// head — the tape shape the level scheduler exists to overlap. With
 /// `n = 64`, `d = 128` the tower levels are wide enough to take the
-/// pool fan-out path, and the matmuls the blocked-gemm path. Weights
+/// pool fan-out path, and the matmuls split across pool chunks. Weights
 /// are stored transposed, `(out, in)` as `sdc-nn`'s `Linear` stores
 /// them, so each layer is `x · wᵀ`.
 fn tower_pair(g: &mut Graph) -> (VarId, Vec<VarId>) {
@@ -294,10 +294,10 @@ fn tower_pair_resweeps_match_serial_bitwise() {
     }
 }
 
-/// A conv whose patch dimension (29·3·3 = 261) straddles the `KC = 256`
-/// panel edge and whose output positions (2·5·5 = 50) are not a
-/// multiple of `NR`, with padding — the hardest alignment case for the
-/// direct forward's tiles and the weight gradient's tap tiles.
+/// A conv with a deep patch dimension (29·3·3 = 261) and whose output
+/// positions (2·5·5 = 50) are not a multiple of `NR`, with padding —
+/// the hardest alignment case for the direct forward's tiles and the
+/// weight gradient's tap tiles.
 fn conv_panel_straddle(g: &mut Graph) -> (VarId, Vec<VarId>) {
     let x = g.leaf(rand_t([2 * 29 * 5 * 5], 61).reshape([2, 29, 5, 5]).unwrap());
     let w = g.leaf(rand_t([4 * 29 * 3 * 3], 62).reshape([4, 29, 3, 3]).unwrap());
@@ -314,8 +314,8 @@ fn conv_shapes_straddling_panel_boundaries_match_serial_bitwise() {
 }
 
 /// Conv inputs for the kernel gates below, with their `c_out`: 1×1
-/// images, `oh·ow` off a multiple of `NR` (6×6), `c_in·k² = 261`
-/// crossing `KC` at `k = 3`, the bench encoder's stage-0 and stage-1
+/// images, `oh·ow` off a multiple of `NR` (6×6), a deep patch
+/// (`c_in·k² = 261` at `k = 3`), the bench encoder's stage-0 and stage-1
 /// widths (`c_out` 16 and 32: one and two 16-channel weight tiles), and
 /// `c_out` values that are not multiples of the tile height `MR` (17
 /// spans three forward tiles and ends its weight tiles on a single

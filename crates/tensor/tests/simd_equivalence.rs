@@ -2,7 +2,7 @@
 //! every kernel routed through `sdc_tensor::simd` must be **bitwise**
 //! identical to the retained scalar reference (`simd::scalar_ref`) at
 //! every thread count — the same contract `gemm_equivalence` enforces
-//! for the blocked GEMM.
+//! for the matmul tile.
 //!
 //! CI runs this suite twice: once with the default dispatch (AVX2 on
 //! x86-64) and once under `SDC_SIMD=scalar`, where the comparison is

@@ -73,13 +73,3 @@ fn probe_results_are_deterministic() {
     assert_eq!(r1.test_accuracy, r2.test_accuracy);
     assert_eq!(r1.final_loss, r2.final_loss);
 }
-
-#[test]
-fn sample_serialization_roundtrips_through_bytes() {
-    // Cross-crate check of the staging-buffer format.
-    let ds = SynthDataset::new(world());
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(12);
-    let s = ds.sample(2, &mut rng).unwrap();
-    let restored = sdc::data::Sample::from_bytes(s.to_bytes()).unwrap();
-    assert_eq!(s, restored);
-}
