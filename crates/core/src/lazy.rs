@@ -40,15 +40,6 @@ impl LazySchedule {
             Some(t) => age.is_multiple_of(t),
         }
     }
-
-    /// Expected steady-state fraction of the buffer re-scored per
-    /// iteration (`≈ 1/T`).
-    pub fn expected_rescore_fraction(&self) -> f32 {
-        match self.interval {
-            None => 1.0,
-            Some(t) => 1.0 / t as f32,
-        }
-    }
 }
 
 impl Default for LazySchedule {
@@ -67,7 +58,6 @@ mod tests {
         for age in 0..10 {
             assert!(s.needs_rescore(age));
         }
-        assert_eq!(s.expected_rescore_fraction(), 1.0);
     }
 
     #[test]
@@ -75,7 +65,6 @@ mod tests {
         let s = LazySchedule::every(4);
         let rescored: Vec<u32> = (0..12).filter(|&a| s.needs_rescore(a)).collect();
         assert_eq!(rescored, vec![0, 4, 8]);
-        assert!((s.expected_rescore_fraction() - 0.25).abs() < 1e-6);
     }
 
     #[test]

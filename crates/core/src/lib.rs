@@ -59,7 +59,7 @@ pub mod trainer;
 pub use buffer::{BufferEntry, ReplayBuffer};
 pub use lazy::LazySchedule;
 pub use model::{ContrastiveModel, ModelConfig};
-pub use pipeline::{run_pipeline, PipelineConfig, PipelineOutcome, Reservoir};
+pub use pipeline::{run_pipeline, PipelineConfig, PipelineOutcome};
 pub use policy::{
     ContrastScoringPolicy, FifoReplacePolicy, KCenterPolicy, RandomReplacePolicy,
     ReplacementOutcome, ReplacementPolicy, SelectiveBackpropPolicy,

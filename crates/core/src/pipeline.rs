@@ -52,7 +52,7 @@ pub struct PipelineOutcome {
 /// length (Vitter's Algorithm R — the classical method the paper's
 /// Random Replace baseline derives from).
 #[derive(Debug)]
-pub struct Reservoir {
+struct Reservoir {
     capacity: usize,
     seen: u64,
     items: Vec<Sample>,
@@ -61,7 +61,7 @@ pub struct Reservoir {
 
 impl Reservoir {
     /// Creates a reservoir holding at most `capacity` samples.
-    pub fn new(capacity: usize, seed: u64) -> Self {
+    fn new(capacity: usize, seed: u64) -> Self {
         Self {
             capacity,
             seen: 0,
@@ -71,7 +71,7 @@ impl Reservoir {
     }
 
     /// Offers one sample; it is kept with probability `capacity / seen`.
-    pub fn offer(&mut self, sample: &Sample) {
+    fn offer(&mut self, sample: &Sample) {
         self.seen += 1;
         if self.items.len() < self.capacity {
             self.items.push(sample.clone());
@@ -81,16 +81,6 @@ impl Reservoir {
                 self.items[j as usize] = sample.clone();
             }
         }
-    }
-
-    /// The kept samples.
-    pub fn items(&self) -> &[Sample] {
-        &self.items
-    }
-
-    /// Total samples offered.
-    pub fn seen(&self) -> u64 {
-        self.seen
     }
 }
 
@@ -127,12 +117,7 @@ pub fn run_pipeline(
         tail_losses.iter().sum::<f32>() / tail_losses.len() as f32
     };
     let seen = trainer.seen();
-    Ok(PipelineOutcome {
-        model: trainer.into_model(),
-        labeled: reservoir.items().to_vec(),
-        seen,
-        final_loss,
-    })
+    Ok(PipelineOutcome { model: trainer.into_model(), labeled: reservoir.items, seen, final_loss })
 }
 
 #[cfg(test)]
@@ -192,9 +177,9 @@ mod tests {
         for id in 0..1000u64 {
             r.offer(&Sample::new(Tensor::zeros([1, 1, 1]), 0, id));
         }
-        assert_eq!(r.items().len(), 100);
-        assert_eq!(r.seen(), 1000);
-        let mean: f64 = r.items().iter().map(|s| s.id as f64).sum::<f64>() / 100.0;
+        assert_eq!(r.items.len(), 100);
+        assert_eq!(r.seen, 1000);
+        let mean: f64 = r.items.iter().map(|s| s.id as f64).sum::<f64>() / 100.0;
         assert!((300.0..700.0).contains(&mean), "kept-id mean {mean}");
     }
 
@@ -204,6 +189,6 @@ mod tests {
         for id in 0..5u64 {
             r.offer(&Sample::new(Tensor::zeros([1, 1, 1]), 0, id));
         }
-        assert_eq!(r.items().len(), 5);
+        assert_eq!(r.items.len(), 5);
     }
 }

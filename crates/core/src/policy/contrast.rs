@@ -60,11 +60,6 @@ impl ContrastScoringPolicy {
         self.schedule
     }
 
-    /// The EMA new-score weight, if score momentum is enabled.
-    pub fn score_momentum(&self) -> Option<f32> {
-        self.momentum
-    }
-
     /// [`ReplacementPolicy::replace`] with scoring delegated to `score`
     /// — the hook external serving layers use to route the combined
     /// `stale buffer ∪ incoming` scoring batch through a shared scoring
@@ -277,7 +272,6 @@ mod tests {
     fn score_momentum_smooths_buffer_scores() {
         let mut model = tiny_model();
         let mut policy = ContrastScoringPolicy::with_score_momentum(0.5);
-        assert_eq!(policy.score_momentum(), Some(0.5));
         let mut buffer = ReplayBuffer::new(4);
         policy.replace(&mut model, &mut buffer, make_samples(4, 0, 0, 20)).unwrap();
         let initial: Vec<f32> = buffer.entries().iter().map(|e| e.score).collect();

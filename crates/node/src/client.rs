@@ -24,22 +24,20 @@
 use std::collections::BTreeMap;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use sdc_data::{Sample, StreamId};
 use sdc_persist::Snapshot;
-use sdc_runtime::channel::{bounded, Receiver, Sender};
 use sdc_serve::{NodeSnapshot, ScoreTarget};
 
 use crate::error::NodeError;
-use crate::wire::{
-    decode_reply, encode_request, read_frame, write_frame_ext, Reply, Request, Ship,
-};
+use crate::wire::{decode_reply, encode_request, read_frame, write_frame, Reply, Request, Ship};
 use crate::RemoteOutcome;
 
 /// Reply senders by request `seq`; `None` once the reader has exited.
-type Waiters = Option<BTreeMap<u64, Sender<Reply>>>;
+type Waiters = Option<BTreeMap<u64, SyncSender<Reply>>>;
 
 /// An in-flight remote request. Dropping the ticket abandons the reply
 /// (the reader thread discards it on arrival) and closes the request's
@@ -126,8 +124,8 @@ impl NodeClient {
             std::thread::spawn(move || {
                 // Clean close or any framing failure stops dispatch;
                 // an undecodable reply does too. Pending waiters learn
-                // below either way.
-                while let Ok(Some(payload)) = read_frame(&mut read_half) {
+                // below either way. Replies carry no trace context.
+                while let Ok(Some((payload, _))) = read_frame(&mut read_half) {
                     let Ok(reply) = decode_reply(&payload) else { break };
                     let waiter = pending
                         .lock()
@@ -160,8 +158,8 @@ impl NodeClient {
     ) -> Result<RemoteTicket, NodeError> {
         // Scoring requests root a client-side span and ship its
         // context in the frame's trace extension; control requests
-        // (ships, stats scrapes) stay revision-1 frames. The span is
-        // inert (and the frame unflagged) while tracing is off.
+        // (ships, stats scrapes) go untraced. The span is inert (and
+        // the frame unflagged) while tracing is off.
         let span = if traced {
             sdc_obs::Span::root("node.client.request")
         } else {
@@ -170,7 +168,7 @@ impl NodeClient {
         // Sequence numbers start at 1: the server reserves 0 for
         // frame-level errors that precede any request parse.
         let seq = self.next_seq.fetch_add(1, Ordering::SeqCst) + 1;
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         match self.pending.lock().expect("pending lock").as_mut() {
             Some(waiters) => waiters.insert(seq, tx),
             None => return Err(NodeError::Disconnected),
@@ -178,7 +176,7 @@ impl NodeClient {
         let payload = encode_request(&build(seq));
         let result = {
             let mut w = self.writer.lock().expect("writer lock");
-            write_frame_ext(&mut *w, &payload, span.context())
+            write_frame(&mut *w, &payload, span.context())
         };
         if let Err(e) = result {
             if let Some(waiters) = self.pending.lock().expect("pending lock").as_mut() {

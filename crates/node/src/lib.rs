@@ -29,7 +29,7 @@
 //!
 //! While tracing is enabled (`SDC_TRACE`), scoring frames carry a
 //! 16-byte trace-context extension
-//! ([`wire::write_frame_ext`]), so one trace connects the
+//! ([`wire::write_frame`]), so one trace connects the
 //! [`NodeClient`]'s request span, the server's handler span, and the
 //! replica batcher's phase spans across the TCP boundary — export it
 //! with `sdc_obs::chrome_trace_json`. [`NodeClient::stats`] scrapes

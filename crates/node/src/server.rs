@@ -31,7 +31,7 @@
 //! ## Observability
 //!
 //! The handler reads frames through
-//! [`read_frame_ext`](crate::wire::read_frame_ext), so a traced peer's
+//! [`read_frame`](crate::wire::read_frame), so a traced peer's
 //! [`TraceContext`] crosses the wire: each scoring request gets a
 //! `node.server.request` span parented to the remote client's span,
 //! and the replica batcher's phase spans nest under it — one connected
@@ -48,19 +48,17 @@ use std::collections::BTreeMap;
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sdc_obs::TraceContext;
 use sdc_persist::{apply_delta, Snapshot};
-use sdc_runtime::channel::{bounded, Sender};
 use sdc_serve::{NodeSnapshot, ReplicaSet, ScoreOutcome, SubmitOpts};
 
 use crate::error::NodeError;
-use crate::wire::{
-    decode_request, encode_reply, read_frame_ext, write_frame, Reply, Request, Ship,
-};
+use crate::wire::{decode_request, encode_reply, read_frame, write_frame, Reply, Request, Ship};
 
 /// What the standby store holds after a ship: the last verified
 /// snapshot plus the opaque application state shipped alongside it
@@ -243,7 +241,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
 
     // The pump owns reply ordering: tickets and ready replies go out in
     // exactly the order requests arrived, each as one frame.
-    let (tx, rx) = bounded::<Pending>(256);
+    let (tx, rx) = sync_channel::<Pending>(256);
     let pump = std::thread::spawn(move || {
         for pending in rx.iter() {
             let reply = match pending {
@@ -254,7 +252,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
                     Err(e) => Reply::Error { seq, message: e.to_string() },
                 },
             };
-            if write_frame(&mut writer, &encode_reply(&reply)).is_err() {
+            if write_frame(&mut writer, &encode_reply(&reply), None).is_err() {
                 // Client gone mid-write: abandon the rest; dropped
                 // tickets are counted by the service, not leaked.
                 break;
@@ -264,7 +262,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     });
 
     let outcome: Result<(), NodeError> = loop {
-        match read_frame_ext(&mut reader) {
+        match read_frame(&mut reader) {
             Ok(None) => break Ok(()),
             Ok(Some((payload, trace))) => {
                 sdc_obs::counter!("node.frame.rx").inc();
@@ -320,7 +318,7 @@ fn linger(reader: &mut TcpStream) {
 /// connection is being torn down.
 fn handle_request(
     shared: &Shared,
-    tx: &Sender<Pending>,
+    tx: &SyncSender<Pending>,
     request: Request,
     trace: Option<TraceContext>,
 ) -> Result<(), ()> {

@@ -21,23 +21,15 @@
 //! a frame boundary is a clean close (`Ok(None)`); anywhere else it is
 //! [`NodeError::Truncated`].
 //!
-//! ## The trace-context extension (protocol revision 2)
+//! ## The flag nibble
 //!
-//! The length word's top nibble was zero in every revision-1 frame
-//! ([`MAX_FRAME`] needs only 25 bits), so it now carries flags.
-//! [`FLAG_TRACE`] announces a 16-byte [`TraceContext`]
+//! [`MAX_FRAME`] needs only 25 bits, so the length word's top nibble
+//! carries flags. [`FLAG_TRACE`] announces a 16-byte [`TraceContext`]
 //! (trace id ‖ parent span id, little-endian) between the header and
 //! the payload, letting one trace cross the TCP boundary; the CRC
-//! covers the context block and the payload together. Interop with
-//! revision-1 peers is safe **by construction**, both ways:
-//!
-//! * rev-1 frames (flag nibble 0) parse identically under both
-//!   revisions — an old client against a new server, or a traced
-//!   client with tracing disabled, is byte-for-byte the old protocol;
-//! * a rev-2 flagged frame read by a rev-1 peer has a length field
-//!   exceeding `MAX_FRAME`, so the old peer rejects it typed
-//!   (`Oversized`) before touching the payload — never a mis-parse
-//!   (`tests/wire_fuzz.rs` pins both directions).
+//! covers the context block and the payload together. An untraced frame
+//! has a zero nibble and no context block, and any other flag bit is
+//! rejected.
 //!
 //! ## Messages
 //!
@@ -67,8 +59,8 @@ pub const FRAME_MAGIC: &[u8; 4] = b"SDCF";
 pub const MAX_FRAME: u32 = 32 << 20;
 
 /// Length-word flag announcing a 16-byte trace-context block between
-/// the header and the payload (see the module docs on revision-2
-/// interop).
+/// the header and the payload (see the module docs on the flag
+/// nibble).
 pub const FLAG_TRACE: u32 = 1 << 28;
 
 /// The flag nibble of the length word.
@@ -206,26 +198,15 @@ const SHIP_DELTA: u8 = 1;
 const CAUSE_QUEUE_FULL: u8 = 1;
 const CAUSE_BACKLOG: u8 = 2;
 
-/// Writes one revision-1 frame around `payload` (no flags, no
-/// extension blocks — the form every peer accepts).
-///
-/// # Errors
-///
-/// Returns [`NodeError::Oversized`] for payloads past [`MAX_FRAME`]
-/// (nothing is written), and [`NodeError::Io`] on socket failure.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), NodeError> {
-    write_frame_ext(w, payload, None)
-}
-
 /// Writes one frame around `payload`, attaching a trace-context
-/// extension block (and setting [`FLAG_TRACE`]) when `trace` is given.
-/// With `trace: None` the output is byte-for-byte a revision-1 frame.
+/// block (and setting [`FLAG_TRACE`]) when `trace` is given; with
+/// `trace: None` the flag nibble is zero.
 ///
 /// # Errors
 ///
 /// Returns [`NodeError::Oversized`] for payloads past [`MAX_FRAME`]
 /// (nothing is written), and [`NodeError::Io`] on socket failure.
-pub fn write_frame_ext(
+pub fn write_frame(
     w: &mut impl Write,
     payload: &[u8],
     trace: Option<TraceContext>,
@@ -278,49 +259,21 @@ fn read_exact_or_truncated(
     Ok(())
 }
 
-/// Reads one **revision-1** frame, returning its verified payload — or
-/// `Ok(None)` when the stream ends cleanly at a frame boundary. This is
-/// deliberately the old reader: any frame with flag bits set (including
-/// a valid revision-2 traced frame) is rejected typed, exactly like a
-/// pre-revision-2 peer would — its length word exceeds [`MAX_FRAME`].
-///
-/// # Errors
-///
-/// [`NodeError::BadMagic`], [`NodeError::Oversized`] (checked before
-/// the payload buffer is allocated), [`NodeError::ChecksumMismatch`],
-/// [`NodeError::Truncated`] for a mid-frame end of stream, and
-/// [`NodeError::Io`] for socket failures.
-pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, NodeError> {
-    let Some(header) = read_header(r)? else { return Ok(None) };
-    let len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-    if len > MAX_FRAME {
-        return Err(NodeError::Oversized { declared: len as u64 });
-    }
-    let crc = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
-    let mut payload = vec![0u8; len as usize];
-    read_exact_or_truncated(r, &mut payload, "frame payload")?;
-    if crc32(&payload) != crc {
-        return Err(NodeError::ChecksumMismatch);
-    }
-    Ok(Some(payload))
-}
+/// One decoded frame: the verified payload plus the trace context the
+/// sender attached, if any.
+pub type Frame = (Vec<u8>, Option<TraceContext>);
 
-/// One decoded revision-2 frame: the verified payload plus the trace
-/// context the sender attached, if any.
-pub type ExtFrame = (Vec<u8>, Option<TraceContext>);
-
-/// Reads one frame under revision-2 rules, returning its verified
-/// payload plus the trace context if the frame carried one — or
-/// `Ok(None)` on a clean close at a frame boundary.
+/// Reads one frame — or `Ok(None)` when the stream ends cleanly at a
+/// frame boundary.
 ///
 /// # Errors
 ///
 /// [`NodeError::BadMagic`], [`NodeError::UnknownFlags`] for flag bits
-/// beyond [`FLAG_TRACE`] (rejected before any allocation),
-/// [`NodeError::Oversized`], [`NodeError::ChecksumMismatch`] (the CRC
-/// covers trace block + payload), [`NodeError::Truncated`], and
-/// [`NodeError::Io`].
-pub fn read_frame_ext(r: &mut impl Read) -> Result<Option<ExtFrame>, NodeError> {
+/// beyond [`FLAG_TRACE`], [`NodeError::Oversized`] (both checked before
+/// any buffer is allocated), [`NodeError::ChecksumMismatch`] (the CRC
+/// covers trace block + payload), [`NodeError::Truncated`] for a
+/// mid-frame end of stream, and [`NodeError::Io`] for socket failures.
+pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, NodeError> {
     let Some(header) = read_header(r)? else { return Ok(None) };
     let word = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
     let flags = word & FLAG_BITS;
@@ -599,7 +552,7 @@ mod tests {
 
     fn frame_of(payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
-        write_frame(&mut out, payload).unwrap();
+        write_frame(&mut out, payload, None).unwrap();
         out
     }
 
@@ -608,7 +561,7 @@ mod tests {
         for payload in [&b""[..], &b"x"[..], &[0u8; 1000][..]] {
             let framed = frame_of(payload);
             let mut cursor = &framed[..];
-            assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), payload);
+            assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), (payload.to_vec(), None));
             // And the stream then ends cleanly.
             assert!(read_frame(&mut cursor).unwrap().is_none());
         }
@@ -650,15 +603,14 @@ mod tests {
 
     #[test]
     fn hostile_length_is_rejected_before_allocation() {
-        // A header declaring u32::MAX payload bytes: Oversized, not an
-        // attempted 4 GiB allocation (the test would OOM-or-crawl
-        // otherwise).
+        // A header declaring the largest length the word can hold:
+        // Oversized, not an attempted 256 MiB allocation.
         let mut framed = Vec::new();
         framed.extend_from_slice(FRAME_MAGIC);
-        framed.extend_from_slice(&u32::MAX.to_le_bytes());
+        framed.extend_from_slice(&LEN_BITS.to_le_bytes());
         framed.extend_from_slice(&0u32.to_le_bytes());
         match read_frame(&mut &framed[..]).unwrap_err() {
-            NodeError::Oversized { declared } => assert_eq!(declared, u32::MAX as u64),
+            NodeError::Oversized { declared } => assert_eq!(declared, LEN_BITS as u64),
             e => panic!("expected Oversized, got {e}"),
         }
         // One past the bound is also refused.
@@ -682,7 +634,7 @@ mod tests {
         }
         let payload = vec![0u8; MAX_FRAME as usize + 1];
         assert!(matches!(
-            write_frame(&mut NullWriter, &payload).unwrap_err(),
+            write_frame(&mut NullWriter, &payload, None).unwrap_err(),
             NodeError::Oversized { .. }
         ));
     }
@@ -722,41 +674,25 @@ mod tests {
     }
 
     #[test]
-    fn traced_frames_roundtrip_through_the_ext_reader() {
+    fn traced_frames_roundtrip() {
         let mut framed = Vec::new();
-        write_frame_ext(&mut framed, b"payload", Some(ctx(0xAB, 0xCD))).unwrap();
+        write_frame(&mut framed, b"payload", Some(ctx(0xAB, 0xCD))).unwrap();
         let mut cursor = &framed[..];
-        let (payload, trace) = read_frame_ext(&mut cursor).unwrap().unwrap();
+        let (payload, trace) = read_frame(&mut cursor).unwrap().unwrap();
         assert_eq!(payload, b"payload");
         assert_eq!(trace, Some(ctx(0xAB, 0xCD)));
-        assert!(read_frame_ext(&mut cursor).unwrap().is_none());
+        assert!(read_frame(&mut cursor).unwrap().is_none());
     }
 
     #[test]
-    fn untraced_ext_frames_are_bytewise_revision_one() {
-        let mut plain = Vec::new();
-        write_frame(&mut plain, b"same bytes").unwrap();
-        let mut ext = Vec::new();
-        write_frame_ext(&mut ext, b"same bytes", None).unwrap();
-        assert_eq!(plain, ext);
-        // And the ext reader accepts the rev-1 frame with no context.
-        let (payload, trace) = read_frame_ext(&mut &plain[..]).unwrap().unwrap();
-        assert_eq!(payload, b"same bytes");
-        assert_eq!(trace, None);
-    }
-
-    #[test]
-    fn old_readers_reject_traced_frames_typed_never_misparse() {
-        let mut framed = Vec::new();
-        write_frame_ext(&mut framed, b"from the future", Some(ctx(1, 2))).unwrap();
-        // A revision-1 peer sees a length word with bit 28 set — over
-        // its frame bound — and rejects before reading the payload.
-        match read_frame(&mut &framed[..]).unwrap_err() {
-            NodeError::Oversized { declared } => {
-                assert_eq!(declared, FLAG_TRACE as u64 + b"from the future".len() as u64)
-            }
-            e => panic!("expected Oversized, got {e}"),
-        }
+    fn untraced_frames_keep_a_zero_flag_nibble() {
+        let framed = frame_of(b"same bytes");
+        let mut want = Vec::new();
+        want.extend_from_slice(FRAME_MAGIC);
+        want.extend_from_slice(&(b"same bytes".len() as u32).to_le_bytes());
+        want.extend_from_slice(&crc32(b"same bytes").to_le_bytes());
+        want.extend_from_slice(b"same bytes");
+        assert_eq!(framed, want);
     }
 
     #[test]
@@ -767,7 +703,7 @@ mod tests {
             framed.extend_from_slice(&((bad_nibble << 28) | 4).to_le_bytes());
             framed.extend_from_slice(&0u32.to_le_bytes());
             framed.extend_from_slice(&[0; 4]);
-            match read_frame_ext(&mut &framed[..]).unwrap_err() {
+            match read_frame(&mut &framed[..]).unwrap_err() {
                 NodeError::UnknownFlags { flags } => assert_eq!(flags, bad_nibble),
                 e => panic!("flag nibble {bad_nibble:#x} gave {e}"),
             }
@@ -775,14 +711,14 @@ mod tests {
     }
 
     #[test]
-    fn ext_reader_still_bounds_hostile_lengths() {
+    fn traced_frames_still_bound_hostile_lengths() {
         // FLAG_TRACE plus a hostile 28-bit length: the flag must not
         // smuggle the length past the bound.
         let mut framed = Vec::new();
         framed.extend_from_slice(FRAME_MAGIC);
         framed.extend_from_slice(&(FLAG_TRACE | LEN_BITS).to_le_bytes());
         framed.extend_from_slice(&0u32.to_le_bytes());
-        match read_frame_ext(&mut &framed[..]).unwrap_err() {
+        match read_frame(&mut &framed[..]).unwrap_err() {
             NodeError::Oversized { declared } => assert_eq!(declared, LEN_BITS as u64),
             e => panic!("expected Oversized, got {e}"),
         }
@@ -791,21 +727,18 @@ mod tests {
     #[test]
     fn corrupt_trace_block_fails_the_frame_crc() {
         let mut framed = Vec::new();
-        write_frame_ext(&mut framed, b"guarded", Some(ctx(7, 8))).unwrap();
+        write_frame(&mut framed, b"guarded", Some(ctx(7, 8))).unwrap();
         // Flip a byte inside the 16-byte trace block (offset 12..28).
         framed[14] ^= 0x40;
-        assert!(matches!(
-            read_frame_ext(&mut &framed[..]).unwrap_err(),
-            NodeError::ChecksumMismatch
-        ));
+        assert!(matches!(read_frame(&mut &framed[..]).unwrap_err(), NodeError::ChecksumMismatch));
     }
 
     #[test]
     fn truncated_trace_block_is_truncated_not_misparsed() {
         let mut framed = Vec::new();
-        write_frame_ext(&mut framed, b"cut me", Some(ctx(7, 8))).unwrap();
+        write_frame(&mut framed, b"cut me", Some(ctx(7, 8))).unwrap();
         for cut in 13..12 + TraceContext::WIRE_LEN {
-            match read_frame_ext(&mut &framed[..cut]) {
+            match read_frame(&mut &framed[..cut]) {
                 Err(NodeError::Truncated { context }) => assert_eq!(context, "trace context"),
                 other => panic!("cut at {cut} gave {other:?}"),
             }

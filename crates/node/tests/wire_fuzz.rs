@@ -7,12 +7,14 @@
 //! healthy client opened *before* the attack keeps scoring
 //! bit-identically afterwards. The hostile-length attack additionally
 //! relies on the reader's before-allocation bound: a 4 GiB declared
-//! length must be refused from the 12-byte header alone. One test turns
-//! the roles around: a raw peer that closes its sending side must make
-//! a [`NodeClient`]'s later requests fail, not wait forever.
+//! length must be refused from the 12-byte header alone. Two tests turn
+//! the roles around: a raw peer that closes its sending side, or that
+//! answers with a corrupt reply frame, must make a [`NodeClient`]'s
+//! in-flight and later requests fail, not wait forever.
 
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -22,8 +24,8 @@ use sdc_core::ContrastiveModel;
 use sdc_data::Sample;
 use sdc_nn::models::EncoderConfig;
 use sdc_node::wire::{
-    decode_reply, encode_request, read_frame, write_frame, write_frame_ext, Reply, Request,
-    FLAG_TRACE, FRAME_MAGIC, MAX_FRAME,
+    decode_reply, decode_request, encode_reply, encode_request, read_frame, write_frame, Reply,
+    Request, FLAG_TRACE, FRAME_MAGIC, MAX_FRAME,
 };
 use sdc_node::{NodeClient, NodeError, NodeServer};
 use sdc_obs::{SpanId, TraceContext, TraceId};
@@ -100,7 +102,7 @@ fn drain_replies(socket: &mut TcpStream) -> Vec<Reply> {
     let mut replies = Vec::new();
     // Clean close, reset, or timeout-after-shutdown ends the drain:
     // the connection is over either way.
-    while let Ok(Some(payload)) = read_frame(socket) {
+    while let Ok(Some((payload, _))) = read_frame(socket) {
         replies.push(decode_reply(&payload).expect("server sent an undecodable reply"));
     }
     replies
@@ -124,7 +126,7 @@ fn score_request_frame(seq: u64, stream: u64, seed: u64) -> Vec<u8> {
         samples: samples(2, seed),
     });
     let mut frame = Vec::new();
-    write_frame(&mut frame, &payload).expect("frame request");
+    write_frame(&mut frame, &payload, None).expect("frame request");
     frame
 }
 
@@ -176,13 +178,13 @@ fn truncated_frame_gets_typed_error_and_teardown() {
 #[test]
 fn hostile_length_is_rejected_from_the_header_alone() {
     let fixture = Fixture::start(43);
-    // A header declaring u32::MAX payload bytes, then nothing. The
-    // server must reject from the 12 header bytes without waiting for
-    // (or allocating) the declared 4 GiB — a prompt typed error is the
-    // observable proof.
+    // A header declaring the largest length the word holds (2^28 - 1
+    // payload bytes, no flags), then nothing. The server must reject
+    // from the 12 header bytes without waiting for (or allocating) the
+    // declared 256 MiB — a prompt typed error is the observable proof.
     let mut header = Vec::new();
     header.extend_from_slice(FRAME_MAGIC);
-    header.extend_from_slice(&u32::MAX.to_le_bytes());
+    header.extend_from_slice(&0x0FFF_FFFFu32.to_le_bytes());
     header.extend_from_slice(&0u32.to_le_bytes());
     let mut socket = fixture.raw_socket();
     socket.write_all(&header).expect("write hostile header");
@@ -211,7 +213,7 @@ fn malformed_message_in_valid_frame_gets_typed_error_and_teardown() {
     // the payload is an unknown request tag. The rejection happens at
     // the message layer and still follows the same contract.
     let mut frame = Vec::new();
-    write_frame(&mut frame, &[99u8, 0, 0, 0]).expect("frame garbage payload");
+    write_frame(&mut frame, &[99u8, 0, 0, 0], None).expect("frame garbage payload");
     let replies = attack(&fixture, &frame);
     assert_typed_frame_error(&replies);
     fixture.assert_still_serving(105);
@@ -233,7 +235,7 @@ fn interleaved_partial_writes_still_assemble_into_scored_replies() {
             droppable: false,
             samples: pool.clone(),
         });
-        write_frame(&mut bytes, &payload).expect("frame request");
+        write_frame(&mut bytes, &payload, None).expect("frame request");
     }
     let mut socket = fixture.raw_socket();
     for chunk in bytes.chunks(3) {
@@ -264,10 +266,10 @@ fn interleaved_partial_writes_still_assemble_into_scored_replies() {
 #[test]
 fn unknown_flag_bits_get_typed_error_and_teardown() {
     let fixture = Fixture::start(61);
-    // Flag nibbles from a protocol revision this server does not speak
-    // — with and without the trace bit — each on a frame whose length,
-    // CRC, and payload are otherwise pristine. The server must reject
-    // typed before touching the payload and keep serving everyone else.
+    // Flag bits this server does not know — with and without the
+    // trace bit — each on a frame whose length, CRC, and payload are
+    // otherwise pristine. The server must reject typed before touching
+    // the payload and keep serving everyone else.
     for bad_nibble in [0x2u32, 0x8, 0x3, 0xA] {
         let payload = encode_request(&Request::Score {
             seq: 1,
@@ -278,7 +280,7 @@ fn unknown_flag_bits_get_typed_error_and_teardown() {
         let crc = {
             // Mirror the frame CRC so only the flag nibble is hostile.
             let mut plain = Vec::new();
-            write_frame(&mut plain, &payload).expect("frame request");
+            write_frame(&mut plain, &payload, None).expect("frame request");
             u32::from_le_bytes(plain[8..12].try_into().unwrap())
         };
         let mut frame = Vec::new();
@@ -304,14 +306,14 @@ fn traced_frames_are_served_and_corrupt_trace_blocks_rejected() {
     });
     let ctx = TraceContext { trace: TraceId(0x1111), parent: SpanId(0x2222) };
     let mut frame = Vec::new();
-    write_frame_ext(&mut frame, &payload, Some(ctx)).expect("frame traced request");
+    write_frame(&mut frame, &payload, Some(ctx)).expect("frame traced request");
     assert_eq!(
         u32::from_le_bytes(frame[4..8].try_into().unwrap()) & FLAG_TRACE,
         FLAG_TRACE,
         "traced frame must carry the trace flag"
     );
 
-    // A well-formed revision-2 frame is scored bit-identically.
+    // A well-formed traced frame is scored bit-identically.
     let replies = attack(&fixture, &frame);
     match replies.as_slice() {
         [Reply::Scored { seq: 1, scores }] => assert_eq!(
@@ -331,11 +333,10 @@ fn traced_frames_are_served_and_corrupt_trace_blocks_rejected() {
 }
 
 #[test]
-fn revision_one_frames_are_still_served_unchanged() {
+fn untraced_frames_are_served() {
     let fixture = Fixture::start(71);
-    // An old peer that has never heard of flags or trace blocks: plain
-    // `write_frame` output must be served exactly as before the
-    // revision bump.
+    // A frame with a zero flag nibble and no trace block is served
+    // like any other.
     let pool = samples(3, 702);
     let payload = encode_request(&Request::Score {
         seq: 9,
@@ -344,14 +345,14 @@ fn revision_one_frames_are_still_served_unchanged() {
         samples: pool.clone(),
     });
     let mut frame = Vec::new();
-    write_frame(&mut frame, &payload).expect("frame rev-1 request");
+    write_frame(&mut frame, &payload, None).expect("frame untraced request");
     let replies = attack(&fixture, &frame);
     match replies.as_slice() {
         [Reply::Scored { seq: 9, scores }] => assert_eq!(
             scores,
             &contrast_scores_shared(&fixture.reference, &pool).expect("direct score")
         ),
-        other => panic!("expected one Scored reply for the rev-1 frame, got {other:?}"),
+        other => panic!("expected one Scored reply for the untraced frame, got {other:?}"),
     }
     fixture.assert_still_serving(109);
 }
@@ -362,7 +363,8 @@ fn stats_requests_are_served_over_a_raw_socket() {
     // Prime some traffic so the scrape has something to show.
     fixture.assert_still_serving(110);
     let mut frame = Vec::new();
-    write_frame(&mut frame, &encode_request(&Request::Stats { seq: 4 })).expect("frame stats");
+    write_frame(&mut frame, &encode_request(&Request::Stats { seq: 4 }), None)
+        .expect("frame stats");
     let replies = attack(&fixture, &frame);
     match replies.as_slice() {
         [Reply::Stats { seq: 4, json }] => {
@@ -396,6 +398,21 @@ fn attacks_do_not_disturb_a_concurrent_healthy_stream_of_requests() {
     }
 }
 
+/// Runs `f` on its own thread and returns its result, or `None` if it
+/// has not finished within `timeout` (the thread is then left behind).
+fn within<R: Send + 'static>(
+    timeout: Duration,
+    f: impl FnOnce() -> R + Send + 'static,
+) -> Option<R> {
+    let (tx, rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    let got = rx.recv_timeout(timeout).ok()?;
+    worker.join().expect("worker thread");
+    Some(got)
+}
+
 /// A peer that closes its sending side but keeps reading (as a server
 /// lingering after a framing violation does): the client's reader sees
 /// the end of stream, so a later request must resolve as `Disconnected`
@@ -413,12 +430,51 @@ fn requests_after_the_peer_closed_its_side_fail_instead_of_waiting() {
     // Give the client's reader time to see the end of stream; the
     // request must fail whether it is submitted before or after that.
     std::thread::sleep(Duration::from_millis(200));
-    let (tx, rx) = std::sync::mpsc::channel();
-    let submitter = std::thread::spawn(move || {
-        let _ = tx.send(client.submit(0, samples(1, 1)).and_then(|t| t.wait_outcome()));
-    });
-    let outcome = rx.recv_timeout(Duration::from_secs(2)).expect("request unresolved after 2 s");
+    let outcome = within(Duration::from_secs(2), move || {
+        client.submit(0, samples(1, 1)).and_then(|t| t.wait_outcome())
+    })
+    .expect("request unresolved after 2 s");
     assert!(matches!(outcome, Err(NodeError::Disconnected)), "{outcome:?}");
-    submitter.join().expect("submitting thread");
+    peer.join().expect("peer thread");
+}
+
+/// A peer that answers the first request with a reply frame whose CRC
+/// has one flipped byte, then keeps the connection open: the client's
+/// reader must reject the frame, resolve the in-flight ticket as
+/// `Disconnected`, and make a later submit fail the same way rather
+/// than wait.
+#[test]
+fn corrupt_reply_frame_disconnects_the_client_instead_of_hanging() {
+    let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind peer");
+    let addr = listener.local_addr().expect("peer addr");
+    let peer = std::thread::spawn(move || {
+        let (mut socket, _) = listener.accept().expect("accept");
+        let (payload, _) = read_frame(&mut socket).expect("read request").expect("a request");
+        let seq = match decode_request(&payload).expect("decode request") {
+            Request::Score { seq, .. } => seq,
+            other => panic!("expected a score request, got {other:?}"),
+        };
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &encode_reply(&Reply::Scored { seq, scores: vec![0.5] }), None)
+            .expect("frame reply");
+        frame[9] ^= 0x01; // one byte of the header's CRC word (bytes 8..12)
+        socket.write_all(&frame).expect("write corrupt reply");
+        socket.flush().expect("flush corrupt reply");
+        // Hold the connection open until the client drops it, so only
+        // the checksum can end the client's read.
+        let _ = std::io::copy(&mut socket, &mut std::io::sink());
+    });
+    let client = Arc::new(NodeClient::connect(addr).expect("connect"));
+    let ticket = client.submit(0, samples(1, 2)).expect("submit the first request");
+    let outcome = within(Duration::from_secs(2), move || ticket.wait_outcome())
+        .expect("in-flight request unresolved after 2 s");
+    assert!(matches!(outcome, Err(NodeError::Disconnected)), "{outcome:?}");
+    let later = Arc::clone(&client);
+    let outcome = within(Duration::from_secs(2), move || {
+        later.submit(0, samples(1, 3)).and_then(|t| t.wait_outcome())
+    })
+    .expect("later request unresolved after 2 s");
+    assert!(matches!(outcome, Err(NodeError::Disconnected)), "{outcome:?}");
+    drop(client);
     peer.join().expect("peer thread");
 }

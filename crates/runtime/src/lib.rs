@@ -2,9 +2,7 @@
 //!
 //! A dependency-free parallel execution subsystem for the *Selective
 //! Data Contrast* stack: a fixed-size worker pool with data-parallel
-//! primitives ([`par_for`], [`par_chunks_mut`], [`par_map`]) and a
-//! bounded [`channel`] used by the serve layer's request coalescing and
-//! the node's reply pumps.
+//! primitives ([`par_for`], [`par_chunks_mut`], [`par_map`]).
 //!
 //! ## Determinism contract
 //!
@@ -59,8 +57,6 @@
 //! ```
 
 #![deny(missing_docs)]
-
-pub mod channel;
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -247,7 +243,7 @@ impl Runtime {
     }
 
     /// Runs `f` with this runtime as the ambient pool used by the
-    /// free-function primitives ([`par_for`] etc.) on this thread.
+    /// primitives ([`par_for`] etc.) on this thread.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
         let prev = CURRENT.with(|c| c.borrow_mut().replace(self.pool.clone()));
         struct Restore(Option<Pool>);
@@ -259,18 +255,6 @@ impl Runtime {
         }
         let _restore = Restore(prev);
         f()
-    }
-
-    /// Instance form of [`par_for`].
-    pub fn par_for(&self, n: usize, chunk: usize, body: impl Fn(Range<usize>) + Sync) {
-        self.pool.par_for(n, chunk, body);
-    }
-
-    /// Instance form of [`par_map`]. The pool is also installed as the
-    /// ambient runtime for the duration, so dispatch nested inside
-    /// `body` stays on it.
-    pub fn par_map<R: Send>(&self, n: usize, body: impl Fn(usize) -> R + Sync) -> Vec<R> {
-        self.install(|| par_map(n, body))
     }
 }
 
@@ -327,7 +311,7 @@ impl Pool {
         }
     }
 
-    /// See [`Runtime::par_for`].
+    /// See [`par_for`].
     fn par_for(&self, n: usize, chunk: usize, body: impl Fn(Range<usize>) + Sync) {
         let chunk = chunk.max(1);
         let n_chunks = n.div_ceil(chunk);
@@ -581,7 +565,7 @@ mod tests {
     fn par_map_returns_results_in_index_order() {
         for threads in [1, 2, 3, 7] {
             let rt = Runtime::new(threads);
-            let got = rt.par_map(53, |i| i * i);
+            let got = rt.install(|| par_map(53, |i| i * i));
             let want: Vec<usize> = (0..53).map(|i| i * i).collect();
             assert_eq!(got, want, "threads={threads}");
         }
@@ -590,21 +574,25 @@ mod tests {
     #[test]
     fn par_map_handles_empty_and_single_jobs() {
         let rt = Runtime::new(4);
-        assert_eq!(rt.par_map(0, |_| -> usize { panic!("no jobs expected") }), vec![]);
-        assert_eq!(rt.par_map(1, |i| i + 10), vec![10]);
+        rt.install(|| {
+            assert_eq!(par_map(0, |_| -> usize { panic!("no jobs expected") }), vec![]);
+            assert_eq!(par_map(1, |i| i + 10), vec![10]);
+        });
     }
 
     #[test]
     fn par_map_jobs_can_dispatch_nested_work() {
         let rt = Runtime::new(3);
-        let sums = rt.par_map(6, |i| {
-            let mut v = vec![0u64; 64];
-            par_chunks_mut(&mut v, 8, |ci, piece| {
-                for (j, x) in piece.iter_mut().enumerate() {
-                    *x = (i * 64 + ci * 8 + j) as u64;
-                }
-            });
-            v.iter().sum::<u64>()
+        let sums = rt.install(|| {
+            par_map(6, |i| {
+                let mut v = vec![0u64; 64];
+                par_chunks_mut(&mut v, 8, |ci, piece| {
+                    for (j, x) in piece.iter_mut().enumerate() {
+                        *x = (i * 64 + ci * 8 + j) as u64;
+                    }
+                });
+                v.iter().sum::<u64>()
+            })
         });
         for (i, s) in sums.iter().enumerate() {
             let want: u64 = (0..64).map(|j| (i * 64 + j) as u64).sum();
@@ -616,9 +604,11 @@ mod tests {
     fn par_map_panic_propagates_and_drops_cleanly() {
         let rt = Runtime::new(2);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            rt.par_map(32, |i| {
-                assert!(i != 17, "job {i} exploded");
-                vec![i; 4]
+            rt.install(|| {
+                par_map(32, |i| {
+                    assert!(i != 17, "job {i} exploded");
+                    vec![i; 4]
+                })
             })
         }));
         let payload = result.unwrap_err();

@@ -31,6 +31,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -39,7 +40,6 @@ use sdc_core::score::contrast_scores_shared;
 use sdc_core::ContrastiveModel;
 use sdc_data::{Sample, StreamId};
 use sdc_obs::{HistogramSnapshot, LatencyHistogram, LatencySummary, SpanId, TraceContext};
-use sdc_runtime::channel::{bounded, Receiver, Sender, TrySendError};
 use sdc_runtime::Runtime;
 use sdc_tensor::{Result, TensorError};
 
@@ -293,7 +293,7 @@ struct ScoreRequest {
     /// submit time (strictly observe-only — never read by batching or
     /// scoring decisions).
     trace: Option<RequestTrace>,
-    reply: Sender<Result<ScoreOutcome>>,
+    reply: SyncSender<Result<ScoreOutcome>>,
 }
 
 /// Control + data messages accepted by the batcher thread.
@@ -307,9 +307,9 @@ enum Request {
     /// Barrier: score everything pending, then reply — every request
     /// queued before this one has its reply by then (checkpointing
     /// quiesces the batcher with it).
-    Sync(Sender<()>),
+    Sync(SyncSender<()>),
     /// Score whatever is pending and exit (sent by the service handle's
-    /// `Drop`; clients keep `Sender` clones, so queue disconnection
+    /// `Drop`; clients keep sender clones, so queue disconnection
     /// alone cannot signal termination).
     Shutdown,
 }
@@ -326,7 +326,7 @@ fn service_gone() -> TensorError {
 #[derive(Debug)]
 pub struct ScoringClient {
     stream: StreamId,
-    tx: Sender<Request>,
+    tx: SyncSender<Request>,
     stats: Arc<StatsInner>,
 }
 
@@ -399,7 +399,7 @@ impl ScoringClient {
             arrived_nanos: sdc_obs::now_nanos(),
             dequeued_nanos: 0,
         });
-        let (reply, rx) = bounded(1);
+        let (reply, rx) = sync_channel(1);
         let request = Request::Score(ScoreRequest {
             stream: self.stream,
             arrived: Instant::now(),
@@ -467,7 +467,7 @@ impl ScoringClient {
 /// ```
 #[derive(Debug)]
 pub struct ScoringService {
-    tx: Option<Sender<Request>>,
+    tx: Option<SyncSender<Request>>,
     worker: Option<JoinHandle<()>>,
     stats: Arc<StatsInner>,
 }
@@ -477,7 +477,8 @@ impl ScoringService {
     /// runs until the handle is dropped.
     pub fn start(model: impl Into<Arc<ContrastiveModel>>, config: ServeConfig) -> Self {
         let model = model.into();
-        let (tx, rx) = bounded::<Request>(config.queue_depth.max(1));
+        // `sync_channel(0)` would be a rendezvous channel, not a queue.
+        let (tx, rx) = sync_channel::<Request>(config.queue_depth.max(1));
         let stats = Arc::new(StatsInner::default());
         let batcher_stats = Arc::clone(&stats);
         let worker = std::thread::Builder::new()
@@ -520,7 +521,7 @@ impl ScoringService {
     /// Reports the service having terminated.
     pub fn quiesce(&self) -> Result<()> {
         let tx = self.tx.as_ref().expect("sender lives until drop");
-        let (rtx, rrx) = bounded(1);
+        let (rtx, rrx) = sync_channel(1);
         tx.send(Request::Sync(rtx)).map_err(|_| service_gone())?;
         rrx.recv().map_err(|_| service_gone())
     }
@@ -554,7 +555,7 @@ impl ScoringService {
 impl Drop for ScoringService {
     fn drop(&mut self) {
         // An explicit message (not queue disconnection — clients hold
-        // `Sender` clones) tells the batcher to score what is pending
+        // sender clones) tells the batcher to score what is pending
         // and exit; then reap the thread.
         if let Some(tx) = self.tx.take() {
             let _ = tx.send(Request::Shutdown);
@@ -588,17 +589,19 @@ impl Batcher {
     /// queue is empty.
     fn run(mut self, rx: Receiver<Request>) {
         loop {
-            let message = if self.pending.is_empty() { rx.recv() } else { rx.try_recv() };
+            // An empty queue and a disconnected one read the same here:
+            // either way, nothing more is queued right now.
+            let message = if self.pending.is_empty() { rx.recv().ok() } else { rx.try_recv().ok() };
             match message {
-                Ok(message) => {
+                Some(message) => {
                     if !self.handle(message) {
                         return;
                     }
                 }
                 // Every sender is gone and nothing is left to answer.
-                Err(_) if self.pending.is_empty() => return,
+                None if self.pending.is_empty() => return,
                 // The queue is empty: score what is pending.
-                Err(_) => self.flush_one(),
+                None => self.flush_one(),
             }
         }
     }
@@ -915,7 +918,7 @@ mod tests {
         samples: Vec<Sample>,
         droppable: bool,
     ) -> ScoreTicket {
-        let (reply, rx) = bounded(1);
+        let (reply, rx) = sync_channel(1);
         let request = ScoreRequest {
             stream,
             arrived: Instant::now(),
@@ -959,7 +962,7 @@ mod tests {
     /// time, and its ticket holds the `QueueFull` reply.
     #[test]
     fn droppable_requests_on_a_full_queue_are_shed_at_submit() {
-        let (tx, _queue) = bounded(1);
+        let (tx, _queue) = sync_channel(1);
         let client = ScoringClient { stream: 0, tx, stats: Arc::new(StatsInner::default()) };
         let droppable = SubmitOpts { droppable: true, trace: None };
         let queued = client.submit(samples(1, 70), droppable).unwrap();
@@ -1030,7 +1033,7 @@ mod tests {
         let tickets: Vec<_> =
             (0..3u64).map(|s| submit_to(&mut b, s, samples(2, 50 + s), false)).collect();
         assert!(tickets.iter().all(|t| answered(t).is_none()), "below max_batch: all pending");
-        let (done, synced) = bounded(1);
+        let (done, synced) = sync_channel(1);
         assert!(b.handle(Request::Sync(done)));
         assert_eq!(synced.try_recv(), Ok(()));
         assert!(tickets.iter().all(|t| answered(t).is_some()));

@@ -35,8 +35,7 @@ use crate::ops::norm::{
 use crate::ops::pool::{global_avg_pool_backward, global_avg_pool_forward};
 use crate::ops::softmax::{log_softmax_forward, nll_backward, nll_forward};
 use crate::simd::{self, RowNorms, UnaryKernel};
-use crate::tensor::DestBuf;
-use crate::{Shape, Tensor};
+use crate::Tensor;
 
 mod sched;
 
@@ -151,80 +150,6 @@ struct Node {
     grad: Option<Tensor>,
 }
 
-/// A size-bucketed free list of gradient-tensor storage.
-///
-/// Every reverse sweep materializes one contribution tensor per
-/// consumer→parent edge; most are consumed by `accumulate` (folded into
-/// an existing slot) and, before this pool, dropped — freshly allocated
-/// again further down the same deep tape. The pool intercepts those
-/// drops and hands the storage back to the next same-sized gradient.
-/// Only *storage* is recycled — every element is overwritten through
-/// the same kernels and chunking as a fresh allocation, so results are
-/// bit-identical (enforced by `tests/backward_equivalence.rs`).
-///
-/// Interior mutability (a mutex) because `backward_node` runs
-/// concurrently on the level scheduler; the lock is held only for a
-/// bucket push/pop, never during tensor work.
-///
-/// The pool is **capped**: more storage is recycled than re-taken
-/// (ops with internal allocations — conv, matmul, batch-norm — feed
-/// the pool on the way out but never draw from it), so an uncapped
-/// pool would grow without bound on re-swept tapes. Recycling past
-/// [`POOL_BUDGET_BYTES`] total, or past [`POOL_BUCKET_CAP`] buffers of
-/// one size, just drops the buffer to the allocator as before.
-#[derive(Debug, Default)]
-struct GradPool {
-    buckets: std::sync::Mutex<PoolBuckets>,
-}
-
-#[derive(Debug, Default)]
-struct PoolBuckets {
-    by_len: std::collections::BTreeMap<usize, Vec<Vec<f32>>>,
-    total_bytes: usize,
-}
-
-/// Upper bound on pooled storage per graph (64 MiB — generous for one
-/// training tape's gradient working set, negligible beside the tape's
-/// own values).
-const POOL_BUDGET_BYTES: usize = 64 << 20;
-
-/// At most this many pooled buffers of any single size: per sweep a
-/// size is taken at most as often as its consumers run, so deeper
-/// stacks per size are dead weight.
-const POOL_BUCKET_CAP: usize = 8;
-
-impl GradPool {
-    fn take(&self, len: usize) -> Option<Vec<f32>> {
-        if len == 0 {
-            return None;
-        }
-        let mut buckets = self.buckets.lock().unwrap_or_else(|p| p.into_inner());
-        let taken = buckets.by_len.get_mut(&len).and_then(Vec::pop);
-        if taken.is_some() {
-            buckets.total_bytes -= len * std::mem::size_of::<f32>();
-        }
-        taken
-    }
-
-    fn recycle(&self, t: Tensor) {
-        let data = t.into_vec();
-        if data.is_empty() {
-            return;
-        }
-        let bytes = data.len() * std::mem::size_of::<f32>();
-        let mut buckets = self.buckets.lock().unwrap_or_else(|p| p.into_inner());
-        if buckets.total_bytes + bytes > POOL_BUDGET_BYTES {
-            return;
-        }
-        let bucket = buckets.by_len.entry(data.len()).or_default();
-        if bucket.len() >= POOL_BUCKET_CAP {
-            return;
-        }
-        bucket.push(data);
-        buckets.total_bytes += bytes;
-    }
-}
-
 /// A reverse-mode autodiff tape.
 ///
 /// See the crate-level documentation for an overview and a worked
@@ -232,18 +157,12 @@ impl GradPool {
 #[derive(Debug, Default)]
 pub struct Graph {
     nodes: Vec<Node>,
-    pool: GradPool,
 }
 
 impl Graph {
     /// Creates an empty graph.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty graph with room for `capacity` nodes.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self { nodes: Vec::with_capacity(capacity), ..Self::default() }
     }
 
     /// Number of nodes on the tape.
@@ -286,11 +205,6 @@ impl Graph {
     /// The gradient accumulated on node `id`, if backward has reached it.
     pub fn grad(&self, id: VarId) -> Option<&Tensor> {
         self.nodes[id.0].grad.as_ref()
-    }
-
-    /// Removes and returns the gradient of node `id`.
-    pub fn take_grad(&mut self, id: VarId) -> Option<Tensor> {
-        self.nodes[id.0].grad.take()
     }
 
     fn push(&mut self, op: Op, value: Tensor) -> VarId {
@@ -517,13 +431,10 @@ impl Graph {
     ///
     /// Both backward entry points call this before seeding the loss, so
     /// re-sweeping a tape starts from a clean slate instead of silently
-    /// accumulating into the previous sweep's gradients; it is public
-    /// for callers that want to drop gradient memory early.
-    pub fn clear_grads(&mut self) {
+    /// accumulating into the previous sweep's gradients.
+    fn clear_grads(&mut self) {
         for node in &mut self.nodes {
-            if let Some(g) = node.grad.take() {
-                self.pool.recycle(g);
-            }
+            node.grad = None;
         }
     }
 
@@ -581,54 +492,28 @@ impl Graph {
     }
 
     /// Adds `t` into node `id`'s gradient slot (installing it if empty).
-    /// A folded-in contribution's storage goes back to the pool for the
-    /// next same-sized gradient instead of being dropped, as does every
-    /// contribution to a constant.
+    /// A contribution to a constant is dropped.
     fn accumulate(&mut self, id: usize, t: Tensor) {
         if self.is_constant(VarId(id)) {
-            self.pool.recycle(t);
             return;
         }
         match &mut self.nodes[id].grad {
-            Some(g) => {
-                g.add_assign_scaled(&t, 1.0);
-                self.pool.recycle(t);
-            }
+            Some(g) => g.add_assign_scaled(&t, 1.0),
             slot @ None => *slot = Some(t),
         }
-    }
-
-    /// A destination drawing on the gradient pool: recycled same-length
-    /// storage when a buffer is pooled, a fresh allocation otherwise.
-    /// Every pool-fed backward kernel routes through this one entry.
-    fn dest(&self, len: usize) -> DestBuf {
-        DestBuf::from(self.pool.take(len))
-    }
-
-    /// A copy of `src` over pool-drawn storage.
-    fn pooled_copy(&self, src: &Tensor) -> Tensor {
-        src.copy_with(self.dest(src.len()))
-    }
-
-    /// `Tensor::full(shape, v)` over pool-drawn storage.
-    fn pooled_full(&self, shape: Shape, value: f32) -> Tensor {
-        let len = shape.num_elements();
-        Tensor::full_with(shape, value, self.dest(len))
     }
 
     fn backward_node(&self, i: usize, g: &Tensor) -> Result<Vec<(usize, Tensor)>> {
         let node = &self.nodes[i];
         let out = match &node.op {
             Op::Leaf | Op::Constant => vec![],
-            Op::Add(a, b) => vec![(a.0, self.pooled_copy(g)), (b.0, self.pooled_copy(g))],
-            Op::Scale(x, c) => {
-                vec![(x.0, simd::unary_with(UnaryKernel::Scale { c: *c }, g, self.dest(g.len())))]
-            }
+            Op::Add(a, b) => vec![(a.0, g.clone()), (b.0, g.clone())],
+            Op::Scale(x, c) => vec![(x.0, simd::unary(UnaryKernel::Scale { c: *c }, g))],
             Op::AddBias { x, b } => {
                 // The bias gradient is the column sum of the upstream
                 // gradient, chunked by columns over the worker pool.
                 let gb = simd::sum_cols(g)?;
-                vec![(x.0, self.pooled_copy(g)), (b.0, gb)]
+                vec![(x.0, g.clone()), (b.0, gb)]
             }
             // Gradient products run on the gemm tile; the transposed
             // operand of `matmul_tn` is read through the packer's
@@ -643,7 +528,7 @@ impl Graph {
                 // corrupted one the typed shape-mismatch error aborts the
                 // sweep cleanly.
                 let x_val = &self.nodes[x.0].value;
-                vec![(x.0, simd::relu_backward_with(g, x_val, self.dest(g.len()))?)]
+                vec![(x.0, simd::relu_backward(g, x_val)?)]
             }
             Op::Conv2d { x, w, stride, padding } => {
                 let (dx, dw) = conv2d_backward(
@@ -687,23 +572,17 @@ impl Graph {
                 vec![(a.0, ga), (b.0, gb)]
             }
             Op::L2NormalizeRows { x, norms } => {
-                let gx = simd::l2_normalize_rows_backward_with(
-                    &node.value,
-                    norms,
-                    g,
-                    self.dest(g.len()),
-                );
-                vec![(x.0, gx)]
+                vec![(x.0, simd::l2_normalize_rows_backward(&node.value, norms, g))]
             }
             Op::LogSoftmax(x) => {
-                vec![(x.0, simd::log_softmax_backward_with(&node.value, g, self.dest(g.len())))]
+                vec![(x.0, simd::log_softmax_backward(&node.value, g))]
             }
             Op::NllLoss { logp, targets } => {
                 let (n, d) = self.nodes[logp.0].value.shape().as_matrix().expect("validated");
                 vec![(logp.0, nll_backward((n, d), targets, g.item()))]
             }
             Op::MaskedFill { x, mask, .. } => {
-                let mut gx = self.pooled_copy(g);
+                let mut gx = g.clone();
                 for (v, &m) in gx.data_mut().iter_mut().zip(mask) {
                     if m {
                         *v = 0.0;
@@ -714,7 +593,7 @@ impl Graph {
             Op::MeanAll(x) => {
                 let parent = &self.nodes[x.0].value;
                 let v = g.item() / parent.len() as f32;
-                vec![(x.0, self.pooled_full(parent.shape().clone(), v))]
+                vec![(x.0, Tensor::full(parent.shape().clone(), v))]
             }
         };
         Ok(out)
@@ -810,17 +689,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn grad_values_survive_take() {
-        let mut g = Graph::new();
-        let x = g.leaf(Tensor::ones([2]));
-        let loss = g.mean_all(x);
-        g.backward(loss).unwrap();
-        let taken = g.take_grad(x).unwrap();
-        assert_eq!(taken.data(), &[0.5, 0.5]);
-        assert!(g.grad(x).is_none());
-    }
-
     /// Regression: a second `backward` on the same tape used to re-seed
     /// the loss but accumulate fresh contributions into the first
     /// sweep's stale gradients, silently doubling every gradient.
@@ -847,13 +715,11 @@ mod tests {
         }
     }
 
-    /// Re-sweeping exercises the gradient pool: sweep 2 recycles sweep
-    /// 1's buffers through every pool-fed backward (copy, scale, relu,
-    /// ℓ2-normalize, log-softmax, full). The recycled-storage results
-    /// must be bit-identical to a fresh graph's — recycling reuses
-    /// storage, never values.
+    /// A tape swept three times through every elementwise and row-wise
+    /// backward (add, bias, scale, mask, relu, ℓ2-normalize,
+    /// log-softmax, mean) ends with a fresh graph's gradient bits.
     #[test]
-    fn pooled_resweeps_match_a_fresh_graph_bitwise() {
+    fn resweeps_match_a_fresh_graph_bitwise() {
         let build = |g: &mut Graph| {
             let a = g.leaf(t2(&[1.5, -2.0, 3.25, 0.5]));
             let b = g.leaf(t2(&[0.25, 4.0, -1.0, 2.0]));
@@ -883,20 +749,8 @@ mod tests {
                 fresh.grad(f).unwrap().data().iter().map(|v| v.to_bits()).collect();
             let got: Vec<u32> =
                 reswept.grad(r).unwrap().data().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got, want, "recycled buffers changed gradient bits");
+            assert_eq!(got, want, "re-sweeps changed gradient bits");
         }
-    }
-
-    #[test]
-    fn take_grad_then_resweep_restores_the_gradient() {
-        let mut g = Graph::new();
-        let x = g.leaf(t2(&[1.0, 2.0, 3.0, 4.0]));
-        let y = g.relu(x);
-        let loss = g.mean_all(y);
-        g.backward(loss).unwrap();
-        let taken = g.take_grad(x).unwrap();
-        g.backward(loss).unwrap();
-        assert_eq!(g.grad(x).unwrap().data(), taken.data());
     }
 
     /// A conv over a constant input skips the input gradient only: the

@@ -53,4 +53,4 @@ pub use graph::{Graph, VarId};
 pub use ops::norm::{BnBatchStats, BnSaved};
 pub use shape::Shape;
 pub use simd::RowNorms;
-pub use tensor::{DestBuf, Tensor};
+pub use tensor::Tensor;

@@ -2,7 +2,7 @@
 //!
 //! Row-wise ℓ2 normalization is a thin shim over the fused vectorized
 //! forward kernel in [`crate::simd`] (the backward sweep calls
-//! [`simd::l2_normalize_rows_backward_with`] directly); its per-row
+//! [`simd::l2_normalize_rows_backward`] directly); its per-row
 //! norms travel as the typed [`RowNorms`] so callers can no longer
 //! misalign a bare `Vec<f32>`. Batch normalization remains scalar.
 
@@ -285,7 +285,7 @@ mod tests {
         let x = Tensor::from_vec([1, 3], vec![1.0, 2.0, 2.0]).unwrap();
         let (y, norms) = l2_normalize_rows_forward(&x, 1e-12).unwrap();
         let gy = Tensor::from_vec([1, 3], vec![0.3, -1.0, 0.7]).unwrap();
-        let dx = simd::l2_normalize_rows_backward_with(&y, &norms, &gy, crate::DestBuf::fresh());
+        let dx = simd::l2_normalize_rows_backward(&y, &norms, &gy);
         let dot: f32 = dx.data().iter().zip(y.data()).map(|(&a, &b)| a * b).sum();
         assert!(dot.abs() < 1e-6);
     }

@@ -3,7 +3,7 @@
 //! `log_softmax` forward is a thin shim over the fused three-pass
 //! vectorized kernel in [`crate::simd`] (max / exp-sum / normalize);
 //! the backward sweep calls the matching
-//! [`simd::log_softmax_backward_with`] directly. NLL stays scalar (it
+//! [`simd::log_softmax_backward`] directly. NLL stays scalar (it
 //! is a sparse gather).
 
 use crate::error::{Result, TensorError};
@@ -123,7 +123,7 @@ mod tests {
         let x = Tensor::from_vec([1, 3], vec![0.2, -0.3, 0.5]).unwrap();
         let y = log_softmax_forward(&x).unwrap();
         let gy = nll_backward((1, 3), &[1], 1.0);
-        let dx = simd::log_softmax_backward_with(&y, &gy, crate::DestBuf::fresh());
+        let dx = simd::log_softmax_backward(&y, &gy);
         let p: Vec<f32> = y.data().iter().map(|&v| v.exp()).collect();
         let expect = [p[0], p[1] - 1.0, p[2]];
         for (a, e) in dx.data().iter().zip(expect) {

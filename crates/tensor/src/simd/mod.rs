@@ -55,7 +55,6 @@ use std::sync::OnceLock;
 
 use crate::error::{Result, TensorError};
 use crate::par;
-use crate::tensor::DestBuf;
 use crate::Tensor;
 
 pub(crate) use kernels::{dispatch_with, SimdOp};
@@ -169,18 +168,17 @@ fn require_matrix(x: &Tensor, op: &'static str) -> Result<(usize, usize)> {
     })
 }
 
-fn unary_impl(k: UnaryKernel, x: &Tensor, dest: DestBuf, isa: Isa) -> Tensor {
-    let n = x.len();
-    let mut data = dest.take(n);
+fn unary_impl(k: UnaryKernel, x: &Tensor, isa: Isa) -> Tensor {
     let src = x.data();
-    par::dispatch_chunks(&mut data, par::ELEM_CHUNK, n, |ci, piece| {
+    let mut y = Tensor::zeros(x.shape().clone());
+    par::dispatch_chunks(y.data_mut(), par::ELEM_CHUNK, src.len(), |ci, piece| {
         let base = ci * par::ELEM_CHUNK;
         dispatch_with(isa, UnaryChunk { k, src: &src[base..base + piece.len()], dst: piece });
     });
-    Tensor::from_vec(x.shape().clone(), data).expect("destination length matches shape")
+    y
 }
 
-fn relu_backward_impl(gy: &Tensor, x: &Tensor, dest: DestBuf, isa: Isa) -> Result<Tensor> {
+fn relu_backward_impl(gy: &Tensor, x: &Tensor, isa: Isa) -> Result<Tensor> {
     if gy.shape() != x.shape() {
         return Err(TensorError::ShapeMismatch {
             op: "relu_backward",
@@ -188,15 +186,14 @@ fn relu_backward_impl(gy: &Tensor, x: &Tensor, dest: DestBuf, isa: Isa) -> Resul
             rhs: x.shape().clone(),
         });
     }
-    let n = gy.len();
-    let mut data = dest.take(n);
     let (gd, xd) = (gy.data(), x.data());
-    par::dispatch_chunks(&mut data, par::ELEM_CHUNK, n, |ci, piece| {
+    let mut dx = Tensor::zeros(gy.shape().clone());
+    par::dispatch_chunks(dx.data_mut(), par::ELEM_CHUNK, gd.len(), |ci, piece| {
         let base = ci * par::ELEM_CHUNK;
         let end = base + piece.len();
         dispatch_with(isa, ReluBwdChunk { gy: &gd[base..end], x: &xd[base..end], dst: piece });
     });
-    Ok(Tensor::from_vec(gy.shape().clone(), data).expect("destination length matches shape"))
+    Ok(dx)
 }
 
 fn sum_cols_impl(x: &Tensor, isa: Isa) -> Result<Tensor> {
@@ -221,11 +218,11 @@ fn log_softmax_impl(x: &Tensor, isa: Isa) -> Result<Tensor> {
     Ok(y)
 }
 
-fn log_softmax_backward_impl(y: &Tensor, gy: &Tensor, dest: DestBuf, isa: Isa) -> Tensor {
+fn log_softmax_backward_impl(y: &Tensor, gy: &Tensor, isa: Isa) -> Tensor {
     let (n, d) = y.shape().as_matrix().expect("validated in forward");
     let (yd, gd) = (y.data(), gy.data());
-    let mut data = dest.take(n * d);
-    par::dispatch_chunks(&mut data, par::ROW_CHUNK * d, n * d, |ci, piece| {
+    let mut dx = Tensor::zeros([n, d]);
+    par::dispatch_chunks(dx.data_mut(), par::ROW_CHUNK * d, n * d, |ci, piece| {
         let base = ci * par::ROW_CHUNK * d;
         let end = base + piece.len();
         dispatch_with(
@@ -233,7 +230,7 @@ fn log_softmax_backward_impl(y: &Tensor, gy: &Tensor, dest: DestBuf, isa: Isa) -
             LogSoftmaxBwdChunk { y: &yd[base..end], gy: &gd[base..end], d, dst: piece },
         );
     });
-    Tensor::from_vec([n, d], data).expect("destination length matches shape")
+    dx
 }
 
 fn l2_normalize_rows_impl(x: &Tensor, eps: f32, isa: Isa) -> Result<(Tensor, RowNorms)> {
@@ -266,18 +263,12 @@ fn l2_normalize_rows_impl(x: &Tensor, eps: f32, isa: Isa) -> Result<(Tensor, Row
     Ok((y, RowNorms(norms)))
 }
 
-fn l2_normalize_rows_backward_impl(
-    y: &Tensor,
-    norms: &RowNorms,
-    gy: &Tensor,
-    dest: DestBuf,
-    isa: Isa,
-) -> Tensor {
+fn l2_normalize_rows_backward_impl(y: &Tensor, norms: &RowNorms, gy: &Tensor, isa: Isa) -> Tensor {
     let (n, d) = y.shape().as_matrix().expect("validated in forward");
     let (yd, gd) = (y.data(), gy.data());
     let nd = norms.as_slice();
-    let mut data = dest.take(n * d);
-    par::dispatch_chunks(&mut data, par::ROW_CHUNK * d, n * d, |ci, piece| {
+    let mut dx = Tensor::zeros([n, d]);
+    par::dispatch_chunks(dx.data_mut(), par::ROW_CHUNK * d, n * d, |ci, piece| {
         let row0 = ci * par::ROW_CHUNK;
         let base = row0 * d;
         let end = base + piece.len();
@@ -293,28 +284,22 @@ fn l2_normalize_rows_backward_impl(
             },
         );
     });
-    Tensor::from_vec([n, d], data).expect("destination length matches shape")
+    dx
 }
 
-/// Apply a unary kernel elementwise, allocating a fresh output.
+/// Apply a unary kernel elementwise.
 pub fn unary(k: UnaryKernel, x: &Tensor) -> Tensor {
-    unary_impl(k, x, DestBuf::fresh(), active_isa())
+    unary_impl(k, x, active_isa())
 }
 
-/// Apply a unary kernel elementwise into a caller-supplied destination
-/// buffer (e.g. one drawn from the gradient pool).
-pub fn unary_with(k: UnaryKernel, x: &Tensor, dest: DestBuf) -> Tensor {
-    unary_impl(k, x, dest, active_isa())
-}
-
-/// Relu backward into a caller-supplied destination buffer: `gy`
-/// where `x > 0`, else `+0.0` (NaN `x` blocks the gradient).
+/// Relu backward: `gy` where `x > 0`, else `+0.0` (NaN `x` blocks the
+/// gradient).
 ///
 /// # Errors
 ///
 /// Returns an error if the operand shapes differ.
-pub fn relu_backward_with(gy: &Tensor, x: &Tensor, dest: DestBuf) -> Result<Tensor> {
-    relu_backward_impl(gy, x, dest, active_isa())
+pub fn relu_backward(gy: &Tensor, x: &Tensor) -> Result<Tensor> {
+    relu_backward_impl(gy, x, active_isa())
 }
 
 /// Sums each column of an `(n, d)` tensor into a `(d)` vector: the
@@ -347,10 +332,9 @@ pub fn log_softmax(x: &Tensor) -> Result<Tensor> {
     log_softmax_impl(x, active_isa())
 }
 
-/// Backward of [`log_softmax`] into a caller-supplied destination
-/// buffer: `dx = gy - exp(y)·rowsum(gy)`.
-pub fn log_softmax_backward_with(y: &Tensor, gy: &Tensor, dest: DestBuf) -> Tensor {
-    log_softmax_backward_impl(y, gy, dest, active_isa())
+/// Backward of [`log_softmax`]: `dx = gy - exp(y)·rowsum(gy)`.
+pub fn log_softmax_backward(y: &Tensor, gy: &Tensor) -> Tensor {
+    log_softmax_backward_impl(y, gy, active_isa())
 }
 
 /// Row-wise ℓ2 normalization; returns the normalized tensor and the
@@ -363,15 +347,10 @@ pub fn l2_normalize_rows(x: &Tensor, eps: f32) -> Result<(Tensor, RowNorms)> {
     l2_normalize_rows_impl(x, eps, active_isa())
 }
 
-/// Backward of [`l2_normalize_rows`] into a caller-supplied destination
-/// buffer: `dx = (gy - y·⟨gy, y⟩)/norm` per row.
-pub fn l2_normalize_rows_backward_with(
-    y: &Tensor,
-    norms: &RowNorms,
-    gy: &Tensor,
-    dest: DestBuf,
-) -> Tensor {
-    l2_normalize_rows_backward_impl(y, norms, gy, dest, active_isa())
+/// Backward of [`l2_normalize_rows`]: `dx = (gy - y·⟨gy, y⟩)/norm`
+/// per row.
+pub fn l2_normalize_rows_backward(y: &Tensor, norms: &RowNorms, gy: &Tensor) -> Tensor {
+    l2_normalize_rows_backward_impl(y, norms, gy, active_isa())
 }
 
 /// The retained scalar reference: every public entry point, forced onto
@@ -385,17 +364,16 @@ pub mod scalar_ref {
 
     /// Scalar-reference [`super::unary`].
     pub fn unary(k: UnaryKernel, x: &Tensor) -> Tensor {
-        unary_impl(k, x, DestBuf::fresh(), Isa::Scalar)
+        unary_impl(k, x, Isa::Scalar)
     }
 
-    /// Scalar-reference [`super::relu_backward_with`], into fresh
-    /// storage.
+    /// Scalar-reference [`super::relu_backward`].
     ///
     /// # Errors
     ///
     /// Returns an error if the operand shapes differ.
     pub fn relu_backward(gy: &Tensor, x: &Tensor) -> Result<Tensor> {
-        relu_backward_impl(gy, x, DestBuf::fresh(), Isa::Scalar)
+        relu_backward_impl(gy, x, Isa::Scalar)
     }
 
     /// Scalar-reference [`super::sum_cols`].
@@ -416,10 +394,9 @@ pub mod scalar_ref {
         log_softmax_impl(x, Isa::Scalar)
     }
 
-    /// Scalar-reference [`super::log_softmax_backward_with`], into
-    /// fresh storage.
+    /// Scalar-reference [`super::log_softmax_backward`].
     pub fn log_softmax_backward(y: &Tensor, gy: &Tensor) -> Tensor {
-        log_softmax_backward_impl(y, gy, DestBuf::fresh(), Isa::Scalar)
+        log_softmax_backward_impl(y, gy, Isa::Scalar)
     }
 
     /// Scalar-reference [`super::l2_normalize_rows`].
@@ -431,10 +408,9 @@ pub mod scalar_ref {
         l2_normalize_rows_impl(x, eps, Isa::Scalar)
     }
 
-    /// Scalar-reference [`super::l2_normalize_rows_backward_with`], into
-    /// fresh storage.
+    /// Scalar-reference [`super::l2_normalize_rows_backward`].
     pub fn l2_normalize_rows_backward(y: &Tensor, norms: &RowNorms, gy: &Tensor) -> Tensor {
-        l2_normalize_rows_backward_impl(y, norms, gy, DestBuf::fresh(), Isa::Scalar)
+        l2_normalize_rows_backward_impl(y, norms, gy, Isa::Scalar)
     }
 }
 

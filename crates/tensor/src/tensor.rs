@@ -8,38 +8,6 @@ use serde::{Deserialize, Serialize};
 use crate::error::{Result, TensorError};
 use crate::Shape;
 
-/// A destination buffer for kernel outputs: either freshly allocated
-/// or recycled storage (e.g. drawn from the graph's gradient pool).
-///
-/// This is the single seam through which every output-producing kernel
-/// — [`Tensor::copy_with`], [`Tensor::full_with`], and the
-/// [`simd`](crate::simd) entry points — accepts reusable storage. A
-/// recycled buffer of the wrong length is silently discarded and
-/// replaced by a fresh allocation, so callers never have to pre-check.
-#[derive(Debug, Default)]
-pub struct DestBuf(Option<Vec<f32>>);
-
-impl DestBuf {
-    /// A destination that allocates fresh storage.
-    pub fn fresh() -> Self {
-        DestBuf(None)
-    }
-
-    /// Resolve to a writable buffer of exactly `len` elements.
-    pub(crate) fn take(self, len: usize) -> Vec<f32> {
-        match self.0 {
-            Some(buf) if buf.len() == len => buf,
-            _ => vec![0.0; len],
-        }
-    }
-}
-
-impl From<Option<Vec<f32>>> for DestBuf {
-    fn from(buf: Option<Vec<f32>>) -> Self {
-        DestBuf(buf)
-    }
-}
-
 /// A dense, row-major tensor of `f32` values.
 ///
 /// `Tensor` is the plain-value workhorse of the stack: model parameters,
@@ -143,11 +111,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its data buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reads the element at a multi-dimensional index.
     ///
     /// # Panics
@@ -226,23 +189,6 @@ impl Tensor {
             }
         });
         Self { shape: self.shape.clone(), data }
-    }
-
-    /// A copy of `self` whose storage comes from a [`DestBuf`]
-    /// destination.
-    pub fn copy_with(&self, dest: DestBuf) -> Self {
-        let mut data = dest.take(self.data.len());
-        data.copy_from_slice(&self.data);
-        Self { shape: self.shape.clone(), data }
-    }
-
-    /// A constant tensor whose storage comes from a [`DestBuf`]
-    /// destination.
-    pub fn full_with(shape: impl Into<Shape>, value: f32, dest: DestBuf) -> Self {
-        let shape = shape.into();
-        let mut data = dest.take(shape.num_elements());
-        data.iter_mut().for_each(|x| *x = value);
-        Self { shape, data }
     }
 
     /// Elementwise combination of two same-shaped tensors.

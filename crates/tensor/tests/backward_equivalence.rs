@@ -4,9 +4,8 @@
 //! counts 1/2/7, over tape shapes chosen to stress the scheduler —
 //! diamond tapes (shared subexpressions feeding consumers at different
 //! wavefront levels), wide fan-out onto one gradient slot, a conv/bn
-//! pipeline with a contrastive head that records every op kind,
-//! `take_grad` mid-use, random DAGs over the rank-2 ops, and re-swept
-//! tapes (the double-backward stale-gradient regression). Every tape is
+//! pipeline with a contrastive head that records every op kind, random
+//! DAGs over the rank-2 ops, and re-swept tapes (the double-backward stale-gradient regression). Every tape is
 //! swept twice, so re-sweeps of the matmul tower pair and of a conv
 //! with a deep patch whose output positions end off an `NR` edge ride
 //! the same harness. The conv kernels themselves are checked
@@ -61,7 +60,7 @@ fn assert_same_grads(got: &Graph, want: &Graph, ids: &[VarId], ctx: &str) {
 /// Builds the graph twice, runs the serial reference on one copy and
 /// the level scheduler on the other at every thread count, and compares
 /// all gradients bitwise — then sweeps the same scheduled tape a second
-/// time (recycled gradient storage, cleared slots) and compares again.
+/// time (cleared slots) and compares again.
 fn check_scheduler_vs_serial(build: impl Fn(&mut Graph) -> (VarId, Vec<VarId>), ctx: &str) {
     let mut reference = Graph::new();
     let (loss, ids) = build(&mut reference);
@@ -235,28 +234,6 @@ fn double_backward_equals_single_backward() {
     }
 }
 
-/// `take_grad` between sweeps must not disturb a re-sweep: the second
-/// backward starts from cleared slots and reproduces every gradient,
-/// including the taken one.
-#[test]
-fn take_grad_mid_use_then_resweep_matches() {
-    for threads in THREADS {
-        Runtime::new(threads).install(|| {
-            let mut reference = Graph::new();
-            let (loss, ids) = wide_fanout(&mut reference);
-            reference.backward_serial(loss).unwrap();
-
-            let mut g = Graph::new();
-            let (loss_again, ids_again) = wide_fanout(&mut g);
-            g.backward(loss_again).unwrap();
-            let taken = g.take_grad(ids_again[0]).unwrap();
-            assert_bits_eq(&taken, reference.grad(ids[0]).unwrap(), "taken grad");
-            g.backward(loss_again).unwrap();
-            assert_same_grads(&g, &reference, &ids, &format!("take_grad threads={threads}"));
-        });
-    }
-}
-
 /// Mixing the two entry points across sweeps of one tape is also
 /// stable: serial-then-scheduled equals scheduled alone.
 #[test]
@@ -274,9 +251,9 @@ fn serial_then_scheduled_resweep_matches() {
     assert_same_grads(&g, &reference, &ids, "serial-then-scheduled");
 }
 
-/// Re-swept tapes: the second and third sweeps recycle the first
-/// sweep's gradient storage and repack every GEMM operand, and must
-/// reproduce the serial reference bitwise.
+/// Re-swept tapes: the second and third sweeps start from cleared slots
+/// and repack every matmul operand, and must reproduce the serial
+/// reference bitwise.
 #[test]
 fn tower_pair_resweeps_match_serial_bitwise() {
     let mut reference = Graph::new();

@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use sdc_runtime::Runtime;
 use sdc_tensor::simd::{self, scalar_ref, Isa, UnaryKernel};
-use sdc_tensor::{DestBuf, Tensor};
+use sdc_tensor::Tensor;
 
 /// Thread counts exercised everywhere: serial, even, and an odd
 /// non-divisor of typical chunk counts.
@@ -68,7 +68,7 @@ fn check_all_kernels(x: &Tensor, y: &Tensor) -> Result<(), String> {
     }
     assert_dispatch_invariant(
         &format!("relu_backward len={}", x.len()),
-        || simd::relu_backward_with(x, y, DestBuf::fresh()).unwrap(),
+        || simd::relu_backward(x, y).unwrap(),
         || scalar_ref::relu_backward(x, y).unwrap(),
     )?;
     Ok(())
@@ -89,7 +89,7 @@ fn check_all_rowwise(m: &Tensor, gy: &Tensor) -> Result<(), String> {
     let y = scalar_ref::log_softmax(m).unwrap();
     assert_dispatch_invariant(
         &format!("log_softmax_backward {shape}"),
-        || simd::log_softmax_backward_with(&y, gy, DestBuf::fresh()),
+        || simd::log_softmax_backward(&y, gy),
         || scalar_ref::log_softmax_backward(&y, gy),
     )?;
     assert_dispatch_invariant(
@@ -107,7 +107,7 @@ fn check_all_rowwise(m: &Tensor, gy: &Tensor) -> Result<(), String> {
     }
     assert_dispatch_invariant(
         &format!("l2_normalize_rows_backward {shape}"),
-        || simd::l2_normalize_rows_backward_with(&zn, &norms, gy, DestBuf::fresh()),
+        || simd::l2_normalize_rows_backward(&zn, &norms, gy),
         || scalar_ref::l2_normalize_rows_backward(&zn, &norms, gy),
     )?;
     Ok(())
@@ -212,7 +212,7 @@ fn non_finite_inputs_match_scalar_reference() {
     let gy = Tensor::randn([4, n / 4], 1.0, &mut r);
     assert_dispatch_invariant(
         "log_softmax_backward specials",
-        || simd::log_softmax_backward_with(&m, &gy, DestBuf::fresh()),
+        || simd::log_softmax_backward(&m, &gy),
         || scalar_ref::log_softmax_backward(&m, &gy),
     )
     .unwrap();
